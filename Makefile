@@ -42,7 +42,8 @@ campaign:
 		      f\"{s['resumes_identical']}/{s['resumes_checked']} resumes \" \
 		      f\"byte-identical\")"
 
-# Coverage gate over the fault + QA subsystems.  pytest-cov is not part
+# Coverage gate over the fault + QA subsystems and the kernel's
+# metadata charge (kernel, DMA engine, allocator).  pytest-cov is not part
 # of the baked toolchain everywhere, so the gate degrades to a plain run
 # (with a visible notice) when the plugin is missing rather than failing
 # the build on a tooling gap.
@@ -54,11 +55,12 @@ coverage:
 			tests/test_pim_health.py tests/test_pim_journal.py \
 			tests/test_pim_fleet.py tests/test_campaign.py \
 			tests/test_campaign_report.py tests/test_pim_transport.py \
-			tests/test_transport_stateful.py \
+			tests/test_transport_stateful.py tests/test_pim_staging.py \
 			--cov=repro.pim.faults --cov=repro.qa \
 			--cov=repro.pim.health --cov=repro.pim.journal \
 			--cov=repro.pim.fleet --cov=repro.pim.ablation \
-			--cov=repro.pim.transport \
+			--cov=repro.pim.transport --cov=repro.pim.kernel \
+			--cov=repro.pim.dma --cov=repro.pim.allocator \
 			--cov-report=term-missing --cov-fail-under=85; \
 	else \
 		echo "pytest-cov not installed; running the suite without the gate"; \
@@ -68,7 +70,7 @@ coverage:
 			tests/test_pim_health.py tests/test_pim_journal.py \
 			tests/test_pim_fleet.py tests/test_campaign.py \
 			tests/test_campaign_report.py tests/test_pim_transport.py \
-			tests/test_transport_stateful.py -q; \
+			tests/test_transport_stateful.py tests/test_pim_staging.py -q; \
 	fi
 
 bench:

@@ -12,16 +12,10 @@ from repro.perf.calibration import PAPER_TARGETS
 
 
 def test_fig1_full(benchmark):
+    # Fig1Config() defaults: the same sampling as `repro fig1`, the
+    # example script and the benchmark's experiments.fig1.* metrics.
     result = benchmark.pedantic(
-        lambda: run_fig1(
-            Fig1Config(
-                cpu_sample_pairs=300,
-                pim_sample_pairs_per_dpu=64,
-                num_simulated_dpus=2,
-            )
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: run_fig1(Fig1Config()), rounds=1, iterations=1
     )
     emit("fig1", result.report())
 

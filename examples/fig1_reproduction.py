@@ -6,8 +6,8 @@ PIM Kernel and PIM Total bars (cycle-level DPU model at the paper's
 2560-DPU operating point), for E = 2% and 4%, plus the paper-vs-measured
 speedup summary.
 
-Run:  python examples/fig1_reproduction.py          (~1 minute)
-      python examples/fig1_reproduction.py --quick  (~10 seconds)
+Run:  python examples/fig1_reproduction.py          (Fig1Config() defaults)
+      python examples/fig1_reproduction.py --quick  (smaller samples)
 """
 
 import sys
@@ -18,10 +18,12 @@ from repro.experiments import Fig1Config, run_fig1
 
 def main() -> None:
     quick = "--quick" in sys.argv
-    config = Fig1Config(
-        cpu_sample_pairs=100 if quick else 500,
-        pim_sample_pairs_per_dpu=32 if quick else 128,
-        num_simulated_dpus=1 if quick else 4,
+    config = (
+        Fig1Config(
+            cpu_sample_pairs=100, pim_sample_pairs_per_dpu=32, num_simulated_dpus=1
+        )
+        if quick
+        else Fig1Config()
     )
     t0 = time.time()
     result = run_fig1(config)

@@ -992,10 +992,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_fig1(args: argparse.Namespace) -> int:
     from repro.experiments.fig1 import Fig1Config, run_fig1
 
-    config = Fig1Config(
-        cpu_sample_pairs=100 if args.quick else 400,
-        pim_sample_pairs_per_dpu=32 if args.quick else 96,
-        num_simulated_dpus=1 if args.quick else 2,
+    config = (
+        Fig1Config(
+            cpu_sample_pairs=100, pim_sample_pairs_per_dpu=32, num_simulated_dpus=1
+        )
+        if args.quick
+        else Fig1Config()
     )
     result = run_fig1(config)
     print(result.report())

@@ -14,6 +14,8 @@ This module models that allocator faithfully:
 * :class:`BumpAllocator` — an 8-byte-aligning bump (arena) allocator over
   an address range; O(1) alloc, whole-arena reset between alignments,
   exactly like the C original's ``mm_allocator`` reset discipline.
+  :meth:`BumpAllocator.reserve` allocates a whole run of blocks (one
+  alignment's wavefronts) in one step with the same bookkeeping.
 * :class:`TaskletAllocator` — the per-tasklet view: one WRAM arena (for
   sequence buffers, staging buffers, and — under the ``"wram"`` policy —
   all WFA metadata) and one MRAM arena (bulk metadata under the
@@ -26,7 +28,10 @@ supports — the trade-off at the heart of the paper's design.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 from repro.errors import AllocationError
 from repro.pim.dma import DMA_ALIGN, aligned_size
@@ -66,15 +71,36 @@ class BumpAllocator:
             raise AllocationError(f"negative allocation: {nbytes}")
         size = aligned_size(max(nbytes, 1))
         if self.cursor + size > self.capacity:
-            raise AllocationError(
-                f"{self.space} arena exhausted: need {size} bytes, "
-                f"{self.capacity - self.cursor} of {self.capacity} free"
-            )
+            raise self.exhausted(size)
         addr = self.base + self.cursor
         self.cursor += size
         self.high_water = max(self.high_water, self.cursor)
         self.allocations += 1
         return Allocation(addr=addr, size=size, space=self.space)
+
+    def reserve(self, sizes: Sequence[int]) -> int:
+        """Allocate back-to-back blocks of ``sizes`` as one :meth:`alloc` each.
+
+        ``sizes`` must already be DMA-aligned (positive multiples of 8,
+        as :func:`~repro.pim.dma.aligned_size` returns).  Allocates the
+        longest prefix that fits, leaving the cursor, ``high_water`` and
+        ``allocations`` where that many :meth:`alloc` calls would, and
+        returns its length; the first block of the rest is then the one
+        :meth:`alloc` would have refused (see :meth:`exhausted`).
+        """
+        ends = list(accumulate(sizes, initial=self.cursor))
+        fit = bisect_right(ends, self.capacity) - 1
+        self.cursor = ends[fit]
+        self.high_water = max(self.high_water, self.cursor)
+        self.allocations += fit
+        return fit
+
+    def exhausted(self, size: int) -> AllocationError:
+        """The error :meth:`alloc` raises when ``size`` bytes do not fit."""
+        return AllocationError(
+            f"{self.space} arena exhausted: need {size} bytes, "
+            f"{self.capacity - self.cursor} of {self.capacity} free"
+        )
 
     def reset(self) -> None:
         """Free everything at once (between alignments)."""
@@ -119,11 +145,14 @@ class TaskletAllocator:
         """Allocate a WRAM working buffer (sequences, staging, results)."""
         return self.wram.alloc(nbytes)
 
+    @property
+    def metadata_arena(self) -> BumpAllocator:
+        """The arena WFA metadata comes from under the placement policy."""
+        return self.wram if self.metadata_policy == "wram" else self.mram
+
     def alloc_metadata(self, nbytes: int) -> Allocation:
         """Allocate WFA metadata per the configured placement policy."""
-        if self.metadata_policy == "wram":
-            return self.wram.alloc(nbytes)
-        return self.mram.alloc(nbytes)
+        return self.metadata_arena.alloc(nbytes)
 
     def reset_metadata(self) -> None:
         """Release all per-alignment metadata (between read pairs).

@@ -19,17 +19,31 @@ Each DPU has a single DMA engine shared by all tasklets, so DMA cycles
 are accumulated globally per DPU (and per tasklet for occupancy
 accounting); the DPU timing model treats total DMA cycles as one of its
 bounding terms.
+
+:meth:`DmaEngine.stage` charges the kernel's metadata staging in closed
+form: the same counters, checks and fault-hook ticks as issuing every
+transfer, without copying the scratch bytes no code reads.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import reduce
+from itertools import chain
+from operator import add, mul
+from typing import Callable, Optional, Sequence
 
 from repro.errors import AlignmentFault
 from repro.pim.config import DpuTimingConfig
 from repro.pim.memory import Mram, Wram
 
-__all__ = ["DMA_MIN", "DMA_MAX", "DMA_ALIGN", "DmaEngine", "aligned_size"]
+__all__ = [
+    "DMA_MIN",
+    "DMA_MAX",
+    "DMA_ALIGN",
+    "DmaEngine",
+    "aligned_size",
+    "dma_pieces",
+]
 
 DMA_ALIGN = 8
 DMA_MIN = 8
@@ -39,6 +53,18 @@ DMA_MAX = 2048
 def aligned_size(nbytes: int) -> int:
     """Round ``nbytes`` up to the DMA granularity (multiple of 8)."""
     return (nbytes + DMA_ALIGN - 1) // DMA_ALIGN * DMA_ALIGN
+
+
+def dma_pieces(nbytes: int, chunk: Optional[int] = None) -> list[int]:
+    """Sizes of the transfers that move ``nbytes`` in order.
+
+    ``chunk=None`` splits as :meth:`DmaEngine.read_large` does (pieces of
+    up to 2048 bytes); a fixed ``chunk`` splits into ``chunk``-byte
+    pieces, the loop around a constant-size WRAM staging buffer.
+    """
+    step = DMA_MAX if chunk is None else chunk
+    whole, rest = divmod(nbytes, step)
+    return [step] * whole + [rest] if rest else [step] * whole
 
 
 class DmaEngine:
@@ -106,10 +132,9 @@ class DmaEngine:
             raise AlignmentFault(f"read_large size {size} not a multiple of 8")
         cycles = 0.0
         done = 0
-        while done < size:
-            chunk = min(DMA_MAX, size - done)
-            cycles += self.read(mram_addr + done, wram_addr + done, chunk)
-            done += chunk
+        for piece in dma_pieces(size):
+            cycles += self.read(mram_addr + done, wram_addr + done, piece)
+            done += piece
         return cycles
 
     def write_large(self, wram_addr: int, mram_addr: int, size: int) -> float:
@@ -118,11 +143,112 @@ class DmaEngine:
             raise AlignmentFault(f"write_large size {size} not a multiple of 8")
         cycles = 0.0
         done = 0
-        while done < size:
-            chunk = min(DMA_MAX, size - done)
-            cycles += self.write(wram_addr + done, mram_addr + done, chunk)
-            done += chunk
+        for piece in dma_pieces(size):
+            cycles += self.write(wram_addr + done, mram_addr + done, piece)
+            done += piece
         return cycles
+
+    def stage(
+        self,
+        mram_addr: int,
+        wram_addr: int,
+        sizes: Sequence[int],
+        uses: Sequence[int],
+        chunk: Optional[int] = None,
+    ) -> list[float]:
+        """Charge blocks staged through one WRAM buffer, in closed form.
+
+        Block ``i`` holds ``sizes[i]`` bytes (a positive multiple of 8) at
+        ``mram_addr + sum(sizes[:i])`` and is moved whole ``uses[i]``
+        times: one stage-out (WRAM -> MRAM), then reads back.  A move is
+        split by :func:`dma_pieces`; with ``chunk=None`` the WRAM address
+        advances with the MRAM one, as in :meth:`write_large` and
+        :meth:`read_large`, otherwise every piece goes through the same
+        ``chunk``-byte buffer at ``wram_addr`` (``chunk`` a multiple of 8
+        in [8, 2048], as :class:`~repro.pim.kernel.KernelConfig` ensures).
+
+        The counters, the per-transfer cycle sums (added one transfer at
+        a time, in issue order) and the fault hook (one call per transfer
+        with its size, in issue order) are exactly those of issuing every
+        transfer through :meth:`write` and :meth:`read`, but no bytes are
+        copied.  The checks are done once: every address is the first
+        transfer's plus multiples of 8 and every piece a multiple of 8 in
+        [8, 2048], so validating the first transfer validates them all;
+        the addresses grow with the block, so the bounds hold everywhere
+        when they hold at the ends.  Only when a bound fails is the first
+        offending transfer located and issued, and it fails as before.
+        On an error the counters are left undefined, as is the launch.
+
+        Returns the cycles of one move of each block.
+        """
+        if not sizes:
+            return []
+        step = DMA_MAX if chunk is None else chunk
+        widest = max(sizes)
+        self._validate(mram_addr, wram_addr, min(sizes[0], step))
+        reach = widest if chunk is None else min(widest, step)
+        pieces = [dma_pieces(nbytes, chunk) for nbytes in sizes]
+        if (
+            mram_addr < 0
+            or mram_addr + sum(sizes) > self.mram.capacity
+            or wram_addr < 0
+            or wram_addr + reach > self.wram.capacity
+        ):
+            index, mram_at, wram_at, size = self._first_out_of_bounds(
+                mram_addr, wram_addr, pieces, uses, chunk is None
+            )
+            self._tick(pieces, uses, index)
+            self.write(wram_at, mram_at, size)  # fails its bounds check
+        self._tick(pieces, uses, None)
+        cycles_of = self.timing.dma_cycles
+        per_piece = [[cycles_of(p) for p in block] for block in pieces]
+        self.transfers += sum(map(mul, map(len, pieces), uses))
+        self.bytes_moved += sum(map(mul, sizes, uses))
+        issued = chain.from_iterable(map(mul, per_piece, uses))
+        self.cycles = reduce(add, issued, self.cycles)
+        return [reduce(add, cycles, 0.0) for cycles in per_piece]
+
+    def _tick(
+        self, pieces: list[list[int]], uses: Sequence[int], limit: Optional[int]
+    ) -> None:
+        """Call the fault hook for the first ``limit`` transfers (all if None)."""
+        if self.fault_hook is None:
+            return
+        sizes = list(chain.from_iterable(map(mul, pieces, uses)))
+        for size in sizes[:limit]:
+            self.fault_hook(size)
+
+    def _first_out_of_bounds(
+        self,
+        mram_addr: int,
+        wram_addr: int,
+        pieces: list[list[int]],
+        uses: Sequence[int],
+        advance: bool,
+    ) -> tuple[int, int, int, int]:
+        """``(index, mram, wram, size)`` of the first transfer out of bounds.
+
+        Every move of a block touches the same ranges, so the first
+        failure is in a block's first move, the stage-out.
+        """
+        index = 0
+        for block, count in zip(pieces, uses):
+            done = 0
+            for size in block:
+                mram_at = mram_addr + done
+                wram_at = wram_addr + done if advance else wram_addr
+                if not (
+                    0 <= mram_at
+                    and mram_at + size <= self.mram.capacity
+                    and 0 <= wram_at
+                    and wram_at + size <= self.wram.capacity
+                ):
+                    return index, mram_at, wram_at, size
+                done += size
+                index += 1
+            index += len(block) * (count - 1)
+            mram_addr += done
+        raise AssertionError("no transfer out of bounds")
 
     def reset_counters(self) -> None:
         self.transfers = 0

@@ -20,12 +20,13 @@ Fidelity notes (see DESIGN.md §2):
   parses them out of WRAM after a validated DMA, and results round-trip
   the same way.
 * The WFA arithmetic itself runs on the host Python engine for speed;
-  its *allocation log* is then replayed against the allocator and the
-  DMA engine, transfer by transfer, so capacity, alignment, and traffic
-  volumes are enforced/charged exactly as the DPU code would incur them.
-  Staged metadata buffer *contents* are not semantically meaningful
-  (they are scratch), so the replay reuses the reserved regions without
-  re-packing offsets.
+  its *wavefront log* then drives the metadata accounting.  Each pair's
+  wavefronts are reserved in the metadata arena in one step and their
+  staging is validated and charged in closed form (sizes, uses, DMA
+  pieces, cycles per use), so capacity, alignment, bounds, traffic
+  volumes, cycle sums and fault-hook ticks are exactly those of the
+  transfer-by-transfer DPU code.  The staged bytes themselves are not
+  copied: metadata buffer contents are scratch that no code reads.
 * Instruction counts come from the operation counters via
   :class:`~repro.perf.costs.DpuCostModel`.
 """
@@ -33,7 +34,10 @@ Fidelity notes (see DESIGN.md §2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from functools import reduce
+from itertools import chain, repeat
+from operator import add
+from typing import Callable, Optional
 
 from repro.core.aligner import AlignmentResult
 from repro.core.backtrace import backtrace
@@ -51,7 +55,7 @@ from repro.core.wfa_batch import BatchPairView, BatchWfaEngine
 from repro.errors import AllocationError, AlignmentError, KernelError
 from repro.pim.allocator import TaskletAllocator
 from repro.pim.config import DpuConfig
-from repro.pim.dma import aligned_size
+from repro.pim.dma import aligned_size, dma_pieces
 from repro.pim.dpu import Dpu
 from repro.pim.layout import MramLayout
 from repro.pim.tasklet import TaskletContext, TaskletStats
@@ -72,6 +76,33 @@ def per_edit_cost(penalties: Penalties) -> int:
     if isinstance(penalties, EditPenalties):
         return 1
     raise KernelError(f"unsupported penalty model: {penalties!r}")
+
+
+def source_distances(penalties: Penalties) -> dict[str, tuple[int, ...]]:
+    """Score distances at which each component's wavefront is read back.
+
+    A wavefront of component ``c`` created at score ``s`` is a recurrence
+    source for every computed score ``s + d``, ``d`` in the returned
+    ``c`` entry: under affine penalties M is read as the mismatch source
+    and as the gap-open source, I and D once as the gap-extend source.
+    """
+    if isinstance(penalties, TwoPieceAffinePenalties):
+        m = (
+            penalties.mismatch,
+            penalties.gap_open1 + penalties.gap_extend1,
+            penalties.gap_open2 + penalties.gap_extend2,
+        )
+        gap1, gap2 = (penalties.gap_extend1,), (penalties.gap_extend2,)
+        return {"M": m, "I": gap1, "D": gap1, "I2": gap2, "D2": gap2}
+    if isinstance(penalties, AffinePenalties):
+        m = (penalties.mismatch, penalties.gap_open + penalties.gap_extend)
+        gap = (penalties.gap_extend,)
+        return {"M": m, "I": gap, "D": gap, "I2": gap, "D2": gap}
+    if isinstance(penalties, LinearPenalties):
+        every = (penalties.mismatch, penalties.indel)
+    else:  # edit
+        every = (1,)
+    return dict.fromkeys(("M", "I", "D", "I2", "D2"), every)
 
 
 @dataclass(frozen=True)
@@ -225,6 +256,7 @@ class WfaDpuKernel:
     ) -> None:
         self.config = config
         self.cost_model = cost_model if cost_model is not None else DpuCostModel()
+        self._sources = source_distances(config.penalties)
 
     # -- static planning ------------------------------------------------------
 
@@ -423,7 +455,7 @@ class WfaDpuKernel:
         # 1. Fetch the input record MRAM -> WRAM.
         size = layout.input_record_size
         cycles = dpu.dma.read_large(layout.input_addr(index), ctx.input_buffer, size)
-        stats.add_dma(cycles, size)
+        stats.add_dma(cycles, size, len(dma_pieces(size)))
         if trace is not None:
             trace.record(
                 TraceEvent(
@@ -493,11 +525,11 @@ class WfaDpuKernel:
                 )
             )
 
-        # 3. Replay metadata allocation/staging against the allocator+DMA.
+        # 3. Charge metadata allocation/staging to the allocator+DMA.
         mark = ctx.allocator.wram_mark()
         dma_before = (stats.dma_cycles, stats.dma_bytes)
         try:
-            self._replay_metadata(dpu, ctx, counters, metadata_policy)
+            self._charge_metadata(dpu, ctx, counters, metadata_policy)
         except AllocationError as exc:
             raise KernelError(
                 f"metadata arena overflow on pair {index} "
@@ -526,10 +558,9 @@ class WfaDpuKernel:
         t_start = t_end - cigar.text_length() if cigar is not None else 0
         record_out = layout.pack_result(score, cigar, p_start, t_start)
         dpu.wram.write(ctx.result_buffer, record_out)
-        cycles = dpu.dma.write_large(
-            ctx.result_buffer, layout.result_addr(index), layout.result_record_size
-        )
-        stats.add_dma(cycles, layout.result_record_size)
+        size = layout.result_record_size
+        cycles = dpu.dma.write_large(ctx.result_buffer, layout.result_addr(index), size)
+        stats.add_dma(cycles, size, len(dma_pieces(size)))
         if trace is not None:
             trace.record(
                 TraceEvent(
@@ -537,7 +568,7 @@ class WfaDpuKernel:
                     pair_index=index,
                     phase="writeback",
                     cycles=cycles,
-                    dma_bytes=layout.result_record_size,
+                    dma_bytes=size,
                     dpu_id=dpu.dpu_id,
                 )
             )
@@ -557,107 +588,64 @@ class WfaDpuKernel:
             text_end=t_end,
         )
 
-    def _replay_metadata(
+    def _charge_metadata(
         self,
         dpu: Dpu,
         ctx: TaskletContext,
         counters,
         metadata_policy: str,
     ) -> None:
-        """Replay the engine's wavefront allocations on the DPU memory.
+        """Charge the engine's wavefront allocations to the DPU, per pair.
 
-        ``"wram"`` policy: every wavefront is bump-allocated from the
-        tasklet's WRAM arena (overflow = the paper's thread-count
-        problem); cell accesses are plain WRAM load/stores already priced
-        into the instruction costs — no DMA.
+        Every logged wavefront gets an 8-byte-aligned block in the
+        tasklet's metadata arena, all reserved in one step.
 
-        ``"mram"`` policy: wavefronts are bump-allocated from the
-        tasklet's MRAM arena.  Each is DMA-written once at creation
-        (stage-out) and DMA-read back once per later score that uses it
-        as a recurrence source — M wavefronts twice under affine
-        penalties (mismatch source and gap-open source), I/D once —
-        plus once more during traceback.
+        ``"wram"`` policy: the arena is the tasklet's WRAM slice (overflow
+        = the paper's thread-count problem); cell accesses are plain WRAM
+        load/stores already priced into the instruction costs — no DMA.
+
+        ``"mram"`` policy: the arena is the tasklet's MRAM region and each
+        block is staged through the WRAM staging buffer: DMA-written once
+        at creation (stage-out) and DMA-read back once per later score
+        that uses it as a recurrence source — M wavefronts twice under
+        affine penalties (mismatch source and gap-open source), I/D
+        once — plus once more during traceback.  The charge is computed
+        from the log (:meth:`~repro.pim.dma.DmaEngine.stage`); a block
+        that overflows the arena fails after the blocks before it were
+        staged, as it would on the DPU.
         """
         log = counters.wavefront_log
         if not log:
             return
-        if metadata_policy == "wram":
-            for _score, _comp, lo, hi in log:
-                ctx.allocator.alloc_metadata(4 * (hi - lo + 1))
-            return
-
-        computed_scores = {score for score, _c, _l, _h in log}
-        pen = self.config.penalties
-        if isinstance(pen, TwoPieceAffinePenalties):
-
-            def reads_of(s: int, comp: str) -> int:
-                if comp == "M":
-                    return (
-                        int(s + pen.mismatch in computed_scores)
-                        + int(s + pen.gap_open1 + pen.gap_extend1 in computed_scores)
-                        + int(s + pen.gap_open2 + pen.gap_extend2 in computed_scores)
-                    )
-                if comp in ("I", "D"):
-                    return int(s + pen.gap_extend1 in computed_scores)
-                return int(s + pen.gap_extend2 in computed_scores)
-
-        elif isinstance(pen, AffinePenalties):
-            reads_of = lambda s, comp: (  # noqa: E731 - small local table
-                int(s + pen.mismatch in computed_scores)
-                + int(s + pen.gap_open + pen.gap_extend in computed_scores)
-                if comp == "M"
-                else int(s + pen.gap_extend in computed_scores)
+        sizes = [aligned_size(4 * (hi - lo + 1)) for _s, _c, lo, hi in log]
+        arena = ctx.allocator.metadata_arena
+        base = arena.base + arena.cursor
+        fit = arena.reserve(sizes)
+        if metadata_policy == "mram" and fit:
+            computed = {score for score, _c, _l, _h in log}
+            fixed = 2 if self.config.traceback else 1  # stage-out, traceback
+            sources = self._sources
+            uses = []
+            for score, comp, _l, _h in log[:fit]:
+                n = fixed
+                for distance in sources[comp]:
+                    if score + distance in computed:
+                        n += 1
+                uses.append(n)
+            chunk = self.config.staging_chunk_bytes
+            stage = ctx.staging_buffers[0] if ctx.staging_buffers else ctx.input_buffer
+            transfers, moved = dpu.dma.transfers, dpu.dma.bytes_moved
+            per_use = dpu.dma.stage(base, stage, sizes[:fit], uses, chunk)
+            stats = ctx.stats
+            # One addition per use, in use order, so the float total is
+            # the one per-use charging produces.
+            stats.dma_cycles = reduce(
+                add, chain.from_iterable(map(repeat, per_use, uses)), stats.dma_cycles
             )
-        elif isinstance(pen, LinearPenalties):
-            reads_of = lambda s, comp: int(  # noqa: E731
-                s + pen.mismatch in computed_scores
-            ) + int(s + pen.indel in computed_scores)
-        else:  # edit
-            reads_of = lambda s, comp: int(s + 1 in computed_scores)  # noqa: E731
-
-        stage = ctx.staging_buffers[0] if ctx.staging_buffers else ctx.input_buffer
-        chunk = self.config.staging_chunk_bytes
-        for score, comp, lo, hi in log:
-            nbytes = aligned_size(4 * (hi - lo + 1))
-            alloc = ctx.allocator.alloc_metadata(nbytes)
-            # Stage-out at creation.
-            cycles = self._stage(dpu, stage, alloc.addr, nbytes, chunk, write=True)
-            stats_reads = reads_of(score, comp)
-            if self.config.traceback:
-                stats_reads += 1
-            ctx.stats.add_dma(cycles, nbytes)
-            # Stage-in for each later use.
-            for _ in range(stats_reads):
-                cycles = self._stage(
-                    dpu, stage, alloc.addr, nbytes, chunk, write=False
-                )
-                ctx.stats.add_dma(cycles, nbytes)
-
-    @staticmethod
-    def _stage(
-        dpu: Dpu, stage: int, mram_addr: int, nbytes: int, chunk: Optional[int],
-        write: bool,
-    ) -> float:
-        """Move ``nbytes`` between the staging buffer and MRAM.
-
-        Whole-wavefront mode reuses the large staging buffer; chunked
-        mode loops a fixed-size buffer over the block (more transfers,
-        constant WRAM).
-        """
-        if chunk is None:
-            if write:
-                return dpu.dma.write_large(stage, mram_addr, nbytes)
-            return dpu.dma.read_large(mram_addr, stage, nbytes)
-        cycles = 0.0
-        done = 0
-        while done < nbytes:
-            piece = min(chunk, nbytes - done)
-            if write:
-                cycles += dpu.dma.write(stage, mram_addr + done, piece)
-            else:
-                cycles += dpu.dma.read(mram_addr + done, stage, piece)
-            done += piece
-        return cycles
+            stats.dma_bytes += dpu.dma.bytes_moved - moved
+            stats.dma_transfers += dpu.dma.transfers - transfers
+        if fit < len(sizes):
+            raise arena.exhausted(sizes[fit])
 
 
 def max_supported_tasklets(

@@ -29,7 +29,7 @@ from repro.core.penalties import AffinePenalties, Penalties
 from repro.errors import AlignmentError, KernelError
 from repro.pim.allocator import TaskletAllocator
 from repro.pim.config import DpuConfig
-from repro.pim.dma import aligned_size
+from repro.pim.dma import aligned_size, dma_pieces
 from repro.pim.dpu import Dpu
 from repro.pim.layout import MramLayout
 from repro.pim.tasklet import TaskletContext, TaskletStats
@@ -178,7 +178,7 @@ class BandedDpuKernel:
     ) -> None:
         size = layout.input_record_size
         cycles = dpu.dma.read_large(layout.input_addr(index), ctx.input_buffer, size)
-        ctx.stats.add_dma(cycles, size)
+        ctx.stats.add_dma(cycles, size, len(dma_pieces(size)))
         record = dpu.wram.read(ctx.input_buffer, size)
         pair = layout.unpack_pair(record)
         n, m = len(pair.pattern), len(pair.text)
@@ -204,5 +204,5 @@ class BandedDpuKernel:
         cycles = dpu.dma.write_large(
             ctx.result_buffer, layout.result_addr(index), len(out)
         )
-        ctx.stats.add_dma(cycles, len(out))
+        ctx.stats.add_dma(cycles, len(out), len(dma_pieces(len(out))))
         ctx.stats.pairs_done += 1

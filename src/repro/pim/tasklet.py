@@ -34,9 +34,10 @@ class TaskletStats:
     cells_computed: int = 0
     extend_steps: int = 0
 
-    def add_dma(self, cycles: float, nbytes: int) -> None:
+    def add_dma(self, cycles: float, nbytes: int, transfers: int) -> None:
+        """Charge one DMA operation of ``transfers`` transfers, ``nbytes`` bytes."""
         self.dma_cycles += cycles
-        self.dma_transfers += 1
+        self.dma_transfers += transfers
         self.dma_bytes += nbytes
 
 

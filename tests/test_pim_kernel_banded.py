@@ -76,6 +76,14 @@ class TestExecution:
             assert cigar is None
             assert score == banded_gotoh_score(pair.pattern, pair.text, PEN, 5)
 
+    def test_tasklet_transfers_sum_to_dma_engine_transfers(self):
+        # 1040 bp slots make each input record span two DMA transfers
+        pairs = ReadPairGenerator(length=700, error_rate=0.0, seed=4).pairs(3)
+        cfg = BandedKernelConfig(max_read_len=1040, band=2)
+        _, dpu, layout, stats = run_banded(pairs, cfg)
+        assert layout.input_record_size > 2048
+        assert sum(s.dma_transfers for s in stats) == dpu.dma.transfers == 3 * 3
+
     def test_cells_independent_of_similarity(self):
         gen_same = ReadPairGenerator(length=50, error_rate=0.0, seed=1)
         gen_diff = ReadPairGenerator(length=50, error_rate=0.1, seed=1)

@@ -1,0 +1,496 @@
+"""The kernel's closed-form metadata charge vs the per-transfer replay.
+
+The reference below is the kernel's former metadata replay: every
+wavefront allocated with one ``alloc`` call and every staging transfer
+issued through ``DmaEngine.read``/``write``, scratch bytes and all.  The
+closed-form charge (``BumpAllocator.reserve`` + ``DmaEngine.stage``) must
+match it counter for counter and float for float, and fail the same way
+on the same pair: arena overflow, the stall watchdog (one hook tick per
+transfer, in order) and memory bounds.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+
+from repro.core.penalties import (
+    AffinePenalties,
+    EditPenalties,
+    LinearPenalties,
+    TwoPieceAffinePenalties,
+)
+from repro.core.wfa import WfaEngine
+from repro.data.generator import ReadPair, ReadPairGenerator
+from repro.errors import (
+    AlignmentFault,
+    AllocationError,
+    KernelError,
+    MemoryFault,
+    PimError,
+    TaskletStallError,
+)
+from repro.pim import kernel as kernel_module
+from repro.pim.allocator import BumpAllocator, TaskletAllocator
+from repro.pim.config import DpuConfig, DpuTimingConfig, HostTransferConfig
+from repro.pim.dma import DmaEngine, aligned_size
+from repro.pim.dpu import Dpu
+from repro.pim.faults import FaultPlan, TaskletStall
+from repro.pim.kernel import KernelConfig, WfaDpuKernel
+from repro.pim.layout import MramLayout
+from repro.pim.memory import Mram, Wram
+from repro.pim.trace import KernelTrace
+from repro.pim.transfer import HostTransferEngine
+
+PENALTIES = {
+    "edit": EditPenalties(),
+    "linear": LinearPenalties(),
+    "affine": AffinePenalties(4, 6, 2),
+    "affine2p": TwoPieceAffinePenalties(),
+}
+
+
+# -- the reference: the former transfer-by-transfer replay ---------------------
+
+
+def reference_stage(dma, stage, mram_addr, nbytes, chunk, write):
+    """Move one block between the staging buffer and MRAM, one DMA at a time.
+
+    Whole blocks (``chunk=None``) go as ``read_large``/``write_large``
+    split them: up to 2048 B per transfer, the WRAM address advancing
+    with the MRAM one; chunks reuse one ``chunk``-byte buffer.
+    """
+    step = 2048 if chunk is None else chunk
+    cycles = 0.0
+    done = 0
+    while done < nbytes:
+        piece = min(step, nbytes - done)
+        wram = stage + done if chunk is None else stage
+        if write:
+            cycles += dma.write(wram, mram_addr + done, piece)
+        else:
+            cycles += dma.read(mram_addr + done, wram, piece)
+        done += piece
+    return cycles
+
+
+class TracksPair:
+    """Remembers the pair being aligned, to name the pair a failure hits."""
+
+    pair = None
+
+    def _align_one(self, dpu, layout, ctx, index, *rest):
+        self.pair = index
+        return super()._align_one(dpu, layout, ctx, index, *rest)
+
+
+class ClosedFormKernel(TracksPair, WfaDpuKernel):
+    pass
+
+
+class ReferenceKernel(TracksPair, WfaDpuKernel):
+    """The kernel with its former per-transfer metadata replay."""
+
+    def _charge_metadata(self, dpu, ctx, counters, metadata_policy):
+        log = counters.wavefront_log
+        if not log:
+            return
+        if metadata_policy == "wram":
+            for _score, _comp, lo, hi in log:
+                ctx.allocator.alloc_metadata(4 * (hi - lo + 1))
+            return
+        computed = {score for score, _c, _l, _h in log}
+        pen = self.config.penalties
+        if isinstance(pen, TwoPieceAffinePenalties):
+
+            def reads_of(s, comp):
+                if comp == "M":
+                    return (
+                        int(s + pen.mismatch in computed)
+                        + int(s + pen.gap_open1 + pen.gap_extend1 in computed)
+                        + int(s + pen.gap_open2 + pen.gap_extend2 in computed)
+                    )
+                if comp in ("I", "D"):
+                    return int(s + pen.gap_extend1 in computed)
+                return int(s + pen.gap_extend2 in computed)
+
+        elif isinstance(pen, AffinePenalties):
+
+            def reads_of(s, comp):
+                if comp == "M":
+                    return int(s + pen.mismatch in computed) + int(
+                        s + pen.gap_open + pen.gap_extend in computed
+                    )
+                return int(s + pen.gap_extend in computed)
+
+        elif isinstance(pen, LinearPenalties):
+
+            def reads_of(s, comp):
+                return int(s + pen.mismatch in computed) + int(
+                    s + pen.indel in computed
+                )
+
+        else:
+
+            def reads_of(s, comp):
+                return int(s + 1 in computed)
+
+        stage = ctx.staging_buffers[0] if ctx.staging_buffers else ctx.input_buffer
+        chunk = self.config.staging_chunk_bytes
+        for score, comp, lo, hi in log:
+            nbytes = aligned_size(4 * (hi - lo + 1))
+            alloc = ctx.allocator.alloc_metadata(nbytes)
+            uses = 1 + reads_of(score, comp) + int(self.config.traceback)
+            for use in range(uses):
+                before = dpu.dma.transfers
+                cycles = reference_stage(
+                    dpu.dma, stage, alloc.addr, nbytes, chunk, write=use == 0
+                )
+                ctx.stats.add_dma(cycles, nbytes, dpu.dma.transfers - before)
+
+
+def reference_dma_stage(dma, mram_addr, wram_addr, sizes, uses, chunk):
+    """``DmaEngine.stage`` spelled out transfer by transfer."""
+    per_use = []
+    for nbytes, count in zip(sizes, uses):
+        for use in range(count):
+            cycles = reference_stage(
+                dma, wram_addr, mram_addr, nbytes, chunk, write=use == 0
+            )
+        per_use.append(cycles)
+        mram_addr += nbytes
+    return per_use
+
+
+# -- running both kernels ------------------------------------------------------
+
+
+@dataclasses.dataclass
+class Outcome:
+    """Everything one kernel launch leaves behind that must agree."""
+
+    error: tuple | None
+    stats: list
+    results: list
+    dma: tuple
+    allocators: list
+    events: list
+    output: bytes
+
+
+def launch(
+    kernel_cls,
+    kc,
+    pairs,
+    policy,
+    monkeypatch,
+    tasklets=2,
+    metadata_bytes=None,
+    dma_budget=None,
+    mram_bytes=DpuConfig().mram_bytes,
+):
+    layout = plan_layout(kc, pairs, policy, tasklets, metadata_bytes)
+    dpu = Dpu(DpuConfig(mram_bytes=mram_bytes))
+    HostTransferEngine(HostTransferConfig()).push_batch(dpu, layout, pairs)
+    if dma_budget is not None:
+        plan = FaultPlan(stalls=(TaskletStall(dpu_id=0, dma_budget=dma_budget),))
+        plan.injector(0).attach_dma(dpu)
+    allocators = []
+
+    class Recording(TaskletAllocator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            allocators.append(self)
+
+    monkeypatch.setattr(kernel_module, "TaskletAllocator", Recording)
+    kernel = kernel_cls(kc)
+    trace = KernelTrace()
+    assignments = [list(range(t, len(pairs), tasklets)) for t in range(tasklets)]
+    stats, results, error = [], [], None
+    try:
+        stats, results = kernel.run(
+            dpu, layout, assignments, policy, collect_results=True, trace=trace
+        )
+    except PimError as exc:  # compared against the reference's
+        error = (type(exc), str(exc), kernel.pair)
+    return Outcome(
+        error=error,
+        stats=stats,
+        results=[
+            (i, r.score, str(r.cigar), r.pattern_start, r.text_start)
+            for i, r in results
+        ],
+        dma=(dpu.dma.transfers, dpu.dma.bytes_moved, dpu.dma.cycles),
+        allocators=[
+            (arena.high_water, arena.allocations)
+            for a in allocators
+            for arena in (a.wram, a.mram)
+        ],
+        events=trace.events,
+        output=dpu.mram.read(
+            layout.output_base, len(pairs) * layout.result_record_size
+        ),
+    )
+
+
+def plan_layout(kc, pairs, policy, tasklets=2, metadata_bytes=None):
+    if metadata_bytes is None:
+        metadata_bytes = kc.metadata_peak_bytes() if policy == "mram" else 0
+    return MramLayout.plan(
+        num_pairs=len(pairs),
+        max_pattern_len=kc.max_seq_len,
+        max_text_len=kc.max_seq_len,
+        max_cigar_ops=kc.max_cigar_ops,
+        tasklets=tasklets,
+        metadata_bytes_per_tasklet=metadata_bytes,
+    )
+
+
+def both(kc, pairs, policy, monkeypatch, **kwargs):
+    ref = launch(ReferenceKernel, kc, pairs, policy, monkeypatch, **kwargs)
+    new = launch(ClosedFormKernel, kc, pairs, policy, monkeypatch, **kwargs)
+    return ref, new
+
+
+def workload(n=6, length=24, error_rate=0.1, seed=3):
+    return ReadPairGenerator(length=length, error_rate=error_rate, seed=seed).pairs(n)
+
+
+# -- the differential grid -------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("penalties", sorted(PENALTIES))
+@pytest.mark.parametrize("traceback", [True, False])
+@pytest.mark.parametrize("chunk", [None, 8, 64, 256])
+@pytest.mark.parametrize("policy", ["mram", "wram"])
+def test_closed_form_matches_per_transfer_replay(
+    policy, chunk, traceback, penalties, engine, monkeypatch
+):
+    kc = KernelConfig(
+        penalties=PENALTIES[penalties],
+        max_read_len=24,
+        max_edits=4,
+        traceback=traceback,
+        staging_chunk_bytes=chunk,
+        engine=engine,
+    )
+    ref, new = both(kc, workload(), policy, monkeypatch)
+    assert ref.error is None and new.error is None
+    assert new == ref
+    assert sum(s.dma_transfers for s in new.stats) == new.dma[0]
+
+
+def test_multi_piece_whole_wavefronts(monkeypatch):
+    """Wavefronts over 2048 B split into several transfers per use."""
+    rng = random.Random(11)
+    text = "".join(rng.choice("ACGT") for _ in range(300))
+    pattern = text[:20] + text[280:]
+    engine = WfaEngine(pattern, text, EditPenalties(), max_score=300)
+    engine.run()
+    widest = max(hi - lo + 1 for _s, _c, lo, hi in engine.counters.wavefront_log)
+    assert 4 * widest > 2048
+    kc = KernelConfig(penalties=EditPenalties(), max_read_len=300, max_edits=280)
+    pairs = [ReadPair(pattern=pattern, text=text)]
+    ref, new = both(kc, pairs, "mram", monkeypatch, tasklets=1)
+    assert ref.error is None
+    assert new == ref
+    assert sum(s.dma_transfers for s in new.stats) == new.dma[0]
+
+
+# -- the error paths ---------------------------------------------------------------
+
+
+def total_transfers(kc, pairs, monkeypatch):
+    ref = launch(ReferenceKernel, kc, pairs, "mram", monkeypatch)
+    assert ref.error is None
+    return ref.dma[0]
+
+
+@pytest.mark.parametrize("chunk", [None, 16])
+def test_stall_budget_sweep_fails_on_the_same_transfer(chunk, monkeypatch):
+    kc = KernelConfig(
+        penalties=AffinePenalties(4, 6, 2),
+        max_read_len=12,
+        max_edits=2,
+        staging_chunk_bytes=chunk,
+    )
+    pairs = workload(n=2, length=12, error_rate=0.15, seed=5)
+    total = total_transfers(kc, pairs, monkeypatch)
+    for budget in range(total):
+        ref, new = both(kc, pairs, "mram", monkeypatch, dma_budget=budget)
+        assert ref.error[0] is TaskletStallError
+        assert f"DMA transfer {budget + 1} exceeds" in ref.error[1]
+        assert new.error == ref.error, budget
+        assert new.events == ref.events, budget
+    ref, new = both(kc, pairs, "mram", monkeypatch, dma_budget=total)
+    assert ref.error is None and new == ref
+
+
+def arena_bytes(kc, pairs):
+    """``(need, short)``: the MRAM arena every pair's metadata fits exactly,
+    and that arena one wavefront short (the largest pair's last)."""
+    totals = []
+    for pair in pairs:
+        engine = WfaEngine(
+            pair.pattern, pair.text, kc.penalties, max_score=kc.max_score
+        )
+        engine.run()
+        log = engine.counters.wavefront_log
+        sizes = [aligned_size(4 * (hi - lo + 1)) for _s, _c, lo, hi in log]
+        totals.append((sum(sizes), sizes[-1]))
+    need, last = max(totals)
+    return need, need - last
+
+
+def test_arena_overflow_raises_the_same_kernel_error(monkeypatch):
+    kc = KernelConfig(penalties=AffinePenalties(4, 6, 2), max_read_len=24, max_edits=4)
+    pairs = workload()
+    need, short = arena_bytes(kc, pairs)
+    ref, new = both(kc, pairs, "mram", monkeypatch, metadata_bytes=short)
+    assert ref.error[0] is KernelError
+    assert f"metadata arena overflow on pair {ref.error[2]}" in ref.error[1]
+    assert "mram arena exhausted" in ref.error[1]
+    assert new.error == ref.error
+    assert new.events == ref.events
+    ref, new = both(kc, pairs, "mram", monkeypatch, metadata_bytes=need)
+    assert ref.error is None and new == ref  # an exact fit is no overflow
+
+
+@pytest.mark.parametrize("chunk", [None, 8])
+def test_overflow_and_stall_first_in_transfer_order_wins(chunk, monkeypatch):
+    kc = KernelConfig(
+        penalties=AffinePenalties(4, 6, 2),
+        max_read_len=24,
+        max_edits=4,
+        staging_chunk_bytes=chunk,
+    )
+    pairs = workload()
+    _, short = arena_bytes(kc, pairs)
+    overflow = launch(
+        ReferenceKernel, kc, pairs, "mram", monkeypatch, metadata_bytes=short
+    )
+    before = overflow.dma[0]  # transfers issued before the overflowing alloc
+    ref, new = both(
+        kc, pairs, "mram", monkeypatch, metadata_bytes=short, dma_budget=before - 1
+    )
+    assert ref.error[0] is TaskletStallError
+    assert ref.error[2] == overflow.error[2]
+    assert new.error == ref.error
+    ref, new = both(
+        kc, pairs, "mram", monkeypatch, metadata_bytes=short, dma_budget=before
+    )
+    assert ref.error == overflow.error
+    assert new.error == ref.error
+
+
+@pytest.mark.parametrize("chunk", [None, 8])
+def test_mram_bound_fails_on_the_same_transfer(chunk, monkeypatch):
+    """An MRAM bank that ends inside tasklet 1's metadata arena."""
+    kc = KernelConfig(
+        penalties=AffinePenalties(4, 6, 2),
+        max_read_len=24,
+        max_edits=4,
+        staging_chunk_bytes=chunk,
+    )
+    pairs = workload()
+    end = plan_layout(kc, pairs, "mram").metadata_addr(1) + 40
+    ref, new = both(
+        kc, pairs, "mram", monkeypatch, mram_bytes=end, dma_budget=10**6
+    )
+    assert ref.error[0] is MemoryFault and ref.error[1].startswith("MRAM")
+    assert ref.error[2] == 1  # tasklet 1's first pair
+    assert new.error == ref.error
+    assert new.events == ref.events
+
+
+# -- the building blocks against their one-at-a-time forms -------------------------
+
+
+def test_reserve_matches_alloc_calls():
+    rng = random.Random(2)
+    for _ in range(300):
+        capacity = rng.randrange(0, 400, 8)
+        base = rng.randrange(0, 4096, 8)
+        sizes = [8 * rng.randint(1, 12) for _ in range(rng.randint(1, 10))]
+        fast = BumpAllocator(base, capacity, "mram")
+        slow = BumpAllocator(base, capacity, "mram")
+        head = rng.randrange(0, capacity + 1, 8)
+        if head:
+            fast.alloc(head)
+            slow.alloc(head)
+        fit = fast.reserve(sizes)
+        error = None
+        try:
+            for size in sizes:
+                slow.alloc(size)
+        except AllocationError as exc:
+            error = str(exc)
+        assert (fast.cursor, fast.high_water, fast.allocations) == (
+            slow.cursor,
+            slow.high_water,
+            slow.allocations,
+        )
+        if fit < len(sizes):
+            assert str(fast.exhausted(sizes[fit])) == error
+        else:
+            assert error is None
+
+
+def engine_pair(mram_bytes, wram_bytes):
+    timing = DpuTimingConfig()
+    return (
+        DmaEngine(Mram(mram_bytes), Wram(wram_bytes), timing),
+        DmaEngine(Mram(mram_bytes), Wram(wram_bytes), timing),
+    )
+
+
+def stall_after(limit, ticks):
+    def hook(size):
+        ticks.append(size)
+        if len(ticks) > limit:
+            raise TaskletStallError(f"stalled at transfer {len(ticks)}")
+
+    return hook
+
+
+def test_dma_stage_matches_transfer_by_transfer():
+    rng = random.Random(7)
+    for case in range(400):
+        mram_bytes = 8 * rng.randint(64, 2048)
+        wram_bytes = 8 * rng.randint(16, 1024)
+        chunk = rng.choice([None, 8, 64, 256, 2048])
+        sizes = [8 * rng.randint(1, 800) for _ in range(rng.randint(1, 5))]
+        uses = [rng.randint(1, 4) for _ in sizes]
+        # about half the cases stay in bounds; the rest aim at the ends
+        if rng.random() < 0.5:
+            mram_addr = rng.randrange(-8, mram_bytes, 8)
+            wram_addr = rng.randrange(-8, wram_bytes, 8)
+        else:
+            mram_addr = rng.randrange(0, 64, 8)
+            wram_addr = rng.randrange(0, 64, 8)
+            mram_bytes = max(mram_bytes, mram_addr + sum(sizes))
+            wram_bytes = max(wram_bytes, wram_addr + max(sizes))
+        if rng.random() < 0.05:
+            mram_addr += 4
+        if rng.random() < 0.05:
+            wram_addr += 4
+        limit = rng.choice([None, rng.randrange(0, 20)])
+        ref, new = engine_pair(mram_bytes, wram_bytes)
+        ref_ticks, new_ticks = [], []
+        if limit is not None:
+            ref.fault_hook = stall_after(limit, ref_ticks)
+            new.fault_hook = stall_after(limit, new_ticks)
+        args = (mram_addr, wram_addr, sizes, uses, chunk)
+        outcomes = []
+        for dma, run in ((ref, reference_dma_stage), (new, DmaEngine.stage)):
+            try:
+                per_use = run(dma, *args)
+            except (AlignmentFault, MemoryFault, TaskletStallError) as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append((per_use, dma.transfers, dma.bytes_moved, dma.cycles))
+        assert outcomes[1] == outcomes[0], case
+        assert new_ticks == ref_ticks, case
