@@ -265,14 +265,29 @@ fleet-demo:
 	PYTHONPATH=src python -m repro.cli loadgen \
 		--requests 200 --rate 8000 --length 10 --seed 21 \
 		--dpus 4 --tasklets 4 --shards 4 --kill-dpu 1 --breaker \
-		--report out/fleet/load.jsonl
-	PYTHONPATH=src python -c "from repro.pim.fleet import FleetCoordinator; \
+		--report out/fleet/load.jsonl --metrics-out out/fleet/metrics.prom \
+		--events-out out/fleet/events.jsonl --trace-out out/fleet/trace.json
+	PYTHONPATH=src python -c "import json; \
+		from repro.obs.events import validate_event_log; \
+		from repro.obs.export import validate_chrome_trace; \
+		from repro.pim.fleet import FleetCoordinator; \
 		from repro.serve import validate_load_report; \
 		m = FleetCoordinator.load_manifest('out/fleet/crashed'); \
 		s = validate_load_report('out/fleet/load.jsonl'); \
+		prom = open('out/fleet/metrics.prom').read().splitlines(); \
+		assert any(l.startswith('pim_') for l in prom), 'no pim_ series'; \
+		validate_event_log('out/fleet/events.jsonl'); \
+		ev = [json.loads(l) for l in open('out/fleet/events.jsonl')]; \
+		breakers = sum(r.get('kind') == 'breaker' for r in ev); \
+		assert breakers, 'no breaker event in the federated log'; \
+		doc = json.load(open('out/fleet/trace.json')); \
+		validate_chrome_trace(doc); \
+		dpus = {e['pid'] for e in doc['traceEvents'] if e['ph'] == 'X'} - {0}; \
+		assert dpus, 'no DPU processes in the trace'; \
 		print(f\"fleet OK: {m['schema']} manifest, {m['shards']} shards, \" \
 		      f\"{len(m['placements'])} rounds resumed byte-identically, \" \
-		      f\"load report valid ({s['completed']} completed)\")"
+		      f\"load report valid ({s['completed']} completed), \" \
+		      f\"{breakers} breaker event(s), {len(dpus)} DPU trace processes\")"
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/out out build src/*.egg-info

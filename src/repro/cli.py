@@ -71,22 +71,80 @@ def _add_penalty_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gap-extend2", type=int, default=1)
 
 
+def _add_fleet_args(
+    parser: argparse.ArgumentParser,
+    dpus: int,
+    tasklets: int,
+    max_edits: Optional[int],
+) -> None:
+    """Fleet flags shared by ``pim-align``, ``serve`` and ``loadgen``;
+    the system shape defaults differ per command."""
+    group = parser.add_argument_group("fleet")
+    group.add_argument("--dpus", type=int, default=dpus,
+                       help="DPUs per shard")
+    group.add_argument("--tasklets", type=int, default=tasklets)
+    group.add_argument("--workers", type=int, default=1,
+                       help="host processes simulating DPUs in parallel "
+                            "(1 = sequential, 0 = one per core; results "
+                            "are identical)")
+    group.add_argument("--engine", choices=("scalar", "vector"),
+                       default="vector",
+                       help="host alignment engine (default: 'vector', "
+                            "which batches each DPU's pairs through the "
+                            "NumPy engine for simulation speed; 'scalar' "
+                            "is the per-pair escape hatch; results, "
+                            "counters and traces are identical)")
+    group.add_argument("--max-edits", type=int, default=max_edits,
+                       help="kernel edit budget" + (
+                           " (default: a tenth of the longest read)"
+                           if max_edits is None else ""))
+    group.add_argument("--pairs-per-round", type=int, default=None,
+                       metavar="N",
+                       help="scheduler round size (default: MRAM "
+                            "capacity); with --shards > 1 smaller rounds "
+                            "stripe across more shards and links")
+    group.add_argument("--kill-dpu", type=int, default=None, metavar="ID",
+                       help="inject a death of this DPU (ids index the "
+                            "federated fleet; recovery requeues its pairs "
+                            "onto spares and must stay lossless)")
+    group.add_argument("--stall-dpu", type=int, default=None, metavar="ID",
+                       help="inject a first-attempt tasklet stall on this "
+                            "DPU (detected by the modeled launch watchdog)")
+    group.add_argument("--breaker", action="store_true",
+                       help="enable per-DPU circuit breakers: repeat "
+                            "offenders are quarantined out of later rounds "
+                            "instead of burning retries")
+    group.add_argument("--shards", type=int, default=1, metavar="N",
+                       help="federate N identical PIM shards (--dpus is "
+                            "per shard); rounds stripe across shards with "
+                            "health-aware rebalancing and results stay "
+                            "byte-identical to --shards 1")
+    group.add_argument("--net-plan", metavar="JSON|@FILE", default=None,
+                       help="seeded NetworkFaultPlan for the "
+                            "coordinator<->shard links, as inline JSON or "
+                            "@path-to-json (keys: seed, drops, duplicates, "
+                            "delays, reorders, partitions; shard ids below "
+                            "--shards); rounds travel as idempotent "
+                            "envelopes with at-least-once redelivery")
+    group.add_argument("--link-timeout", type=float, default=None,
+                       metavar="S",
+                       help="modeled per-link delivery timeout before "
+                            "retransmission (default 0.002)")
+    group.add_argument("--hedge", action="store_true",
+                       help="hedged re-dispatch: steal a timed-out "
+                            "in-flight round onto the next healthy shard "
+                            "instead of only retrying the link")
+    group.add_argument("--metrics-out", metavar="PATH", default=None,
+                       help="write metrics federated over every shard: "
+                            "Prometheus text for .prom/.txt, JSON "
+                            "otherwise (pim-align: a JSONL run manifest "
+                            "for .jsonl)")
+
+
 def _add_serve_args(parser: argparse.ArgumentParser) -> None:
     """Service-construction flags shared by ``serve`` and ``loadgen``."""
-    parser.add_argument("--dpus", type=int, default=4)
-    parser.add_argument("--tasklets", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="host processes per round (1 = sequential, "
-                             "0 = one per core; responses are identical)")
+    _add_fleet_args(parser, dpus=4, tasklets=4, max_edits=4)
     parser.add_argument("--max-read-len", type=int, default=100)
-    parser.add_argument("--max-edits", type=int, default=4)
-    parser.add_argument("--engine", choices=("scalar", "vector"),
-                        default="vector",
-                        help="host alignment engine (default: 'vector', "
-                             "which batches each DPU's pairs through the "
-                             "NumPy engine for simulation speed; 'scalar' "
-                             "is the per-pair escape hatch; responses are "
-                             "identical)")
     parser.add_argument("--max-batch-pairs", type=int, default=64,
                         help="flush the micro-batcher at this many pairs")
     parser.add_argument("--max-wait", type=float, default=1e-3, metavar="S",
@@ -94,51 +152,34 @@ def _add_serve_args(parser: argparse.ArgumentParser) -> None:
                              "(modeled seconds)")
     parser.add_argument("--max-queue-pairs", type=int, default=4096,
                         help="admission bound on pending + in-flight pairs")
-    parser.add_argument("--pairs-per-round", type=int, default=None,
-                        metavar="N",
-                        help="scheduler round size inside each batch "
-                             "(default: one round per batch); with "
-                             "--shards > 1 smaller rounds stripe each "
-                             "batch across more coordinator<->shard links")
     parser.add_argument("--cache", type=int, default=0, metavar="N",
                         help="result-cache capacity in entries (0 = off)")
     parser.add_argument("--cache-policy", choices=("lru", "lfu"), default="lru")
-    parser.add_argument("--kill-dpu", type=int, default=None, metavar="ID",
-                        help="inject a first-attempt death of this DPU into "
-                             "every batch (recovery must stay lossless)")
-    parser.add_argument("--stall-dpu", type=int, default=None, metavar="ID",
-                        help="inject a first-attempt tasklet stall on this "
-                             "DPU into every batch (watchdog-detected)")
-    parser.add_argument("--breaker", action="store_true",
-                        help="enable the fleet-health ledger: per-DPU "
-                             "circuit breakers quarantine repeat offenders "
-                             "out of scheduler rounds")
     parser.add_argument("--fallback-threshold", type=float, default=None,
                         metavar="F",
                         help="with --breaker: route whole batches to the "
                              "CPU Gotoh baseline while healthy capacity "
                              "sits below this fraction (0 < F <= 1)")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="federate N identical PIM shards behind the "
-                             "service (--dpus is per shard); batches "
-                             "round-stripe across shards with health-aware "
-                             "rebalancing and responses stay byte-identical "
-                             "to --shards 1")
-    parser.add_argument("--net-plan", metavar="JSON|@FILE", default=None,
-                        help="with --shards > 1: seeded NetworkFaultPlan for "
-                             "the coordinator<->shard links, as inline JSON "
-                             "or @path-to-json (keys: seed, drops, "
-                             "duplicates, delays, reorders, partitions)")
-    parser.add_argument("--link-timeout", type=float, default=None, metavar="S",
-                        help="modeled per-link delivery timeout before "
-                             "retransmission (default 0.002)")
-    parser.add_argument("--hedge", action="store_true",
-                        help="hedged re-dispatch: steal a timed-out "
-                             "in-flight round onto the next healthy shard "
-                             "instead of only retrying the link")
-    parser.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write service metrics: Prometheus text for "
-                             ".prom/.txt, JSON otherwise")
+
+
+def _fault_plan(args: argparse.Namespace):
+    """The FaultPlan of --kill-dpu/--stall-dpu (None without either)."""
+    from repro.pim.faults import DpuDeath, FaultPlan, TaskletStall
+
+    deaths = (DpuDeath(dpu_id=args.kill_dpu),) if args.kill_dpu is not None else ()
+    stalls = (
+        (TaskletStall(dpu_id=args.stall_dpu),) if args.stall_dpu is not None else ()
+    )
+    return FaultPlan(deaths=deaths, stalls=stalls) if deaths or stalls else None
+
+
+def _health_policy(args: argparse.Namespace):
+    """The HealthPolicy --breaker turns on (None without it)."""
+    if not args.breaker:
+        return None
+    from repro.pim.health import HealthPolicy
+
+    return HealthPolicy()
 
 
 def _parse_net_plan(args: argparse.Namespace):
@@ -168,27 +209,14 @@ def _parse_net_plan(args: argparse.Namespace):
     if policy is not None and net_plan is None:
         raise ConfigError(
             "--link-timeout/--hedge govern the modeled transport; they "
-            "need --net-plan (and --shards > 1)"
+            "need --net-plan"
         )
     return net_plan, policy
 
 
 def _build_serve_service(args: argparse.Namespace):
-    from repro.pim.faults import DpuDeath, FaultPlan, TaskletStall
     from repro.serve import FallbackPolicy, ServiceConfig, build_service
 
-    fault_plan = None
-    deaths = (DpuDeath(dpu_id=args.kill_dpu),) if args.kill_dpu is not None else ()
-    stalls = (
-        (TaskletStall(dpu_id=args.stall_dpu),) if args.stall_dpu is not None else ()
-    )
-    if deaths or stalls:
-        fault_plan = FaultPlan(deaths=deaths, stalls=stalls)
-    health_policy = None
-    if args.breaker:
-        from repro.pim.health import HealthPolicy
-
-        health_policy = HealthPolicy()
     fallback = None
     if args.fallback_threshold is not None:
         fallback = FallbackPolicy(min_healthy_fraction=args.fallback_threshold)
@@ -208,8 +236,8 @@ def _build_serve_service(args: argparse.Namespace):
             cache_policy=args.cache_policy,
             pairs_per_round=args.pairs_per_round,
         ),
-        fault_plan=fault_plan,
-        health_policy=health_policy,
+        fault_plan=_fault_plan(args),
+        health_policy=_health_policy(args),
         fallback=fallback,
         engine=args.engine,
         shards=args.shards,
@@ -224,7 +252,7 @@ def _write_serve_metrics(path: str, service) -> None:
     if path.endswith((".prom", ".txt")):
         from repro.obs.export import write_prometheus
 
-        write_prometheus(path, service.registry)
+        write_prometheus(path, service.telemetry.federated_registry())
     else:
         with open(path, "w", encoding="utf-8") as fh:
             _json.dump(service.metrics_snapshot(), fh, indent=2, sort_keys=True)
@@ -274,76 +302,30 @@ def build_parser() -> argparse.ArgumentParser:
         "pim-align", help="align a .seq workload on the simulated PIM system"
     )
     pim.add_argument("-i", "--input", required=True)
-    pim.add_argument("--dpus", type=int, default=64)
-    pim.add_argument("--tasklets", type=int, default=16)
     pim.add_argument("--policy", choices=("mram", "wram"), default="mram")
-    pim.add_argument("--max-edits", type=int, default=None,
-                     help="kernel edit budget (default: inferred from data)")
-    pim.add_argument("--engine", choices=("scalar", "vector"),
-                     default="vector",
-                     help="host alignment engine (default: 'vector', which "
-                          "batches each DPU's pairs through the NumPy "
-                          "engine for simulation speed; 'scalar' is the "
-                          "per-pair escape hatch; results, counters and "
-                          "traces are identical)")
-    pim.add_argument("--workers", type=int, default=1,
-                     help="host processes simulating DPUs in parallel "
-                          "(1 = sequential, 0 = one per CPU core; "
-                          "results are identical either way)")
-    pim.add_argument("--metrics-out", metavar="PATH", default=None,
-                     help="write run metrics: Prometheus text for "
-                          ".prom/.txt, JSONL run manifest for .jsonl, "
-                          "full JSON document otherwise")
     pim.add_argument("--trace-out", metavar="PATH", default=None,
-                     help="write a Chrome trace_event JSON of the run "
-                          "(open in chrome://tracing or ui.perfetto.dev)")
-    pim.add_argument("--pairs-per-round", type=int, default=None, metavar="N",
-                     help="scheduler round size (default: MRAM capacity); "
-                          "multi-round runs can be journaled and resumed")
+                     help="write a Chrome trace_event JSON of the run, "
+                          "every shard included (open in chrome://tracing "
+                          "or ui.perfetto.dev)")
     pim.add_argument("--journal", metavar="PATH", default=None,
                      help="append each completed scheduler round to this "
-                          "write-ahead journal (repro.pim.journal/v1)")
+                          "write-ahead journal (repro.pim.journal/v1); "
+                          "with --shards > 1 a directory of per-shard "
+                          "journals plus a manifest")
     pim.add_argument("--resume", action="store_true",
                      help="resume an interrupted run from --journal: "
                           "journaled rounds replay idempotently, only the "
                           "remainder executes")
-    pim.add_argument("--kill-dpu", type=int, default=None, metavar="ID",
-                     help="inject a permanent death of this DPU (recovery "
-                          "requeues its pairs onto spares)")
-    pim.add_argument("--stall-dpu", type=int, default=None, metavar="ID",
-                     help="inject a first-attempt tasklet stall on this DPU "
-                          "(detected by the modeled launch watchdog)")
-    pim.add_argument("--breaker", action="store_true",
-                     help="enable per-DPU circuit breakers: repeat "
-                          "offenders are quarantined out of later rounds "
-                          "instead of burning retries")
-    pim.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="federate N identical PIM shards (--dpus is per "
-                          "shard); rounds stripe across shards, --kill-dpu/"
-                          "--stall-dpu ids index the federated fleet, "
-                          "--journal becomes a directory (per-shard "
-                          "journals + manifest), and results stay "
-                          "byte-identical to --shards 1")
     pim.add_argument("--shard-workers", type=int, default=1, metavar="N",
                      help="host processes running shards in parallel "
                           "(1 = sequential; health-ledger deltas ride home "
                           "in each shard's outcome, so --breaker composes; "
                           "results are identical either way)")
-    pim.add_argument("--net-plan", metavar="JSON|@FILE", default=None,
-                     help="with --shards > 1: seeded NetworkFaultPlan for "
-                          "the coordinator<->shard links, as inline JSON or "
-                          "@path-to-json; rounds travel as idempotent "
-                          "envelopes with at-least-once redelivery")
-    pim.add_argument("--link-timeout", type=float, default=None, metavar="S",
-                     help="modeled per-link delivery timeout before "
-                          "retransmission (default 0.002)")
-    pim.add_argument("--hedge", action="store_true",
-                     help="hedged re-dispatch: steal a timed-out in-flight "
-                          "round onto the next healthy shard")
     pim.add_argument("-o", "--output", default=None, metavar="PATH",
                      help="write gathered alignments as TSV "
                           "(index<TAB>score<TAB>cigar); forces result "
                           "collection")
+    _add_fleet_args(pim, dpus=64, tasklets=16, max_edits=None)
     _add_penalty_args(pim)
 
     # map ---------------------------------------------------------------
@@ -591,7 +573,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _write_telemetry(args: argparse.Namespace, telemetry) -> None:
-    """Reconcile and export the run's telemetry per the CLI flags."""
+    """Reconcile and export the run's telemetry, every shard included."""
     from repro.obs.export import (
         write_chrome_trace,
         write_manifest_jsonl,
@@ -603,7 +585,7 @@ def _write_telemetry(args: argparse.Namespace, telemetry) -> None:
     if args.metrics_out:
         path = args.metrics_out
         if path.endswith((".prom", ".txt")):
-            write_prometheus(path, telemetry.registry)
+            write_prometheus(path, telemetry.federated_registry())
         elif path.endswith(".jsonl"):
             write_manifest_jsonl(path, telemetry)
         else:
@@ -629,252 +611,69 @@ def _write_pim_tsv(path: str, records) -> None:
     print(f"wrote alignments to {path}")
 
 
-def _scheduled_records(run):
-    """Workload-global (index, score, cigar) triples from a ScheduledRun."""
-    out, start = [], 0
-    for rnd, size in zip(run.per_round, run.schedule.round_sizes()):
-        out.extend((start + i, s, c) for i, s, c in rnd.results)
-        start += size
-    return out
-
-
 def _cmd_pim_align(args: argparse.Namespace) -> int:
+    """Align a workload through the fleet: one shard is the plain
+    scheduler, more stripe rounds across shards.  ``--journal`` is a
+    file on one shard and a directory (per-shard journals plus the
+    ``repro.pim.fleet/v1`` manifest) on more; fault ids index the
+    federated fleet."""
+    import warnings
+
+    from repro.errors import DegradedCapacity
     from repro.pim.config import PimSystemConfig
+    from repro.pim.fleet import FleetCoordinator
     from repro.pim.kernel import KernelConfig
-    from repro.pim.system import PimSystem
 
     pairs = read_seq(args.input)
     if not pairs:
         print("input holds no pairs", file=sys.stderr)
         return 1
-    penalties = _penalties_from_args(args)
+    if args.resume and args.journal is None:
+        print("error: --resume requires --journal", file=sys.stderr)
+        return 1
     max_len = max(p.max_length() for p in pairs)
-    if args.max_edits is not None:
-        max_edits = args.max_edits
-    else:
-        # infer a budget from the data: CIGAR-free upper bound via lengths
-        # plus a conservative 10% of the read length
-        max_edits = max(1, max_len // 10)
-    config = PimSystemConfig(
-        num_dpus=args.dpus,
-        num_ranks=max(1, args.dpus // 64) if args.dpus % 64 == 0 else 1,
-        tasklets=args.tasklets,
-        num_simulated_dpus=args.dpus,
-        metadata_policy=args.policy,
-        workers=args.workers,
-    )
-    kernel_config = KernelConfig(
-        penalties=penalties,
-        max_read_len=max_len,
-        max_edits=max_edits,
-        engine=args.engine,
-    )
+    # without a budget, infer one from the data: a conservative 10% of
+    # the read length
+    max_edits = args.max_edits if args.max_edits is not None else max(1, max_len // 10)
     telemetry = None
     if args.metrics_out or args.trace_out:
         from repro.obs import RunTelemetry
 
         telemetry = RunTelemetry()
-
-    if args.shards > 1:
-        return _pim_align_fleet(args, config, kernel_config, pairs, telemetry)
-    if args.net_plan is not None or args.hedge or args.link_timeout is not None:
-        print(
-            "error: --net-plan/--link-timeout/--hedge model the "
-            "coordinator<->shard network; they require --shards > 1",
-            file=sys.stderr,
-        )
-        return 1
-
-    system = PimSystem(config, kernel_config, telemetry=telemetry)
-
-    scheduled = (
-        args.journal is not None
-        or args.resume
-        or args.pairs_per_round is not None
-        or args.kill_dpu is not None
-        or args.stall_dpu is not None
-        or args.breaker
-    )
-    if scheduled:
-        return _pim_align_scheduled(args, system, pairs, telemetry)
-
-    run = system.align(pairs)
-    if args.output:
-        _write_pim_tsv(args.output, run.results)
-    rows = [
-        ("pairs", f"{run.num_pairs:,}"),
-        ("DPUs / tasklets / policy", f"{args.dpus} / {args.tasklets} / {args.policy}"),
-        ("host workers", str(args.workers)),
-        ("kernel", human_time(run.kernel_seconds)),
-        ("transfers", human_time(run.transfer_seconds)),
-        ("total", human_time(run.total_seconds)),
-        ("throughput", f"{run.throughput():,.0f} pairs/s"),
-        ("kernel throughput", f"{run.kernel_throughput():,.0f} pairs/s"),
-        ("DPU bound", run.dominant_bound()),
-    ]
-    print(format_table(["metric", "value"], rows, title="simulated PIM run"))
-    if telemetry is not None:
-        _write_telemetry(args, telemetry)
-    return 0
-
-
-def _pim_align_scheduled(args: argparse.Namespace, system, pairs, telemetry) -> int:
-    """The journaled / fault-tolerant / breaker-aware scheduler path."""
-    import warnings
-
-    from repro.errors import DegradedCapacity
-    from repro.pim.faults import DpuDeath, FaultPlan, TaskletStall
-    from repro.pim.health import FleetHealth
-    from repro.pim.scheduler import BatchScheduler
-
-    if args.resume and args.journal is None:
-        print("error: --resume requires --journal", file=sys.stderr)
-        return 1
-    fault_plan = None
-    if args.kill_dpu is not None or args.stall_dpu is not None:
-        deaths = (
-            (DpuDeath(dpu_id=args.kill_dpu),) if args.kill_dpu is not None else ()
-        )
-        stalls = (
-            (TaskletStall(dpu_id=args.stall_dpu),)
-            if args.stall_dpu is not None
-            else ()
-        )
-        fault_plan = FaultPlan(deaths=deaths, stalls=stalls)
-    health = None
-    if args.breaker:
-        health = FleetHealth(
-            args.dpus,
-            registry=telemetry.registry if telemetry is not None else None,
-            events=telemetry.events if telemetry is not None else None,
-        )
-    scheduler = BatchScheduler(system)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegradedCapacity)
-        if args.resume:
-            run = scheduler.resume_run(
-                args.journal,
-                pairs,
-                pairs_per_round=args.pairs_per_round,
-                collect_results=bool(args.output),
-                fault_plan=fault_plan,
-                health=health,
-            )
-        else:
-            run = scheduler.run(
-                pairs,
-                pairs_per_round=args.pairs_per_round,
-                collect_results=bool(args.output),
-                fault_plan=fault_plan,
-                health=health,
-                journal=args.journal,
-            )
-    if args.output:
-        _write_pim_tsv(args.output, _scheduled_records(run))
-    rows = [
-        ("pairs", f"{run.schedule.total_pairs:,}"),
-        ("DPUs / tasklets / policy", f"{args.dpus} / {args.tasklets} / {args.policy}"),
-        ("rounds (replayed)", f"{run.schedule.rounds} ({run.rounds_replayed})"),
-        ("kernel", human_time(run.kernel_seconds)),
-        ("transfers", human_time(run.transfer_seconds)),
-        ("recovery overhead", human_time(run.recovery_seconds)),
-        ("total", human_time(run.total_seconds)),
-        ("throughput", f"{run.throughput():,.0f} pairs/s"),
-    ]
-    print(format_table(["metric", "value"], rows, title="simulated PIM run"))
-    if run.recovery is not None:
-        print(f"recovery: {run.recovery.faults_seen} fault(s), "
-              f"{len(run.recovery.rerun_pairs)} pair(s) re-run, "
-              f"{len(run.recovery.abandoned_pairs)} abandoned")
-    if health is not None:
-        states = health.states()
-        open_dpus = sorted(d for d, s in states.items() if s != "closed")
-        if open_dpus:
-            print(f"breakers not closed: {open_dpus} "
-                  f"(states: { {d: states[d] for d in open_dpus} })")
-    for warning in caught:
-        if issubclass(warning.category, DegradedCapacity):
-            print(f"warning: {warning.message}", file=sys.stderr)
-    if args.journal:
-        print(f"journal: {args.journal} "
-              f"({run.schedule.rounds - run.rounds_replayed} round(s) appended)")
-    if telemetry is not None:
-        _write_telemetry(args, telemetry)
-    return 0
-
-
-def _pim_align_fleet(args: argparse.Namespace, config, kernel_config, pairs,
-                     telemetry) -> int:
-    """The sharded-fleet path: round-striping across N PimSystems.
-
-    ``--journal`` names a directory here (per-shard journals plus the
-    ``repro.pim.fleet/v1`` manifest); fault ids index the federated
-    fleet (``global`` domain).
-    """
-    import warnings
-
-    from repro.errors import DegradedCapacity
-    from repro.pim.faults import DpuDeath, FaultPlan, TaskletStall
-    from repro.pim.fleet import FleetCoordinator
-
-    if args.resume and args.journal is None:
-        print("error: --resume requires --journal", file=sys.stderr)
-        return 1
-    fault_plan = None
-    if args.kill_dpu is not None or args.stall_dpu is not None:
-        deaths = (
-            (DpuDeath(dpu_id=args.kill_dpu),) if args.kill_dpu is not None else ()
-        )
-        stalls = (
-            (TaskletStall(dpu_id=args.stall_dpu),)
-            if args.stall_dpu is not None
-            else ()
-        )
-        fault_plan = FaultPlan(deaths=deaths, stalls=stalls)
-    health_policy = None
-    if args.breaker:
-        from repro.pim.health import HealthPolicy
-
-        health_policy = HealthPolicy()
     net_plan, transport_policy = _parse_net_plan(args)
-    if net_plan is not None and not net_plan.is_calm() and (
-        args.journal is not None or args.resume
-    ):
-        print(
-            "error: --journal/--resume are not supported with an active "
-            "--net-plan (at-least-once delivery is the durability story "
-            "on a faulty network)",
-            file=sys.stderr,
-        )
-        return 1
     fleet = FleetCoordinator(
-        config,
-        kernel_config,
+        PimSystemConfig(
+            num_dpus=args.dpus,
+            num_ranks=max(1, args.dpus // 64) if args.dpus % 64 == 0 else 1,
+            tasklets=args.tasklets,
+            num_simulated_dpus=args.dpus,
+            metadata_policy=args.policy,
+            workers=args.workers,
+        ),
+        KernelConfig(
+            penalties=_penalties_from_args(args),
+            max_read_len=max_len,
+            max_edits=max_edits,
+            engine=args.engine,
+        ),
         shards=args.shards,
         shard_workers=args.shard_workers,
-        health_policy=health_policy,
+        health_policy=_health_policy(args),
         telemetry=telemetry,
         net_plan=net_plan,
         transport_policy=transport_policy,
     )
+    run_args = dict(
+        pairs_per_round=args.pairs_per_round,
+        collect_results=bool(args.output),
+        fault_plan=_fault_plan(args),
+    )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegradedCapacity)
         if args.resume:
-            run = fleet.resume_run(
-                args.journal,
-                pairs,
-                pairs_per_round=args.pairs_per_round,
-                collect_results=bool(args.output),
-                fault_plan=fault_plan,
-            )
+            run = fleet.resume_run(args.journal, pairs, **run_args)
         else:
-            run = fleet.run(
-                pairs,
-                pairs_per_round=args.pairs_per_round,
-                collect_results=bool(args.output),
-                fault_plan=fault_plan,
-                journal=args.journal,
-            )
+            run = fleet.run(pairs, journal=args.journal, **run_args)
     if args.output:
         _write_pim_tsv(args.output, run.results())
     rows = [
@@ -898,7 +697,7 @@ def _pim_align_fleet(args: argparse.Namespace, config, kernel_config, pairs,
             ("net steals / dups absorbed",
              f"{t.steals} / {t.duplicates_absorbed}"),
         ])
-    print(format_table(["metric", "value"], rows, title="simulated PIM fleet run"))
+    print(format_table(["metric", "value"], rows, title="simulated PIM run"))
     if run.transport is not None:
         open_links = sorted(
             k for k, s in fleet.transport.link_states(run.total_seconds).items()
@@ -910,27 +709,21 @@ def _pim_align_fleet(args: argparse.Namespace, config, kernel_config, pairs,
         print(f"recovery: {run.recovery.faults_seen} fault(s), "
               f"{len(run.recovery.rerun_pairs)} pair(s) re-run, "
               f"{len(run.recovery.abandoned_pairs)} abandoned")
-    if health_policy is not None:
-        for shard, states in fleet.health_states().items():
-            if states is None:
-                continue
-            open_dpus = sorted(d for d, s in states.items() if s != "closed")
-            if open_dpus:
-                print(f"shard {shard} breakers not closed: {open_dpus} "
-                      f"(states: { {d: states[d] for d in open_dpus} })")
+    for shard, states in fleet.health_states().items():
+        if states is None:
+            continue
+        open_dpus = sorted(d for d, s in states.items() if s != "closed")
+        if open_dpus:
+            print(f"shard {shard} breakers not closed: {open_dpus} "
+                  f"(states: { {d: states[d] for d in open_dpus} })")
     for warning in caught:
         if issubclass(warning.category, DegradedCapacity):
             print(f"warning: {warning.message}", file=sys.stderr)
     if args.journal:
         appended = run.schedule.rounds - run.rounds_replayed
-        print(f"fleet journal: {args.journal} ({appended} round(s) appended "
+        print(f"journal: {args.journal} ({appended} round(s) appended "
               f"across {len(run.shard_runs)} shard journal(s))")
     if telemetry is not None:
-        # federate the per-shard device counters into the primary
-        # registry so the written metrics cover the whole fleet
-        for shard_tel in fleet.shard_telemetries:
-            if shard_tel is not None:
-                telemetry.registry.merge_snapshot(shard_tel.registry.snapshot())
         _write_telemetry(args, telemetry)
     return 0
 
@@ -1261,9 +1054,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.events_out:
         from repro.obs.export import write_events_jsonl
 
-        write_events_jsonl(args.events_out, service.telemetry)
-        print(f"wrote event log to {args.events_out} "
-              f"({len(service.telemetry.events.events())} event(s))")
+        written = write_events_jsonl(args.events_out, service.telemetry)
+        print(f"wrote event log to {args.events_out} ({written} event(s))")
     if args.trace_out:
         from repro.obs.export import write_chrome_trace
 

@@ -57,114 +57,126 @@ def to_chrome_trace(telemetry: "RunTelemetry") -> dict:
     timeline: host sections on pid 0, each simulated DPU as its own
     process with one thread per tasklet (phase spans from the kernel
     trace, durations = cycles × seconds-per-cycle × the run's sampling
-    scale factor) plus a synthetic "kernel total" lane.
+    scale factor) plus a synthetic "kernel total" lane.  A federated
+    fleet telemetry adds shard ``k``'s runs on host thread ``1 + k`` and
+    its DPUs under their federated ids (pid ``DPU_PID_BASE +
+    k * dpus_per_shard + d``).
     """
     events: list[dict] = []
     seen_pids: dict[int, str] = {HOST_PID: "host"}
     seen_tids: dict[tuple[int, int], str] = {(HOST_PID, 0): "model timeline"}
-
-    for seg in telemetry.segments:
-        r = seg.result
-        run_args = {"run": seg.index, "kind": seg.kind}
-        events.append(
-            {
-                "name": "run",
-                "cat": "host",
-                "ph": "X",
-                "ts": _us(seg.model_start),
-                "dur": _us(r.total_seconds),
-                "pid": HOST_PID,
-                "tid": 0,
-                "args": dict(run_args, num_pairs=r.num_pairs),
-            }
-        )
-        t = seg.model_start
-        for name, dur in (
-            ("transfer_in", r.transfer_in_seconds),
-            ("launch", r.launch_seconds),
-            ("kernel", r.kernel_seconds),
-            ("transfer_out", r.transfer_out_seconds),
-        ):
+    lanes = [(telemetry, 0, {})] + [
+        (shard, 1 + k, {"shard": k}) for k, shard in sorted(telemetry.shards.items())
+    ]
+    runs = 0
+    for lane, host_tid, lane_args in lanes:
+        runs += len(lane.segments)
+        if lane.segments and host_tid:
+            seen_tids[(HOST_PID, host_tid)] = f"shard {host_tid - 1} model timeline"
+        for seg in lane.segments:
+            r = seg.result
+            run_args = {"run": seg.index, "kind": seg.kind, **lane_args}
             events.append(
                 {
-                    "name": name,
+                    "name": "run",
                     "cat": "host",
                     "ph": "X",
-                    "ts": _us(t),
-                    "dur": _us(dur),
+                    "ts": _us(seg.model_start),
+                    "dur": _us(r.total_seconds),
                     "pid": HOST_PID,
-                    "tid": 0,
-                    "args": dict(run_args),
+                    "tid": host_tid,
+                    "args": dict(run_args, num_pairs=r.num_pairs),
                 }
             )
-            t += dur
+            t = seg.model_start
+            for name, dur in (
+                ("transfer_in", r.transfer_in_seconds),
+                ("launch", r.launch_seconds),
+                ("kernel", r.kernel_seconds),
+                ("transfer_out", r.transfer_out_seconds),
+            ):
+                events.append(
+                    {
+                        "name": name,
+                        "cat": "host",
+                        "ph": "X",
+                        "ts": _us(t),
+                        "dur": _us(dur),
+                        "pid": HOST_PID,
+                        "tid": host_tid,
+                        "args": dict(run_args),
+                    }
+                )
+                t += dur
 
-        kernel_start = seg.kernel_start
-        scale = r.scale_factor
-        for stats in r.per_dpu:
-            pid = DPU_PID_BASE + stats.dpu_id
-            seen_pids.setdefault(pid, f"dpu {stats.dpu_id}")
-            seen_tids.setdefault((pid, DPU_TOTAL_TID), "kernel total")
-            events.append(
-                {
-                    "name": "dpu_kernel",
-                    "cat": "kernel",
-                    "ph": "X",
-                    "ts": _us(kernel_start),
-                    "dur": _us(stats.seconds),
-                    "pid": pid,
-                    "tid": DPU_TOTAL_TID,
-                    "args": dict(
-                        run_args,
-                        bound=stats.bound,
-                        pairs_done=stats.pairs_done,
-                    ),
-                }
-            )
-        # Per-tasklet phase spans: each tasklet's events run back to back
-        # from the kernel start, in trace order (the kernel is
-        # cycle-serial per tasklet, so this is its modeled schedule).
-        cursors: dict[tuple[int, int], float] = {}
-        for e in seg.trace.events:
-            pid = DPU_PID_BASE + e.dpu_id
-            seen_pids.setdefault(pid, f"dpu {e.dpu_id}")
-            seen_tids.setdefault((pid, e.tasklet_id), f"tasklet {e.tasklet_id}")
-            key = (pid, e.tasklet_id)
-            start = cursors.get(key, kernel_start)
-            dur = e.cycles * seg.seconds_per_cycle * scale
-            args = dict(run_args, pair=e.pair_index)
-            if e.detail:
-                args["detail"] = e.detail
-            events.append(
-                {
-                    "name": e.phase,
-                    "cat": "tasklet",
-                    "ph": "X",
-                    "ts": _us(start),
-                    "dur": _us(dur),
-                    "pid": pid,
-                    "tid": e.tasklet_id,
-                    "args": args,
-                }
-            )
-            cursors[key] = start + dur
+            kernel_start = seg.kernel_start
+            scale = r.scale_factor
+            for stats in r.per_dpu:
+                dpu = lane.dpu_offset + stats.dpu_id
+                pid = DPU_PID_BASE + dpu
+                seen_pids.setdefault(pid, f"dpu {dpu}")
+                seen_tids.setdefault((pid, DPU_TOTAL_TID), "kernel total")
+                events.append(
+                    {
+                        "name": "dpu_kernel",
+                        "cat": "kernel",
+                        "ph": "X",
+                        "ts": _us(kernel_start),
+                        "dur": _us(stats.seconds),
+                        "pid": pid,
+                        "tid": DPU_TOTAL_TID,
+                        "args": dict(
+                            run_args,
+                            bound=stats.bound,
+                            pairs_done=stats.pairs_done,
+                        ),
+                    }
+                )
+            # Per-tasklet phase spans: each tasklet's events run back to
+            # back from the kernel start, in trace order (the kernel is
+            # cycle-serial per tasklet, so this is its modeled schedule).
+            cursors: dict[tuple[int, int], float] = {}
+            for e in seg.trace.events:
+                dpu = lane.dpu_offset + e.dpu_id
+                pid = DPU_PID_BASE + dpu
+                seen_pids.setdefault(pid, f"dpu {dpu}")
+                seen_tids.setdefault((pid, e.tasklet_id), f"tasklet {e.tasklet_id}")
+                key = (pid, e.tasklet_id)
+                start = cursors.get(key, kernel_start)
+                dur = e.cycles * seg.seconds_per_cycle * scale
+                args = dict(run_args, pair=e.pair_index)
+                if e.detail:
+                    args["detail"] = e.detail
+                events.append(
+                    {
+                        "name": e.phase,
+                        "cat": "tasklet",
+                        "ph": "X",
+                        "ts": _us(start),
+                        "dur": _us(dur),
+                        "pid": pid,
+                        "tid": e.tasklet_id,
+                        "args": args,
+                    }
+                )
+                cursors[key] = start + dur
 
     # Structured events become instant-event annotations on the host
     # lane: the trace then shows *why* a lane changed shape (a breaker
     # opened, the watchdog tripped, a journaled round was spliced in)
     # right where it happened on the model timeline.
     annotations: list[dict] = []
-    for ev in telemetry.events.events():
+    for record in telemetry.event_records()[1:]:
         annotations.append(
             {
-                "name": ev.kind,
+                "name": record["kind"],
                 "cat": "annotation",
                 "ph": "i",
                 "s": "g",  # global scope: draw the line across all lanes
-                "ts": _us(ev.t_s),
+                "ts": _us(record["t_s"]),
                 "pid": HOST_PID,
                 "tid": 0,
-                "args": dict({k: v for k, v in ev.attrs}, seq=ev.seq),
+                "args": dict(record["attrs"], seq=record["seq"]),
             }
         )
 
@@ -196,7 +208,7 @@ def to_chrome_trace(telemetry: "RunTelemetry") -> dict:
         "displayTimeUnit": "ms",
         "otherData": {
             "generator": "repro.obs",
-            "runs": len(telemetry.segments),
+            "runs": runs,
             "model_seconds_total": telemetry.model_seconds_total,
             "annotations": len(annotations),
         },
@@ -270,9 +282,9 @@ def write_manifest_jsonl(path: str, telemetry: "RunTelemetry") -> None:
     rows.append(
         {
             "type": "summary",
-            "runs": len(telemetry.segments),
+            "runs": len(rows),
             "model_seconds_total": telemetry.model_seconds_total,
-            "metrics": telemetry.registry.to_dict(),
+            "metrics": telemetry.federated_registry().to_dict(),
         }
     )
     with open(path, "w") as fh:
@@ -280,15 +292,17 @@ def write_manifest_jsonl(path: str, telemetry: "RunTelemetry") -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def write_events_jsonl(path: str, telemetry: "RunTelemetry") -> None:
-    """The telemetry's structured event log as validated JSONL."""
+def write_events_jsonl(path: str, telemetry: "RunTelemetry") -> int:
+    """The telemetry's (federated) event log as validated JSONL; returns
+    the number of events written."""
     from repro.obs.events import validate_event_log
 
-    records = telemetry.events.to_records()
+    records = telemetry.event_records()
     validate_event_log(records)
     with open(path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    return len(records) - 1
 
 
 def write_metrics_json(path: str, telemetry: "RunTelemetry") -> None:

@@ -20,6 +20,15 @@ Successive runs (e.g. scheduler rounds) stack serially on the model
 timeline, so a multi-round workload opens in Perfetto as one
 contiguous picture.
 
+**Federation**: a multi-shard :class:`~repro.pim.fleet.FleetCoordinator`
+hangs one child telemetry per shard under the caller's
+(:meth:`RunTelemetry.add_shard`).  :meth:`~RunTelemetry.reconcile`, the
+run manifest, :meth:`~RunTelemetry.federated_registry`,
+:meth:`~RunTelemetry.event_records` and every exporter then cover the
+children too.  A one-shard fleet reports straight into the caller's
+telemetry and adds no child, so its documents are exactly the unsharded
+ones.
+
 The **reconciliation invariant** (:meth:`RunTelemetry.reconcile`): for
 every run, the profiler's per-section model spans must sum to the
 timing model's ``total_seconds``, and the kernel span must equal
@@ -79,6 +88,11 @@ class RunTelemetry:
         self.events = events if events is not None else EventLog()
         self.segments: list[RunSegment] = []
         self._cursor = 0.0  # model-time offset of the next run
+        #: child telemetries of a multi-shard fleet, by shard id
+        self.shards: dict[int, "RunTelemetry"] = {}
+        #: federated id of this telemetry's DPU 0 (shard ``k`` of a fleet
+        #: starts at ``k * dpus_per_shard``)
+        self.dpu_offset = 0
 
         reg = self.registry
         self._runs = reg.counter("pim_runs_total", "kernel launches by entry point")
@@ -95,6 +109,59 @@ class RunTelemetry:
         self._dpu_kernel_seconds = reg.histogram(
             "pim_dpu_kernel_seconds", "per-DPU modeled kernel seconds"
         )
+
+    # -- federation ----------------------------------------------------------
+
+    def add_shard(self, shard_id: int, dpu_offset: int) -> "RunTelemetry":
+        """A fresh child telemetry for one fleet shard, federated here."""
+        if shard_id in self.shards:
+            # a second fleet on this telemetry would silently orphan the
+            # first fleet's shard from every export
+            raise TelemetryError(
+                f"shard {shard_id} already federates into this telemetry; "
+                f"give each fleet its own RunTelemetry"
+            )
+        child = RunTelemetry()
+        child.dpu_offset = dpu_offset
+        self.shards[shard_id] = child
+        return child
+
+    def federated_registry(self) -> MetricsRegistry:
+        """This registry merged with every shard's: counters and
+        histograms sum, gauges keep the max (order-independent)."""
+        if not self.shards:
+            return self.registry
+        merged = MetricsRegistry()
+        for telemetry in (self, *self.shards.values()):
+            merged.merge_snapshot(telemetry.registry.snapshot())
+        return merged
+
+    def event_records(self) -> list[dict]:
+        """Federated event-log document: header plus every event.
+
+        Shard events gain a ``shard`` attribute; this telemetry's own
+        events (serve decisions, rebalances, the transport) carry none.
+        The merged stream is ordered by ``(t_s, shard, seq)`` and
+        re-sequenced, so it validates under
+        :func:`~repro.obs.events.validate_event_log` and is
+        deterministic regardless of shard completion order.
+        """
+        if not self.shards:
+            return self.events.to_records()
+        tagged = [
+            (event.t_s, -1, event.seq, event.kind, dict(event.attrs))
+            for event in self.events.events()
+        ]
+        for k, shard in self.shards.items():
+            tagged.extend(
+                (event.t_s, k, event.seq, event.kind, dict(event.attrs, shard=k))
+                for event in shard.events.events()
+            )
+        tagged.sort(key=lambda item: item[:3])
+        merged = EventLog(capacity=len(tagged) + 1)
+        for t_s, _shard, _seq, kind, attrs in tagged:
+            merged.publish(kind, t_s, **attrs)
+        return merged.to_records()
 
     # -- ingest --------------------------------------------------------------
 
@@ -166,8 +233,10 @@ class RunTelemetry:
 
     @property
     def model_seconds_total(self) -> float:
-        """Model time covered by all recorded runs."""
-        return self._cursor
+        """Model time covered by all recorded runs, shards included."""
+        return self._cursor + sum(
+            shard.model_seconds_total for shard in self.shards.values()
+        )
 
     def reconcile(self, rel_tol: float = 1e-9, abs_tol: float = 1e-12) -> dict:
         """Check span totals against the timing model; raise on drift.
@@ -175,7 +244,8 @@ class RunTelemetry:
         For every run: the four section spans must sum to the run's
         ``total_seconds``, and the kernel span must equal
         ``kernel_seconds``.  Across runs, the ``run`` spans must sum to
-        the timeline cursor.  Returns a summary dict on success.
+        the timeline cursor.  Every shard reconciles the same way.
+        Returns a summary dict on success.
         """
         problems: list[str] = []
         prof = self.profiler
@@ -209,15 +279,19 @@ class RunTelemetry:
             raise TelemetryError(
                 "telemetry reconciliation failed:\n  " + "\n  ".join(problems)
             )
+        runs = len(self.segments)
+        for shard in self.shards.values():
+            runs += shard.reconcile(rel_tol, abs_tol)["runs"]
         return {
-            "runs": len(self.segments),
-            "model_seconds": self._cursor,
+            "runs": runs,
+            "model_seconds": self.model_seconds_total,
         }
 
     # -- documents -----------------------------------------------------------
 
     def run_rows(self) -> list[dict]:
-        """One flat dict per run (JSONL manifest rows)."""
+        """One flat dict per run (JSONL manifest rows); shard runs follow,
+        tagged with their ``shard``."""
         rows = []
         for seg in self.segments:
             r = seg.result
@@ -242,7 +316,19 @@ class RunTelemetry:
                     "trace_events": len(seg.trace.events),
                 }
             )
+        for k, shard in self.shards.items():
+            rows.extend(dict(row, shard=k) for row in shard.run_rows())
         return rows
+
+    def profile_totals(self) -> dict[str, dict[str, float]]:
+        """:meth:`~repro.obs.profiler.Profiler.totals`, summed over shards."""
+        totals = self.profiler.totals()
+        for shard in self.shards.values():
+            for name, agg in shard.profile_totals().items():
+                mine = totals.setdefault(name, dict.fromkeys(agg, 0))
+                for key, value in agg.items():
+                    mine[key] += value
+        return {name: totals[name] for name in sorted(totals)}
 
     def metrics_document(self) -> dict:
         """JSON-ready document: metrics + profile totals + run manifest."""
@@ -250,6 +336,6 @@ class RunTelemetry:
             "schema": "repro.obs/v1",
             "model_seconds_total": self.model_seconds_total,
             "runs": self.run_rows(),
-            "profile": self.profiler.totals(),
-            "metrics": self.registry.to_dict(),
+            "profile": self.profile_totals(),
+            "metrics": self.federated_registry().to_dict(),
         }

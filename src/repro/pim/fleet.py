@@ -49,6 +49,14 @@ today.  The workload fingerprint deliberately excludes both ``workers``
 and ``shards`` (see :func:`~repro.pim.journal.workload_fingerprint`);
 the manifest is what carries ``shards``.
 
+The one-shard rule: a one-shard fleet adds nothing over its one shard,
+so it is byte-identical to a lone :class:`~repro.pim.scheduler.BatchScheduler`
+and every caller (serve, ``repro pim-align``, QA) runs through the fleet
+at any shard count.  Shard 0 then reports straight into the caller's
+telemetry (there is nothing to federate), and ``journal=`` names shard
+0's own journal *file* with no manifest, because its placement is
+trivially all-zero.
+
 Fault domains: a :class:`~repro.pim.faults.FaultPlan` handed to
 :meth:`FleetCoordinator.run` is interpreted per ``fault_domain``:
 
@@ -185,6 +193,7 @@ class ShardTask:
     fault_plan: Optional[FaultPlan]
     retry_policy: Optional[RetryPolicy]
     journal_path: Optional[str]
+    #: resume from ``journal_path`` when it exists (else run fresh)
     resume: bool
     now: float
     with_telemetry: bool
@@ -213,13 +222,45 @@ class ShardOutcome:
     health_state: Optional[dict] = None
 
 
-def run_fleet_shard(task: ShardTask) -> ShardOutcome:
-    """Run one shard's rounds; picklable in and out.
+def _run_shard_rounds(
+    scheduler: BatchScheduler, health, task: ShardTask
+) -> ScheduledRun:
+    """One shard's rounds on ``scheduler``/``health``.
 
     Journals to ``task.journal_path`` (a standard per-shard
     ``repro.pim.journal/v1`` file) when set; with ``task.resume`` and an
     existing journal the shard resumes instead of starting fresh.
     """
+    pairs = list(task.pairs)
+    if (
+        task.resume
+        and task.journal_path is not None
+        and Path(task.journal_path).exists()
+    ):
+        return scheduler.resume_run(
+            task.journal_path,
+            pairs,
+            pairs_per_round=task.pairs_per_round,
+            collect_results=task.collect_results,
+            fault_plan=task.fault_plan,
+            retry_policy=task.retry_policy,
+            health=health,
+            now=task.now,
+        )
+    return scheduler.run(
+        pairs,
+        pairs_per_round=task.pairs_per_round,
+        collect_results=task.collect_results,
+        fault_plan=task.fault_plan,
+        retry_policy=task.retry_policy,
+        health=health,
+        journal=task.journal_path,
+        now=task.now,
+    )
+
+
+def run_fleet_shard(task: ShardTask) -> ShardOutcome:
+    """Run one shard's rounds in a fresh system; picklable in and out."""
     telemetry = None
     if task.with_telemetry:
         from repro.obs.telemetry import RunTelemetry
@@ -241,36 +282,9 @@ def run_fleet_shard(task: ShardTask) -> ShardOutcome:
         )
         if task.health_state is not None:
             health.import_state(task.health_state)
-    pairs = list(task.pairs)
-    if (
-        task.resume
-        and task.journal_path is not None
-        and Path(task.journal_path).exists()
-    ):
-        run = scheduler.resume_run(
-            task.journal_path,
-            pairs,
-            pairs_per_round=task.pairs_per_round,
-            collect_results=task.collect_results,
-            fault_plan=task.fault_plan,
-            retry_policy=task.retry_policy,
-            health=health,
-            now=task.now,
-        )
-    else:
-        run = scheduler.run(
-            pairs,
-            pairs_per_round=task.pairs_per_round,
-            collect_results=task.collect_results,
-            fault_plan=task.fault_plan,
-            retry_policy=task.retry_policy,
-            health=health,
-            journal=task.journal_path,
-            now=task.now,
-        )
     return ShardOutcome(
         shard_id=task.shard_id,
-        run=run,
+        run=_run_shard_rounds(scheduler, health, task),
         metrics=telemetry.registry.snapshot() if telemetry is not None else None,
         events=(
             [e.to_dict() for e in telemetry.events.events()]
@@ -289,10 +303,10 @@ class FleetRun:
     """Aggregate outcome of one fleet run, in global round order.
 
     ``per_round`` / ``schedule`` / ``recovery`` / ``total_seconds``
-    deliberately mirror :class:`~repro.pim.scheduler.ScheduledRun` so
-    the serve dispatcher can consume either interchangeably; the timing
-    semantics differ — shards run concurrently, so ``total_seconds`` is
-    the fleet *makespan* (slowest shard), not the serial sum.
+    deliberately mirror :class:`~repro.pim.scheduler.ScheduledRun`; the
+    timing semantics differ — shards run concurrently, so
+    ``total_seconds`` is the fleet *makespan* (slowest shard), not the
+    serial sum (on one shard the two coincide).
     """
 
     schedule: BatchSchedule
@@ -390,8 +404,11 @@ class FleetCoordinator:
     shard; the federation totals ``shards * config.num_dpus``).  Every
     shard gets its own system, scheduler, telemetry (when ``telemetry``
     is given — the argument itself is the *primary* sink for
-    coordinator-level events) and, under a ``health_policy``, its own
-    :class:`~repro.pim.health.FleetHealth` ledger.
+    coordinator-level events, and each shard's telemetry is federated
+    under it via :meth:`~repro.obs.telemetry.RunTelemetry.add_shard`; a
+    one-shard fleet reports into ``telemetry`` itself) and, under a
+    ``health_policy``, its own :class:`~repro.pim.health.FleetHealth`
+    ledger.
 
     Health-aware placement: before each run the coordinator asks every
     shard ledger for its healthy fraction; shards below
@@ -458,18 +475,16 @@ class FleetCoordinator:
         self.fault_domain = fault_domain
         #: primary telemetry: coordinator-level events (rebalance) and the
         #: serve layer's own metrics land here; per-shard device telemetry
-        #: lives on the shard systems and is federated on demand.
+        #: hangs under it as federated children (none on one shard).
         self.telemetry = telemetry
         self.shard_telemetries: list[Optional["RunTelemetry"]] = []
         self.systems: list[PimSystem] = []
         self.schedulers: list[BatchScheduler] = []
         self.shard_healths: list = []
         for k in range(shards):
-            shard_tel = None
-            if telemetry is not None:
-                from repro.obs.telemetry import RunTelemetry
-
-                shard_tel = RunTelemetry()
+            shard_tel = telemetry
+            if telemetry is not None and shards > 1:
+                shard_tel = telemetry.add_shard(k, k * config.num_dpus)
             system = PimSystem(config, kernel_config, telemetry=shard_tel)
             self.shard_telemetries.append(shard_tel)
             self.systems.append(system)
@@ -685,7 +700,8 @@ class FleetCoordinator:
 
         ``journal`` names a *directory*: one ``repro.pim.journal/v1``
         file per participating shard plus a ``manifest.json`` recording
-        the placement.  ``placements``/``resume`` are the resume path's
+        the placement — or, on a one-shard fleet, shard 0's journal
+        file itself.  ``placements``/``resume`` are the resume path's
         internals — use :meth:`resume_run`.
         """
         schedule = self.plan(len(pairs), pairs_per_round)
@@ -728,10 +744,9 @@ class FleetCoordinator:
                 now,
             )
 
-        journal_dir = Path(journal) if journal is not None else None
-        if journal_dir is not None and not resume:
+        if journal is not None and self.shards > 1 and not resume:
             self._write_manifest(
-                journal_dir,
+                Path(journal),
                 {
                     "schema": MANIFEST_SCHEMA,
                     "shards": self.shards,
@@ -755,11 +770,6 @@ class FleetCoordinator:
                 for r in shard_rounds[k]
                 for pair in pairs[starts[r] : starts[r] + sizes[r]]
             )
-            journal_path = (
-                str(journal_dir / shard_journal_name(k))
-                if journal_dir is not None
-                else None
-            )
             tasks.append(
                 ShardTask(
                     shard_id=k,
@@ -772,7 +782,7 @@ class FleetCoordinator:
                     collect_results=collect_results,
                     fault_plan=self._shard_plan(fault_plan, k),
                     retry_policy=retry_policy,
-                    journal_path=journal_path,
+                    journal_path=self._journal_path(journal, k),
                     resume=resume,
                     now=now,
                     with_telemetry=self.telemetry is not None,
@@ -785,7 +795,7 @@ class FleetCoordinator:
                 )
             )
 
-        shard_runs = self._execute(tasks, resume=resume, now=now)
+        shard_runs = self._execute(tasks)
 
         per_round: list[Optional[PimRunResult]] = [None] * schedule.rounds
         rounds_replayed = 0
@@ -817,9 +827,18 @@ class FleetCoordinator:
             rounds_replayed=rounds_replayed,
         )
 
-    def _execute(
-        self, tasks: list[ShardTask], resume: bool, now: float
-    ) -> dict[int, ScheduledRun]:
+    def _journal_path(
+        self, journal: Optional[Union[str, Path]], shard: int
+    ) -> Optional[str]:
+        """Shard ``shard``'s journal file: the caller's own file on a
+        one-shard fleet, else ``shard-NNN.jsonl`` in the directory."""
+        if journal is None:
+            return None
+        if self.shards == 1:
+            return str(journal)
+        return str(Path(journal) / shard_journal_name(shard))
+
+    def _execute(self, tasks: list[ShardTask]) -> dict[int, ScheduledRun]:
         """Run shard tasks sequentially or over a process pool."""
         if self.shard_workers not in (0, 1) and len(tasks) > 1:
             workers = self.shard_workers or (os.cpu_count() or 1)
@@ -833,53 +852,22 @@ class FleetCoordinator:
                 # pool infrastructure failure: the sequential path is
                 # result-identical (same discipline as repro.pim.parallel)
                 pass
-        outcomes = []
-        for task in tasks:
-            outcomes.append(self._run_shard_inline(task))
-        return self._absorb(outcomes, inline=True)
-
-    def _run_shard_inline(self, task: ShardTask) -> ShardOutcome:
-        """Run one shard on its persistent system/health in-process."""
-        k = task.shard_id
-        scheduler = self.schedulers[k]
-        pairs = list(task.pairs)
-        if (
-            task.resume
-            and task.journal_path is not None
-            and Path(task.journal_path).exists()
-        ):
-            run = scheduler.resume_run(
-                task.journal_path,
-                pairs,
-                pairs_per_round=task.pairs_per_round,
-                collect_results=task.collect_results,
-                fault_plan=task.fault_plan,
-                retry_policy=task.retry_policy,
-                health=self.shard_healths[k],
-                now=task.now,
+        # inline: each shard runs on its persistent system, ledger and
+        # telemetry, so there is nothing to fold home
+        return {
+            task.shard_id: _run_shard_rounds(
+                self.schedulers[task.shard_id],
+                self.shard_healths[task.shard_id],
+                task,
             )
-        else:
-            run = scheduler.run(
-                pairs,
-                pairs_per_round=task.pairs_per_round,
-                collect_results=task.collect_results,
-                fault_plan=task.fault_plan,
-                retry_policy=task.retry_policy,
-                health=self.shard_healths[k],
-                journal=task.journal_path,
-                now=task.now,
-            )
-        return ShardOutcome(shard_id=k, run=run)
+            for task in tasks
+        }
 
-    def _absorb(
-        self, outcomes: list[ShardOutcome], inline: bool = False
-    ) -> dict[int, ScheduledRun]:
-        """Fold shard outcomes home; merge worker telemetry deltas."""
+    def _absorb(self, outcomes: list[ShardOutcome]) -> dict[int, ScheduledRun]:
+        """Fold pool outcomes home; merge worker telemetry deltas."""
         shard_runs: dict[int, ScheduledRun] = {}
         for outcome in outcomes:
             shard_runs[outcome.shard_id] = outcome.run
-            if inline:
-                continue  # persistent shard telemetry already has it all
             if outcome.health_state is not None:
                 health = self.shard_healths[outcome.shard_id]
                 if health is not None:
@@ -1126,41 +1114,53 @@ class FleetCoordinator:
         re-execute.  The merged :class:`FleetRun` — results, recovery,
         health ledgers, per-shard journal bytes — is identical to an
         uninterrupted run's.
+
+        A one-shard fleet resumes from shard 0's journal *file* (no
+        manifest; its scheduler checks the fingerprint), so a journal
+        written at one shard count refuses to resume at another.
         """
-        manifest = self.load_manifest(journal)
         schedule = self.plan(len(pairs), pairs_per_round)
-        if int(manifest.get("shards", -1)) != self.shards:
-            raise JournalError(
-                f"fleet manifest records shards={manifest.get('shards')}, "
-                f"coordinator has shards={self.shards}"
+        if self.shards == 1:
+            if not Path(journal).is_file():
+                raise JournalError(
+                    f"cannot resume from {journal}: a one-shard run "
+                    f"journals to a single file"
+                )
+            placements = [0] * schedule.rounds
+        else:
+            manifest = self.load_manifest(journal)
+            if int(manifest.get("shards", -1)) != self.shards:
+                raise JournalError(
+                    f"fleet manifest records shards={manifest.get('shards')}, "
+                    f"coordinator has shards={self.shards}"
+                )
+            if manifest.get("fault_domain") != self.fault_domain:
+                raise JournalError(
+                    f"fleet manifest records fault_domain="
+                    f"{manifest.get('fault_domain')!r}, coordinator uses "
+                    f"{self.fault_domain!r}"
+                )
+            expected = self._fingerprint(
+                pairs, schedule, collect_results, fault_plan, retry_policy
             )
-        if manifest.get("fault_domain") != self.fault_domain:
-            raise JournalError(
-                f"fleet manifest records fault_domain="
-                f"{manifest.get('fault_domain')!r}, coordinator uses "
-                f"{self.fault_domain!r}"
-            )
-        expected = self._fingerprint(
-            pairs, schedule, collect_results, fault_plan, retry_policy
-        )
-        if manifest.get("fingerprint") != expected:
-            recorded = manifest.get("fingerprint") or {}
-            mismatched = sorted(
-                key
-                for key in set(recorded) | set(expected)
-                if recorded.get(key) != expected.get(key)
-            )
-            raise JournalError(
-                "fleet manifest fingerprint does not match the offered "
-                f"workload/configuration (differs in: "
-                f"{', '.join(mismatched) or 'shape'})"
-            )
-        placements = [int(p) for p in manifest.get("placements", ())]
-        if len(placements) != schedule.rounds:
-            raise JournalError(
-                f"fleet manifest records {len(placements)} placements for a "
-                f"{schedule.rounds}-round schedule"
-            )
+            if manifest.get("fingerprint") != expected:
+                recorded = manifest.get("fingerprint") or {}
+                mismatched = sorted(
+                    key
+                    for key in set(recorded) | set(expected)
+                    if recorded.get(key) != expected.get(key)
+                )
+                raise JournalError(
+                    "fleet manifest fingerprint does not match the offered "
+                    f"workload/configuration (differs in: "
+                    f"{', '.join(mismatched) or 'shape'})"
+                )
+            placements = [int(p) for p in manifest.get("placements", ())]
+            if len(placements) != schedule.rounds:
+                raise JournalError(
+                    f"fleet manifest records {len(placements)} placements for a "
+                    f"{schedule.rounds}-round schedule"
+                )
         return self.run(
             pairs,
             pairs_per_round=pairs_per_round,
@@ -1176,21 +1176,13 @@ class FleetCoordinator:
     # -- federation ----------------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        """One coherent snapshot across the primary and every shard.
+        """One coherent snapshot across the primary and every shard
+        (:meth:`~repro.obs.telemetry.RunTelemetry.federated_registry`)."""
+        if self.telemetry is None:
+            from repro.obs.metrics import MetricsRegistry
 
-        Counters and histograms sum, gauges keep the max — the
-        commutative merge :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`
-        defines — so the federated view is independent of shard order.
-        """
-        from repro.obs.metrics import MetricsRegistry
-
-        merged = MetricsRegistry()
-        if self.telemetry is not None:
-            merged.merge_snapshot(self.telemetry.registry.snapshot())
-        for shard_tel in self.shard_telemetries:
-            if shard_tel is not None:
-                merged.merge_snapshot(shard_tel.registry.snapshot())
-        return merged.snapshot()
+            return MetricsRegistry().snapshot()
+        return self.telemetry.federated_registry().snapshot()
 
     def health_states(self) -> dict[int, Optional[dict]]:
         """Per-shard breaker states (``None`` for unledgered shards)."""
@@ -1215,31 +1207,10 @@ class FleetCoordinator:
         }
 
     def event_records(self) -> list[dict]:
-        """Federated event-log document: header plus every event.
+        """Federated event-log document
+        (:meth:`~repro.obs.telemetry.RunTelemetry.event_records`)."""
+        if self.telemetry is None:
+            from repro.obs.events import EventLog
 
-        Shard events gain a ``shard`` attribute; coordinator-level
-        events (rebalances) carry none.  The merged stream is ordered
-        by ``(t_s, shard, seq)`` and re-sequenced, so it validates
-        under :func:`~repro.obs.events.validate_event_log` and is
-        deterministic regardless of shard completion order.
-        """
-        from repro.obs.events import EventLog
-
-        tagged: list[tuple[float, int, int, str, dict]] = []
-        if self.telemetry is not None:
-            for event in self.telemetry.events.events():
-                tagged.append(
-                    (event.t_s, -1, event.seq, event.kind, dict(event.attrs))
-                )
-        for k, shard_tel in enumerate(self.shard_telemetries):
-            if shard_tel is None:
-                continue
-            for event in shard_tel.events.events():
-                attrs = dict(event.attrs)
-                attrs["shard"] = k
-                tagged.append((event.t_s, k, event.seq, event.kind, attrs))
-        tagged.sort(key=lambda item: (item[0], item[1], item[2]))
-        merged = EventLog(capacity=max(1, len(tagged)) + 1)
-        for t_s, _shard, _seq, kind, attrs in tagged:
-            merged.publish(kind, t_s, **attrs)
-        return merged.to_records()
+            return EventLog().to_records()
+        return self.telemetry.event_records()

@@ -536,6 +536,18 @@ class ShardTransport:
     ) -> None:
         if shards < 1:
             raise ConfigError(f"shards must be >= 1, got {shards}")
+        named = [
+            f.shard_id
+            for f in (*plan.drops, *plan.duplicates, *plan.delays, *plan.reorders)
+        ] + [s for window in plan.partitions for s in window.shard_ids]
+        unknown = sorted({s for s in named if not 0 <= s < shards})
+        if unknown:
+            # a fault on a link the fleet does not have would switch the
+            # transport on and then never fire
+            raise ConfigError(
+                f"network fault plan names shard links {unknown}, but the "
+                f"fleet has shards 0..{shards - 1}"
+            )
         self.shards = shards
         self.plan = plan
         self.policy = policy if policy is not None else TransportPolicy()

@@ -554,7 +554,7 @@ def _oracle_agreement(
 def _crash_and_resume(
     cfg: CampaignConfig,
     ablation: AblationConfig,
-    journal_dir: Path,
+    journal: Path,
     pairs: list[ReadPair],
     fault_plan: Optional[FaultPlan],
     retry_policy: RetryPolicy,
@@ -564,24 +564,27 @@ def _crash_and_resume(
     Returns ``(rounds_replayed, identical)``.  Mirrors the ``make
     fleet-demo`` drill: the crash is a record-boundary truncation of
     shard 0's journal; the resumed run must rebuild it byte-identically
-    to the uninterrupted run's.
+    to the uninterrupted run's.  ``journal`` is a directory, or shard
+    0's own file on a one-shard fleet.
     """
-    pristine = {
-        p.name: p.read_bytes() for p in sorted(journal_dir.iterdir())
-    }
-    shard0 = journal_dir / "shard-000.jsonl"
+
+    def files() -> dict:
+        paths = sorted(journal.iterdir()) if journal.is_dir() else [journal]
+        return {p.name: p.read_bytes() for p in paths}
+
+    pristine = files()
+    shard0 = journal / "shard-000.jsonl" if journal.is_dir() else journal
     lines = shard0.read_bytes().splitlines(keepends=True)
     shard0.write_bytes(b"".join(lines[: min(2, len(lines))]))
     resumed = _make_fleet(cfg, ablation).resume_run(
-        journal_dir,
+        journal,
         pairs,
         pairs_per_round=cfg.pairs_per_round,
         collect_results=True,
         fault_plan=fault_plan,
         retry_policy=retry_policy,
     )
-    rebuilt = {p.name: p.read_bytes() for p in sorted(journal_dir.iterdir())}
-    return resumed.rounds_replayed, rebuilt == pristine
+    return resumed.rounds_replayed, files() == pristine
 
 
 def _serve_phase(
@@ -682,7 +685,7 @@ def run_cell(task: CellTask) -> dict:
         # networked runs are inline-only (the coordinator refuses to mix
         # an active net plan with a write-ahead journal), so network
         # points run journal-free under every ablation
-        journal_dir = (
+        journal = (
             Path(tmp) / "journal"
             if ablation.journal and net_plan is None
             else None
@@ -693,7 +696,7 @@ def run_cell(task: CellTask) -> dict:
             collect_results=True,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
-            journal=journal_dir,
+            journal=journal,
         )
 
         rounds_replayed = 0
@@ -701,7 +704,7 @@ def run_cell(task: CellTask) -> dict:
         resume_identical: Optional[bool] = None
         if resume_checked:
             rounds_replayed, resume_identical = _crash_and_resume(
-                cfg, ablation, journal_dir, pairs, fault_plan, retry_policy
+                cfg, ablation, journal, pairs, fault_plan, retry_policy
             )
 
         serve = {

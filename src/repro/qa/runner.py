@@ -19,6 +19,7 @@ consistency, so CI can gate on reports produced elsewhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -34,6 +35,7 @@ from repro.data.generator import ReadPair
 from repro.errors import QaError
 from repro.pim.config import PimSystemConfig
 from repro.pim.faults import FaultPlan, RetryPolicy
+from repro.pim.fleet import FleetCoordinator
 from repro.pim.kernel import KernelConfig
 from repro.pim.system import PimSystem
 from repro.qa.corpus import CorpusConfig, generate_corpus
@@ -86,10 +88,10 @@ class QaConfig:
     num_dpus: int = 4
     tasklets: int = 4
     workers: int = 1
-    #: > 1 routes the sweep through a round-striped
-    #: :class:`~repro.pim.fleet.FleetCoordinator` (``num_dpus`` DPUs per
-    #: shard, ``fault_domain="uniform"``), so the differential oracle
-    #: exercises the fleet path instead of the lone scheduler.
+    #: shards of the :class:`~repro.pim.fleet.FleetCoordinator` the sweep
+    #: runs through (``num_dpus`` DPUs per shard,
+    #: ``fault_domain="uniform"``); > 1 stripes at least two rounds per
+    #: shard, so the differential oracle exercises round striping.
     shards: int = 1
     #: process-pool width for the fleet path (0/1 = inline).
     shard_workers: int = 1
@@ -250,40 +252,28 @@ def run_qa(config: Optional[QaConfig] = None) -> QaReport:
             max_read_len=cfg.max_len,
             max_edits=cfg.max_edits,
         )
-        if cfg.shards > 1:
-            import math
-
-            from repro.pim.fleet import FleetCoordinator
-
-            fleet_run = FleetCoordinator(
-                system_config,
-                kernel_config,
-                shards=cfg.shards,
-                shard_workers=cfg.shard_workers,
-                fault_domain="uniform",
-            ).run(
-                pairs,
-                # at least two rounds per shard, so the sweep actually
-                # exercises round striping rather than shard 0 alone
-                pairs_per_round=max(
-                    1, math.ceil(cfg.trials / (2 * cfg.shards))
-                ),
-                collect_results=True,
-                fault_plan=cfg.fault_plan,
-                retry_policy=cfg.retry_policy,
-            )
-            results = fleet_run.results()
-            recovery = fleet_run.recovery
-        else:
-            run = PimSystem(system_config, kernel_config=kernel_config).align(
-                pairs,
-                collect_results=True,
-                fault_plan=cfg.fault_plan,
-                retry_policy=cfg.retry_policy,
-            )
-            results = run.results
-            recovery = run.recovery
-        by_index = {index: (score, cigar) for index, score, cigar in results}
+        run = FleetCoordinator(
+            system_config,
+            kernel_config,
+            shards=cfg.shards,
+            shard_workers=cfg.shard_workers,
+            fault_domain="uniform",
+        ).run(
+            pairs,
+            # one MRAM-sized round on one shard; otherwise at least two
+            # rounds per shard, so the sweep exercises round striping
+            # rather than shard 0 alone
+            pairs_per_round=(
+                max(1, math.ceil(cfg.trials / (2 * cfg.shards)))
+                if cfg.shards > 1
+                else None
+            ),
+            collect_results=True,
+            fault_plan=cfg.fault_plan,
+            retry_policy=cfg.retry_policy,
+        )
+        recovery = run.recovery
+        by_index = {index: (score, cigar) for index, score, cigar in run.results()}
         verdicts = [
             check_case(
                 case,

@@ -2,10 +2,12 @@
 
 The dispatcher is the bridge between the service's batches and the
 existing execution stack: each batch runs through a
-:class:`~repro.pim.scheduler.BatchScheduler` (which splits it into
-MRAM-sized rounds and fans rounds out over the host-parallel workers),
-optionally under a :class:`~repro.pim.faults.FaultPlan` so a DPU death
-mid-batch retries / requeues without dropping or duplicating a pair.
+:class:`~repro.pim.fleet.FleetCoordinator` (which splits it into
+MRAM-sized rounds, stripes them across its shards and fans each shard's
+rounds out over the host-parallel workers; a one-shard fleet is exactly
+its shard's :class:`~repro.pim.scheduler.BatchScheduler`), optionally
+under a :class:`~repro.pim.faults.FaultPlan` so a DPU death mid-batch
+retries / requeues without dropping or duplicating a pair.
 
 It also owns the service's **modeled device timeline**: batch ``k``
 cannot start before batch ``k-1``'s modeled completion, so at high
@@ -31,9 +33,8 @@ from repro.serve.resilience import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cigar import Cigar
     from repro.data.generator import ReadPair
-    from repro.pim.fleet import FleetCoordinator
-    from repro.pim.health import FleetHealth
-    from repro.pim.scheduler import BatchScheduler, ScheduledRun
+    from repro.pim.fleet import FleetCoordinator, FleetRun
+    from repro.pim.scheduler import BatchScheduler
 
 __all__ = ["BatchOutcome", "BatchDispatcher"]
 
@@ -56,7 +57,7 @@ class BatchOutcome:
     started_s: float
     #: modeled completion time (started_s + the run's total_seconds)
     completed_s: float
-    run: "ScheduledRun" = field(repr=False, default=None)
+    run: "FleetRun" = field(repr=False, default=None)
     #: which execution path served the batch: ``"pim"`` or
     #: ``"cpu-fallback"`` (fleet health below the fallback threshold)
     backend: str = BACKEND_PIM
@@ -72,49 +73,33 @@ class BatchOutcome:
 
 
 class BatchDispatcher:
-    """Runs batches through the scheduler on a modeled device timeline."""
+    """Runs batches through the fleet on a modeled device timeline."""
 
     def __init__(
         self,
-        scheduler: "BatchScheduler",
+        fleet: "FleetCoordinator",
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         pairs_per_round: Optional[int] = None,
-        health: Optional["FleetHealth"] = None,
         fallback: Optional[FallbackPolicy] = None,
-        fleet: Optional["FleetCoordinator"] = None,
     ) -> None:
-        if fleet is not None and health is not None:
-            from repro.errors import ConfigError
-
-            raise ConfigError(
-                "fleet mode owns per-shard health ledgers; pass a "
-                "health_policy to the FleetCoordinator instead of a "
-                "FleetHealth to the dispatcher"
-            )
-        self.scheduler = scheduler
-        #: optional sharded fleet: batches run through
-        #: :meth:`~repro.pim.fleet.FleetCoordinator.run` (round-striped
-        #: across shards, health-aware placement) instead of the single
-        #: scheduler; ``scheduler`` stays as the kernel-config source for
-        #: the CPU fallback.  Per-shard health lives inside the fleet, so
-        #: ``health`` must be ``None`` in fleet mode.
+        #: batches run through :meth:`~repro.pim.fleet.FleetCoordinator.run`
+        #: (round-striped across shards, health-aware placement); per-DPU
+        #: health ledgers live inside the fleet, one per shard, and see
+        #: the dispatcher's device timeline so their clocks never run
+        #: backwards.
         self.fleet = fleet
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
-        #: optional round-size override forwarded to the scheduler
+        #: optional round-size override forwarded to the fleet
         #: (``None`` = MRAM-capacity-sized rounds).
         self.pairs_per_round = pairs_per_round
-        #: optional fleet-health ledger: scheduler rounds consult it for
-        #: quarantine and feed their outcomes back, on the dispatcher's
-        #: device timeline so the ledger clock never runs backwards.
-        self.health = health
-        #: optional CPU-fallback policy; requires ``health`` to judge
-        #: capacity.  Batches route to the CPU baseline while healthy
-        #: capacity sits below ``fallback.min_healthy_fraction``.
+        #: optional CPU-fallback policy: batches route to the CPU
+        #: baseline while the fleet's healthy capacity sits below
+        #: ``fallback.min_healthy_fraction``.
         self.fallback = fallback
         self._cpu_backend: Optional[CpuFallbackBackend] = (
-            CpuFallbackBackend(scheduler.system.kernel_config, fallback)
+            CpuFallbackBackend(fleet.kernel_config, fallback)
             if fallback is not None
             else None
         )
@@ -131,6 +116,12 @@ class BatchDispatcher:
         #: (modeled completion, pairs) of batches possibly still in
         #: flight on the modeled timeline; pruned as "now" advances.
         self._in_flight: List[Tuple[float, int]] = []
+
+    @property
+    def scheduler(self) -> "BatchScheduler":
+        """Shard 0's scheduler (its ``system.kernel_config`` is the
+        service's)."""
+        return self.fleet.schedulers[0]
 
     # -- modeled timeline --------------------------------------------------
 
@@ -152,34 +143,23 @@ class BatchDispatcher:
     # -- dispatch ----------------------------------------------------------
 
     def _healthy_fraction(self, now: float) -> float:
-        """Healthy capacity across whichever fleet view is attached.
+        """Healthy capacity of the fleet, network included.
 
-        In fleet mode the network counts too: a quarantined
-        coordinator<->shard link degrades capacity exactly like
-        quarantined DPUs do (the min of device health and
+        A quarantined coordinator<->shard link degrades capacity exactly
+        like quarantined DPUs do (the min of device health and
         :meth:`~repro.pim.fleet.FleetCoordinator.link_healthy_fraction`),
         so a partitioned shard pushes batches toward the CPU fallback
-        even while its DPUs are perfectly healthy.
+        even while its DPUs are perfectly healthy.  Both are 1.0 without
+        a health policy and a transport.
         """
-        if self.fleet is not None:
-            return min(
-                self.fleet.healthy_fraction(now),
-                self.fleet.link_healthy_fraction(now),
-            )
-        if self.health is not None:
-            return self.health.healthy_fraction(now)
-        return 1.0
+        return min(
+            self.fleet.healthy_fraction(now),
+            self.fleet.link_healthy_fraction(now),
+        )
 
     def _degraded(self, now: float) -> bool:
         """Whether the fleet sits below the CPU-fallback threshold."""
-        if self.fallback is None:
-            return False
-        if self.health is None and (
-            self.fleet is None
-            or (self.fleet.health_policy is None and self.fleet.transport is None)
-        ):
-            return False
-        if self.fallback.min_healthy_fraction <= 0.0:
+        if self.fallback is None or self.fallback.min_healthy_fraction <= 0.0:
             return False
         return self._healthy_fraction(now) < self.fallback.min_healthy_fraction
 
@@ -188,11 +168,7 @@ class BatchDispatcher:
         if degraded == self._fallback_active:
             return
         self._fallback_active = degraded
-        telemetry = (
-            self.fleet.telemetry
-            if self.fleet is not None
-            else self.scheduler.system.telemetry
-        )
+        telemetry = self.fleet.telemetry
         if telemetry is None:
             return
         from repro.obs.events import FALLBACK
@@ -207,16 +183,17 @@ class BatchDispatcher:
     def dispatch(self, pairs: List["ReadPair"], now: float) -> BatchOutcome:
         """Align one batch; map results back to batch order.
 
-        The scheduler returns per-round results with round-local pair
-        indices; they are rebased here so ``results[i]`` is batch pair
-        ``i``.  Pairs the recovery layer abandoned come back as ``None``
-        entries rather than being silently dropped.
+        The fleet returns per-round results (in global round order)
+        with round-local pair indices; they are rebased here so
+        ``results[i]`` is batch pair ``i``.  Pairs the recovery layer
+        abandoned come back as ``None`` entries rather than being
+        silently dropped.
 
-        With a health ledger attached, the batch's scheduler rounds run
-        quarantine-aware on the device timeline; when healthy capacity
-        is below the fallback threshold the whole batch routes to the
-        CPU baseline instead — it completes at ``now + cpu seconds``
-        without touching (or waiting for) the PIM device timeline.
+        Under a health policy the batch's rounds run quarantine-aware
+        on the device timeline; when healthy capacity is below the
+        fallback threshold the whole batch routes to the CPU baseline
+        instead — it completes at ``now + cpu seconds`` without touching
+        (or waiting for) the PIM device timeline.
         """
         degraded = self._degraded(now) and self._cpu_backend is not None
         self._note_fallback(degraded, now)
@@ -239,28 +216,14 @@ class BatchDispatcher:
             )
 
         started = max(now, self._free_at)
-        if self.fleet is not None:
-            # round-striped across the shards; per-round results come
-            # back in global round order, so the rebase below is the
-            # same either way
-            run = self.fleet.run(
-                list(pairs),
-                pairs_per_round=self.pairs_per_round,
-                collect_results=True,
-                fault_plan=self.fault_plan,
-                retry_policy=self.retry_policy,
-                now=started,
-            )
-        else:
-            run = self.scheduler.run(
-                list(pairs),
-                pairs_per_round=self.pairs_per_round,
-                collect_results=True,
-                fault_plan=self.fault_plan,
-                retry_policy=self.retry_policy,
-                health=self.health,
-                now=started,
-            )
+        run = self.fleet.run(
+            list(pairs),
+            pairs_per_round=self.pairs_per_round,
+            collect_results=True,
+            fault_plan=self.fault_plan,
+            retry_policy=self.retry_policy,
+            now=started,
+        )
         results: List[PairResult] = [None] * len(pairs)
         start = 0
         for rnd, size in zip(run.per_round, run.schedule.round_sizes()):

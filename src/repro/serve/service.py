@@ -1,7 +1,7 @@
 """The alignment service: stream in requests, stream out alignments.
 
 ``AlignmentService`` turns the one-shot batch API of
-:class:`~repro.pim.scheduler.BatchScheduler` into a continuously-fed
+:class:`~repro.pim.fleet.FleetCoordinator` into a continuously-fed
 service:
 
 1. **submit** — :meth:`AlignmentService.submit` accepts an
@@ -15,7 +15,7 @@ service:
    ``max_batch_pairs`` or on the oldest pair's ``max_wait_s`` deadline,
    whichever first.  Deadlines ride the injectable clock
    (:mod:`repro.serve.clock`), so tests never sleep.
-3. **dispatch** — batches run through the existing scheduler / parallel
+3. **dispatch** — batches run through the fleet's schedulers / parallel
    workers via :class:`~repro.serve.dispatcher.BatchDispatcher`,
    optionally under a :class:`~repro.pim.faults.FaultPlan` (a DPU death
    mid-batch retries / requeues without dropping or duplicating any
@@ -53,7 +53,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.pim.faults import FaultPlan, RetryPolicy
-from repro.pim.scheduler import BatchScheduler
+from repro.pim.fleet import FleetCoordinator
 from repro.serve.batcher import Batch, BatchPolicy, MicroBatcher, WorkItem
 from repro.serve.cache import ResultCache, result_key
 from repro.serve.clock import VirtualClock
@@ -277,36 +277,33 @@ class AlignmentService:
 
     def __init__(
         self,
-        scheduler: BatchScheduler,
+        fleet: FleetCoordinator,
         config: Optional[ServiceConfig] = None,
         clock=None,
-        telemetry=None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        health=None,
         fallback: Optional[FallbackPolicy] = None,
-        fleet=None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
         self.clock = clock if clock is not None else VirtualClock()
-        #: optional :class:`~repro.obs.telemetry.RunTelemetry`; when given
-        #: (and also attached to the underlying system) every layer of a
-        #: request — service counters, scheduler rounds, kernel traces —
-        #: lands in one registry, and every request gets a model-time
+        #: the fleet's :class:`~repro.obs.telemetry.RunTelemetry`, if any:
+        #: every layer of a request — service counters, scheduler
+        #: rounds, kernel traces — lands in it (shard telemetries are
+        #: federated under it), and every request gets a model-time
         #: ``serve_request`` span.
-        self.telemetry = telemetry
+        self.telemetry = fleet.telemetry
         self.registry: MetricsRegistry = (
-            telemetry.registry if telemetry is not None else MetricsRegistry()
+            self.telemetry.registry
+            if self.telemetry is not None
+            else MetricsRegistry()
         )
         self.batcher = MicroBatcher(self.config.policy())
         self.dispatcher = BatchDispatcher(
-            scheduler,
+            fleet,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
             pairs_per_round=self.config.pairs_per_round,
-            health=health,
             fallback=fallback,
-            fleet=fleet,
         )
         self.cache: Optional[ResultCache] = (
             ResultCache(self.config.cache_pairs, self.config.cache_policy)
@@ -314,7 +311,7 @@ class AlignmentService:
             else None
         )
         self.stats = ServiceStats()
-        self._kernel_config = scheduler.system.kernel_config
+        self._kernel_config = fleet.kernel_config
         self._requests: Dict[int, _Pending] = {}
         self._delivery: Deque[int] = deque()  # submission-order gate
         self._next_request_seq = 0
@@ -373,22 +370,10 @@ class AlignmentService:
         )
 
     def metrics_snapshot(self) -> dict:
-        # fleet mode: one coherent view across the service registry (the
-        # fleet's primary telemetry) and every shard's registry
-        fleet = self.dispatcher.fleet
-        if fleet is not None:
-            merged = MetricsRegistry()
-            merged.merge_snapshot(self.registry.snapshot())
-            if (
-                fleet.telemetry is not None
-                and fleet.telemetry.registry is not self.registry
-            ):
-                merged.merge_snapshot(fleet.telemetry.registry.snapshot())
-            for shard_tel in fleet.shard_telemetries:
-                if shard_tel is not None:
-                    merged.merge_snapshot(shard_tel.registry.snapshot())
-            return merged.snapshot()
-        return self.registry.snapshot()
+        """The service registry federated with every shard's."""
+        if self.telemetry is None:
+            return self.registry.snapshot()
+        return self.telemetry.federated_registry().snapshot()
 
     # -- submission --------------------------------------------------------
 
@@ -880,11 +865,11 @@ def build_service(
     net_plan=None,
     transport_policy=None,
 ) -> AlignmentService:
-    """Construct the full stack: system -> scheduler -> service.
+    """Construct the full stack: fleet -> service.
 
     One shared :class:`~repro.obs.telemetry.RunTelemetry` is attached to
-    both the system and the service (unless ``with_telemetry=False``),
-    so a single metrics snapshot covers the whole request path.
+    the fleet and the service (unless ``with_telemetry=False``), so a
+    single federated metrics snapshot covers the whole request path.
 
     ``engine`` selects the kernel's host-side alignment engine
     (``"vector"``, the default since the QA sweep soaked on it, or
@@ -894,26 +879,26 @@ def build_service(
     engine only changes simulation wall-clock time.
 
     ``health_policy`` (a :class:`~repro.pim.health.HealthPolicy`) turns
-    on the fleet-health ledger: scheduler rounds become
-    quarantine-aware and — when ``fallback`` is also given — batches
-    route to the CPU baseline while healthy capacity sits below
+    on per-shard fleet-health ledgers: rounds become quarantine-aware
+    and — when ``fallback`` is also given — batches route to the CPU
+    baseline while the federated healthy capacity sits below
     :attr:`~repro.serve.resilience.FallbackPolicy.min_healthy_fraction`.
 
-    ``shards`` > 1 federates ``shards`` independent, identically-shaped
-    PIM shards behind the one front door via a
+    ``shards`` federates that many independent, identically-shaped PIM
+    shards behind the one front door via a
     :class:`~repro.pim.fleet.FleetCoordinator` (``num_dpus`` DPUs *per
     shard*; batches are round-striped across shards, so responses stay
     byte-identical to ``shards=1`` while modeled completion times
-    shrink).  With a ``health_policy`` each shard gets its own ledger,
-    placement rebalances away from quarantined shards (publishing
-    ``rebalance`` events into the service telemetry), and ``fallback``
-    judges the *federated* healthy fraction.
+    shrink).  Placement rebalances away from quarantined shards,
+    publishing ``rebalance`` events into the service telemetry.  A
+    one-shard fleet is exactly the unsharded scheduler.
 
-    ``net_plan``/``transport_policy`` (fleet mode only) model the
-    coordinator<->shard network via :mod:`repro.pim.transport`: batches
-    pay envelope delivery over seeded link faults, and the dispatcher's
-    fallback decision folds the *link* healthy fraction in — a
-    partitioned shard degrades the service exactly like dead DPUs do.
+    ``net_plan``/``transport_policy`` model the coordinator<->shard
+    network via :mod:`repro.pim.transport`: batches pay envelope
+    delivery over seeded link faults, and the dispatcher's fallback
+    decision folds the *link* healthy fraction in — a partitioned shard
+    degrades the service exactly like dead DPUs do.  A plan that names
+    a link the fleet does not have is refused.
 
     ``ablation`` (an :class:`~repro.pim.ablation.AblationConfig`)
     overrides the individual knobs from one switchboard: it selects the
@@ -926,9 +911,7 @@ def build_service(
 
     from repro.core.penalties import AffinePenalties
     from repro.pim.config import PimSystemConfig
-    from repro.pim.health import FleetHealth
     from repro.pim.kernel import KernelConfig
-    from repro.pim.system import PimSystem
 
     if ablation is not None:
         ablation.validate()
@@ -945,68 +928,31 @@ def build_service(
         from repro.obs import RunTelemetry
 
         telemetry = RunTelemetry()
-    system_config = PimSystemConfig(
-        num_dpus=num_dpus,
-        num_ranks=1,
-        tasklets=tasklets,
-        num_simulated_dpus=num_dpus,
-        workers=workers,
-    )
-    kernel_config = KernelConfig(
-        penalties=penalties if penalties is not None else AffinePenalties(),
-        max_read_len=max_read_len,
-        max_edits=max_edits,
-        engine=engine,
-    )
-    if shards > 1:
-        from repro.pim.fleet import FleetCoordinator
-
-        fleet = FleetCoordinator(
-            system_config,
-            kernel_config,
-            shards=shards,
-            health_policy=health_policy,
-            telemetry=telemetry,
-            net_plan=net_plan,
-            transport_policy=transport_policy,
-        )
-        return AlignmentService(
-            fleet.schedulers[0],
-            config=config,
-            clock=clock,
-            telemetry=telemetry,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            fallback=fallback,
-            fleet=fleet,
-        )
-    if net_plan is not None or transport_policy is not None:
-        from repro.errors import ConfigError
-
-        raise ConfigError(
-            "net_plan/transport_policy model the coordinator<->shard "
-            "network and need fleet mode; pass shards > 1"
-        )
-    system = PimSystem(
-        system_config,
-        kernel_config=kernel_config,
+    fleet = FleetCoordinator(
+        PimSystemConfig(
+            num_dpus=num_dpus,
+            num_ranks=1,
+            tasklets=tasklets,
+            num_simulated_dpus=num_dpus,
+            workers=workers,
+        ),
+        KernelConfig(
+            penalties=penalties if penalties is not None else AffinePenalties(),
+            max_read_len=max_read_len,
+            max_edits=max_edits,
+            engine=engine,
+        ),
+        shards=shards,
+        health_policy=health_policy,
         telemetry=telemetry,
+        net_plan=net_plan,
+        transport_policy=transport_policy,
     )
-    health = None
-    if health_policy is not None:
-        health = FleetHealth(
-            num_dpus,
-            policy=health_policy,
-            registry=telemetry.registry if telemetry is not None else None,
-            events=telemetry.events if telemetry is not None else None,
-        )
     return AlignmentService(
-        BatchScheduler(system),
+        fleet,
         config=config,
         clock=clock,
-        telemetry=telemetry,
         fault_plan=fault_plan,
         retry_policy=retry_policy,
-        health=health,
         fallback=fallback,
     )

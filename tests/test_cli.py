@@ -237,6 +237,59 @@ class TestPimAlignTelemetry:
         assert "telemetry" not in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.DegradedCapacity")
+class TestFederatedExports:
+    """Every export covers every shard, at any shard count."""
+
+    LOADGEN = [
+        "loadgen", "--requests", "60", "--rate", "3000", "--length", "10",
+        "--dpus", "4", "--shards", "2", "--breaker", "--kill-dpu", "1",
+    ]
+
+    def test_loadgen_prometheus_carries_shard_series(self, tmp_path, capsys):
+        path = tmp_path / "metrics.prom"
+        assert main(self.LOADGEN + ["--metrics-out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        assert any(line.startswith("pim_runs_total") for line in lines)
+        assert any(line.startswith("pim_breaker_transitions_total") for line in lines)
+
+    def test_loadgen_event_log_carries_shard_breakers(self, tmp_path, capsys):
+        import json
+
+        from repro.obs.events import validate_event_log
+
+        path = tmp_path / "events.jsonl"
+        assert main(self.LOADGEN + ["--events-out", str(path)]) == 0
+        validate_event_log(str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        breakers = [r for r in records[1:] if r["kind"] == "breaker"]
+        # global DPU 1 is shard 0's DPU 1
+        assert breakers
+        assert {(r["attrs"]["shard"], r["attrs"]["dpu"]) for r in breakers} == {(0, 1)}
+
+    def test_two_shard_pim_align_trace_and_runs(self, workload, tmp_path, capsys):
+        import json
+
+        from repro.obs.export import validate_chrome_trace
+
+        trace = tmp_path / "trace.json"
+        metrics = tmp_path / "metrics.json"
+        rc = main(
+            ["pim-align", "-i", str(workload), "--dpus", "4", "--tasklets", "2",
+             "--max-edits", "3", "--shards", "2", "--pairs-per-round", "4",
+             "--trace-out", str(trace), "--metrics-out", str(metrics)]
+        )
+        assert rc == 0
+        doc = json.loads(trace.read_text())
+        assert validate_chrome_trace(doc) > 0
+        pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert pids == set(range(9))  # host + 2 shards x 4 DPUs
+        # 12 pairs in 4-pair rounds: rounds 0 and 2 on shard 0, round 1 on 1
+        runs = json.loads(metrics.read_text())["runs"]
+        assert [(r["shard"], r["index"]) for r in runs] == [(0, 0), (0, 1), (1, 0)]
+        assert "telemetry reconciled: 3 run(s)" in capsys.readouterr().out
+
+
 class TestMap:
     @pytest.fixture
     def mapping_files(self, tmp_path):

@@ -444,6 +444,42 @@ class TestValidation:
                 journal, pairs, pairs_per_round=6, collect_results=True
             )
 
+    def test_one_telemetry_federates_one_fleet(self):
+        from repro.errors import TelemetryError
+
+        telemetry = RunTelemetry()
+        make_fleet(2, telemetry=telemetry)
+        with pytest.raises(TelemetryError):
+            make_fleet(2, telemetry=telemetry)
+
+    def test_one_shard_journal_is_a_file_pinned_to_one_shard(self, tmp_path):
+        """One shard journals to a single file with no manifest; a
+        journal written at one shard count refuses to resume at another
+        in both directions."""
+        pairs = make_pairs(30)
+        single = tmp_path / "run.jsonl"
+        fleet_dir = tmp_path / "fleet"
+        full = make_fleet(1).run(
+            pairs, pairs_per_round=6, collect_results=True, journal=single
+        )
+        assert single.is_file()
+        make_fleet(2).run(
+            pairs, pairs_per_round=6, collect_results=True, journal=fleet_dir
+        )
+        with pytest.raises(JournalError):
+            make_fleet(2).resume_run(
+                single, pairs, pairs_per_round=6, collect_results=True
+            )
+        with pytest.raises(JournalError):
+            make_fleet(1).resume_run(
+                fleet_dir, pairs, pairs_per_round=6, collect_results=True
+            )
+        resumed = make_fleet(1).resume_run(
+            single, pairs, pairs_per_round=6, collect_results=True
+        )
+        assert resumed.rounds_replayed == full.schedule.rounds
+        assert resumed.results() == full.results()
+
     def test_resume_refuses_workload_mismatch(self, tmp_path):
         pairs = make_pairs(30)
         journal = tmp_path / "journal"

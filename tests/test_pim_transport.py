@@ -126,6 +126,22 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             make_fleet(2, transport_policy=TransportPolicy())
 
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            NetworkFaultPlan(drops=(LinkDrop(shard_id=7, p=1.0),)),
+            NetworkFaultPlan(duplicates=(LinkDuplicate(shard_id=2, p=0.5),)),
+            NetworkFaultPlan(delays=(LinkDelay(shard_id=-1),)),
+            NetworkFaultPlan(reorders=(LinkReorder(shard_id=3, p=0.5),)),
+            NetworkFaultPlan(partitions=(Partition(0.0, 1.0, shard_ids=(0, 5)),)),
+        ],
+    )
+    def test_plan_naming_unknown_links_refused(self, plan):
+        """A fault on a link the fleet lacks would switch the transport
+        on and then never fire; the plan is refused instead."""
+        with pytest.raises(ConfigError, match="shard links"):
+            make_fleet(2, net_plan=plan)
+
     def test_envelope_key_is_per_round_not_per_shard(self):
         # a stolen round's result must dedup against the original's
         # late copy, so the idempotency key ignores the executing shard
