@@ -239,8 +239,10 @@ chaos-net:
 # truncating one shard's journal at a record boundary and deleting
 # another's outright, then resumed with --resume at a different worker
 # count (the fingerprint excludes workers and shards).  Every rebuilt
-# journal file must be byte-identical to the uninterrupted run's, and
-# the same fault plan replays through a 4-shard serve path with a
+# journal file must be byte-identical to the uninterrupted run's; a
+# fresh run with the shards in a process pool (--shard-workers 2) must
+# record the inline run's run manifest and trace every shard's DPUs;
+# and the same fault plan replays through a 4-shard serve path with a
 # schema-validated load report.  The same scenario runs under pytest in
 # tests/test_pim_fleet.py (part of `make test`).
 fleet-demo:
@@ -250,7 +252,8 @@ fleet-demo:
 		--error-rate 0.03 --seed 21 -o out/fleet/reads.seq
 	PYTHONPATH=src python -m repro.cli pim-align -i out/fleet/reads.seq \
 		--dpus 4 --tasklets 4 --shards 4 --pairs-per-round 32 \
-		--kill-dpu 1 --breaker --journal out/fleet/journal
+		--kill-dpu 1 --breaker --journal out/fleet/journal \
+		--metrics-out out/fleet/inline.json
 	cp -r out/fleet/journal out/fleet/crashed
 	head -n 2 out/fleet/crashed/shard-001.jsonl > out/fleet/crashed/tmp \
 		&& mv out/fleet/crashed/tmp out/fleet/crashed/shard-001.jsonl
@@ -262,6 +265,10 @@ fleet-demo:
 	for f in manifest.json shard-000.jsonl shard-001.jsonl \
 		shard-002.jsonl shard-003.jsonl; do \
 		cmp out/fleet/journal/$$f out/fleet/crashed/$$f || exit 1; done
+	PYTHONPATH=src python -m repro.cli pim-align -i out/fleet/reads.seq \
+		--dpus 4 --tasklets 4 --shards 4 --pairs-per-round 32 \
+		--kill-dpu 1 --breaker --shard-workers 2 \
+		--metrics-out out/fleet/pool.json --trace-out out/fleet/pool-trace.json
 	PYTHONPATH=src python -m repro.cli loadgen \
 		--requests 200 --rate 8000 --length 10 --seed 21 \
 		--dpus 4 --tasklets 4 --shards 4 --kill-dpu 1 --breaker \
@@ -273,6 +280,15 @@ fleet-demo:
 		from repro.pim.fleet import FleetCoordinator; \
 		from repro.serve import validate_load_report; \
 		m = FleetCoordinator.load_manifest('out/fleet/crashed'); \
+		runs = json.load(open('out/fleet/inline.json'))['runs']; \
+		assert runs, 'no runs in the inline run manifest'; \
+		assert json.load(open('out/fleet/pool.json'))['runs'] == runs, \
+			'pooled shards lost their runs'; \
+		pool = json.load(open('out/fleet/pool-trace.json')); \
+		validate_chrome_trace(pool); \
+		pool_shards = {(e['pid'] - 1) // 4 for e in pool['traceEvents'] \
+			if e['ph'] == 'X' and e['pid']}; \
+		assert pool_shards == {0, 1, 2, 3}, f'pooled trace shards {pool_shards}'; \
 		s = validate_load_report('out/fleet/load.jsonl'); \
 		prom = open('out/fleet/metrics.prom').read().splitlines(); \
 		assert any(l.startswith('pim_') for l in prom), 'no pim_ series'; \
@@ -286,6 +302,7 @@ fleet-demo:
 		assert dpus, 'no DPU processes in the trace'; \
 		print(f\"fleet OK: {m['schema']} manifest, {m['shards']} shards, \" \
 		      f\"{len(m['placements'])} rounds resumed byte-identically, \" \
+		      f\"{len(runs)} runs identical inline and pooled, \" \
 		      f\"load report valid ({s['completed']} completed), \" \
 		      f\"{breakers} breaker event(s), {len(dpus)} DPU trace processes\")"
 

@@ -722,7 +722,7 @@ def _cmd_pim_align(args: argparse.Namespace) -> int:
     if args.journal:
         appended = run.schedule.rounds - run.rounds_replayed
         print(f"journal: {args.journal} ({appended} round(s) appended "
-              f"across {len(run.shard_runs)} shard journal(s))")
+              f"across {len(set(run.placements))} shard journal(s))")
     if telemetry is not None:
         _write_telemetry(args, telemetry)
     return 0

@@ -14,7 +14,9 @@ lifetime of a workload.  The system calls back into it:
   launch → kernel (per-DPU children) → transfer_out), counters and
   histograms are updated, and the run's merged
   :class:`~repro.pim.trace.KernelTrace` is kept as a
-  :class:`RunSegment` for the Chrome-trace exporter.
+  :class:`RunSegment` for the Chrome-trace exporter
+  (:meth:`place_run` is the timeline half alone, for runs whose
+  counters arrive in a pool worker's snapshot).
 
 Successive runs (e.g. scheduler rounds) stack serially on the model
 timeline, so a multi-round workload opens in Perfetto as one
@@ -178,21 +180,38 @@ class RunTelemetry:
         seconds_per_cycle: float = 0.0,
     ) -> RunSegment:
         """Account one completed run and advance the model timeline."""
+        segment = self.place_run(kind, result, trace, seconds_per_cycle)
+        self._runs.inc(kind=kind)
+        self._pairs.inc(result.num_pairs, kind=kind)
+        self._pairs_sim.inc(result.pairs_simulated, kind=kind)
+        for section in SECTIONS:
+            self._model_seconds.inc(
+                getattr(result, f"{section}_seconds"), section=section
+            )
+        self._model_bytes.inc(result.bytes_in, direction="to_dpu")
+        self._model_bytes.inc(result.bytes_out, direction="from_dpu")
+        for stats in result.per_dpu:
+            self._dpu_kernel_seconds.observe(stats.seconds)
+        return segment
+
+    def place_run(
+        self,
+        kind: str,
+        result: "PimRunResult",
+        trace: Optional[KernelTrace] = None,
+        seconds_per_cycle: float = 0.0,
+    ) -> RunSegment:
+        """:meth:`on_run` without the counters: model spans, segment and
+        cursor only (a pool worker's counters arrive in its snapshot)."""
         index = len(self.segments)
         start = self._cursor
         prof = self.profiler
-        durations = {
-            "transfer_in": result.transfer_in_seconds,
-            "launch": result.launch_seconds,
-            "kernel": result.kernel_seconds,
-            "transfer_out": result.transfer_out_seconds,
-        }
         with prof.model_span(
             "run", start, result.total_seconds, kind=kind, run=index
         ):
             t = start
             for section in SECTIONS:
-                dur = durations[section]
+                dur = getattr(result, f"{section}_seconds")
                 if section == "kernel":
                     with prof.model_span(section, t, dur, run=index):
                         for stats in result.per_dpu:
@@ -206,16 +225,6 @@ class RunTelemetry:
                 else:
                     prof.add_model_span(section, t, dur, run=index)
                 t += dur
-
-        self._runs.inc(kind=kind)
-        self._pairs.inc(result.num_pairs, kind=kind)
-        self._pairs_sim.inc(result.pairs_simulated, kind=kind)
-        for section in SECTIONS:
-            self._model_seconds.inc(durations[section], section=section)
-        self._model_bytes.inc(result.bytes_in, direction="to_dpu")
-        self._model_bytes.inc(result.bytes_out, direction="from_dpu")
-        for stats in result.per_dpu:
-            self._dpu_kernel_seconds.observe(stats.seconds)
 
         segment = RunSegment(
             index=index,

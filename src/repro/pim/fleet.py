@@ -19,14 +19,21 @@ Sharding model — **round striping**:
 * round ``i`` is placed on shard ``active[i % len(active)]``, where
   ``active`` is the deterministic, health-ordered list of shards whose
   per-shard :class:`~repro.pim.health.FleetHealth` ledger still reports
-  at least ``min_shard_healthy_fraction`` healthy DPUs — quarantined
-  shards receive no rounds and a ``rebalance`` event is published on
-  every change of the active set;
+  at least :data:`MIN_SHARD_HEALTHY_FRACTION` (a constant 0.5) healthy
+  DPUs — quarantined shards receive no rounds and a ``rebalance`` event
+  is published on every change of the active set;
 * each shard executes its rounds through its own
-  :class:`~repro.pim.scheduler.BatchScheduler` (sequentially, or
-  process-parallel across shards via ``shard_workers`` — the same
-  ``ProcessPoolExecutor`` fan-out :mod:`repro.pim.parallel` uses below
-  for per-DPU jobs).
+  :class:`~repro.pim.scheduler.BatchScheduler`, one
+  :meth:`~repro.pim.scheduler.BatchScheduler.run_round` at a time.
+
+The round loop: every fleet run executes its ``(global round, shard,
+shard-local index, chunk)`` rows through one loop (:func:`_run_rows`)
+on per-shard lanes.  Without a transport a round's work is on its
+shard at once (instant delivery); with one it crosses the modeled
+network first (below).  With ``shard_workers > 1`` and no transport
+the rows split by shard over a ``ProcessPoolExecutor`` — the fan-out
+:mod:`repro.pim.parallel` uses below for per-DPU jobs — and each worker
+feeds the loop its own shard's rows (:func:`run_fleet_shard`).
 
 Because every shard has the same shape and a round's outcome is a pure
 function of (chunk, system config, fault plan, retry policy), a round
@@ -78,9 +85,10 @@ partition faults, per-link circuit breakers, and (under
 timed-out in-flight round onto the next healthy shard.  Because a
 round's outcome is a pure function of its chunk and configuration,
 stealing moves only modeled time: the two racing results are
-byte-identical and the loser is absorbed by dedup.  Under a calm plan
-the transport is bypassed entirely, keeping the direct path
-byte-identical to the pre-transport fleet.
+byte-identical and the loser is absorbed by dedup.  A calm plan builds
+no transport at all (``fleet.transport is None``): its rounds take the
+round loop's instant delivery, byte-identical to the pre-transport
+fleet.
 """
 
 from __future__ import annotations
@@ -93,7 +101,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.data.generator import ReadPair
 from repro.errors import ConfigError, DegradedCapacity, JournalError, TransportError
@@ -109,13 +117,15 @@ from repro.pim.transport import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.telemetry import RunTelemetry
+    from repro.obs.telemetry import RunSegment, RunTelemetry
     from repro.pim.config import PimSystemConfig
-    from repro.pim.health import HealthPolicy
+    from repro.pim.health import FleetHealth, HealthPolicy
+    from repro.pim.journal import RunJournal
 
 __all__ = [
     "MANIFEST_SCHEMA",
     "FAULT_DOMAINS",
+    "MIN_SHARD_HEALTHY_FRACTION",
     "FleetRun",
     "FleetCoordinator",
     "ShardTask",
@@ -169,7 +179,19 @@ def slice_fault_plan(
     )
 
 
-# -- process-parallel shard execution -----------------------------------------
+# -- the round loop ------------------------------------------------------------
+
+#: a shard whose ledger reports fewer healthy DPUs than this fraction is
+#: quarantined out of placement (and out of steal-target selection).
+MIN_SHARD_HEALTHY_FRACTION = 0.5
+
+#: one row of the round loop: (global round, shard, shard-local index, chunk)
+_Row = tuple[int, int, int, list[ReadPair]]
+
+
+def _admits_rounds(health: Optional["FleetHealth"], now: Optional[float]) -> bool:
+    """Whether a shard's device health admits rounds (always, unledgered)."""
+    return health is None or health.healthy_fraction(now) >= MIN_SHARD_HEALTHY_FRACTION
 
 
 @dataclass(frozen=True)
@@ -179,15 +201,16 @@ class ShardTask:
     Mirrors :class:`~repro.pim.parallel.DpuJob` one layer up: the worker
     process builds its own system, scheduler (and telemetry when asked)
     from the task alone, so a shard's outcome depends only on the task —
-    never on which worker ran it or in what order.
+    never on which worker ran it or in what order.  Inline, the same
+    task opens the shard's lane on the coordinator's persistent system.
     """
 
     shard_id: int
     config: "PimSystemConfig"
     kernel_config: KernelConfig
-    overlapped: bool
     workers: Optional[int]
-    pairs: tuple[ReadPair, ...]
+    #: the shard's rows, in global round order
+    rows: tuple[_Row, ...]
     pairs_per_round: int
     collect_results: bool
     fault_plan: Optional[FaultPlan]
@@ -210,53 +233,190 @@ class ShardOutcome:
     """What one shard sends back to the coordinator; picklable."""
 
     shard_id: int
-    run: ScheduledRun
+    #: per-round results by global round index
+    results: dict[int, PimRunResult]
+    #: journals exist only without a transport, where every row runs once
+    #: on its own lane, so each journaled round replays exactly once
+    rounds_replayed: int = 0
     #: picklable :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
     #: (``with_telemetry`` tasks only)
     metrics: Optional[dict] = None
     #: event records (:meth:`~repro.obs.events.Event.to_dict`) in
     #: publish order (``with_telemetry`` tasks only)
     events: Optional[list] = None
+    #: the worker telemetry's run segments (kind, result, kernel trace)
+    #: in order, re-laid on the home timeline (``with_telemetry`` only)
+    runs: Optional[list[RunSegment]] = None
     #: :meth:`~repro.pim.health.FleetHealth.export_state` delta the
     #: coordinator imports into its persistent shard ledger
     health_state: Optional[dict] = None
 
 
-def _run_shard_rounds(
-    scheduler: BatchScheduler, health, task: ShardTask
-) -> ScheduledRun:
-    """One shard's rounds on ``scheduler``/``health``.
+class _Lane:
+    """One shard's side of a fleet run: its scheduler, health ledger,
+    fault slice (on the task), journal, replay set and modeled clock."""
 
-    Journals to ``task.journal_path`` (a standard per-shard
-    ``repro.pim.journal/v1`` file) when set; with ``task.resume`` and an
-    existing journal the shard resumes instead of starting fresh.
-    """
-    pairs = list(task.pairs)
-    if (
-        task.resume
-        and task.journal_path is not None
-        and Path(task.journal_path).exists()
-    ):
-        return scheduler.resume_run(
-            task.journal_path,
+    def __init__(self, task: ShardTask, scheduler: BatchScheduler, health) -> None:
+        """Journals to ``task.journal_path`` (a standard per-shard
+        ``repro.pim.journal/v1`` file) when set; with ``task.resume``
+        and an existing journal the shard resumes instead of starting
+        fresh."""
+        pairs = [pair for row in task.rows for pair in row[3]]
+        path = task.journal_path
+        self.journal, self.replay = scheduler.open_journal(
+            path,
             pairs,
-            pairs_per_round=task.pairs_per_round,
+            BatchSchedule(len(pairs), task.pairs_per_round),
+            task.collect_results,
+            task.fault_plan,
+            task.retry_policy,
+            health,
+            resume=task.resume and path is not None and Path(path).exists(),
+        )
+        self.task = task
+        self.scheduler = scheduler
+        self.health: Optional["FleetHealth"] = health
+        #: modeled time the shard is next free
+        self.clock = task.now
+
+    def execute(
+        self, index: int, chunk: list[ReadPair], arrive_s: float
+    ) -> tuple[PimRunResult, float]:
+        """Run shard-local round ``index`` once its work has arrived and
+        the shard is free; returns (result, completion time)."""
+        task = self.task
+        self.scheduler._note_round_size(task.pairs_per_round)
+        begin = max(arrive_s, self.clock)
+        result = self.scheduler.run_round(
+            index,
+            index * task.pairs_per_round,
+            chunk,
+            begin,
             collect_results=task.collect_results,
             fault_plan=task.fault_plan,
             retry_policy=task.retry_policy,
-            health=health,
-            now=task.now,
+            health=self.health,
+            journal=self.journal,
+            replay=self.replay.get(index),
         )
-    return scheduler.run(
-        pairs,
-        pairs_per_round=task.pairs_per_round,
-        collect_results=task.collect_results,
-        fault_plan=task.fault_plan,
-        retry_policy=task.retry_policy,
-        health=health,
-        journal=task.journal_path,
-        now=task.now,
-    )
+        self.clock = begin + (result.total_seconds + result.recovery_overhead_seconds)
+        return result, self.clock
+
+
+def _run_rows(
+    rows: Sequence[_Row],
+    lanes: dict[int, _Lane],
+    transport: Optional[ShardTransport] = None,
+) -> dict[int, PimRunResult]:
+    """The fleet's one round loop; returns each row's result by global
+    round.
+
+    Per-shard lane clocks serialize rounds on their shard while shards
+    overlap each other.  Without a transport a round's work arrives at
+    once; with one (:func:`_round_over_network`) each round additionally
+    pays its work-envelope delivery on the way out and its
+    result-envelope delivery on the way home, and a delivery that misses
+    the hedge deadline (``hedge=True``) steals the round onto the next
+    healthy shard.  Results are unaffected by any of it: a round is a
+    pure function of its chunk, so the networked ``per_round`` stream is
+    byte-identical to the direct path's (pinned in
+    ``tests/test_pim_transport.py``).
+    """
+    results: dict[int, PimRunResult] = {}
+    for r, shard, index, chunk in rows:
+        lane = lanes[shard]
+        if transport is None:
+            result, _ = lane.execute(index, chunk, lane.task.now)
+        else:
+            survivor, result, recv_s = _round_over_network(
+                transport, lanes, r, shard, index, chunk
+            )
+            transport.report.receipts[r] = recv_s
+            transport.report.survivors[r] = survivor
+        if result.recovery is not None:
+            # the lane rebased this round's recovery to its shard-local
+            # pair space; lift it to the global one
+            result.recovery.shift_pairs((r - index) * lane.task.pairs_per_round)
+        results[r] = result
+    if transport is not None:
+        now = transport.report.start_s
+        transport.report.shard_busy_s = {
+            k: lane.clock - now for k, lane in sorted(lanes.items()) if lane.clock > now
+        }
+    return results
+
+
+def _round_over_network(
+    transport: ShardTransport,
+    lanes: dict[int, _Lane],
+    r: int,
+    shard: int,
+    index: int,
+    chunk: list[ReadPair],
+) -> tuple[int, PimRunResult, float]:
+    """One round's full network round-trip; returns the surviving
+    ``(shard, result, coordinator receipt time)``.
+
+    At-least-once on both legs: the work envelope retries until it
+    lands (or its redelivery budget exhausts), the round executes at
+    ``max(arrival, shard busy)``, and the result envelope retries
+    home.  Hedging arms a timer at dispatch: a round whose result
+    has not arrived by ``hedge_timeout_s`` is stolen onto the next
+    healthy shard and the two results race — earliest coordinator
+    receipt survives (tie goes to the original), the loser is
+    absorbed by dedup.
+    """
+    policy = transport.policy
+    now = transport.report.start_s
+    shards = len(lanes)
+    # (receipt, origin-order) candidates; origin 0 = original shard
+    candidates: list[tuple[float, int, int, PimRunResult]] = []
+    work = transport.deliver("work", r, shard, now)
+    # the hedge timer is per-leg: the work envelope must be acked
+    # within hedge_timeout_s of dispatch, and the result must land
+    # within hedge_timeout_s of the round's modeled completion —
+    # a healthy shard that is merely *busy* is never stolen from.
+    hedge_needed = (not work.ok) or work.arrive_s > now + policy.hedge_timeout_s
+    t_steal = now + policy.hedge_timeout_s
+    if work.ok:
+        result, done = lanes[shard].execute(index, chunk, work.arrive_s)
+        back = transport.deliver("result", r, shard, done)
+        if back.ok:
+            candidates.append((back.arrive_s, 0, shard, result))
+        if not hedge_needed and (
+            not back.ok or back.arrive_s > done + policy.hedge_timeout_s
+        ):
+            hedge_needed = True
+            t_steal = done + policy.hedge_timeout_s
+    if policy.hedge and hedge_needed:
+        for offset in range(1, shards):
+            target = (shard + offset) % shards
+            if not transport.link_ok(target, t_steal):
+                continue
+            if not _admits_rounds(lanes[target].health, t_steal):
+                continue
+            transport.note_steal(r, shard, target, t_steal)
+            stolen = transport.deliver("work", r, target, t_steal)
+            if not stolen.ok:
+                continue
+            result2, done2 = lanes[target].execute(index, chunk, stolen.arrive_s)
+            back2 = transport.deliver("result", r, target, done2)
+            if back2.ok:
+                candidates.append((back2.arrive_s, 1, target, result2))
+                break
+    if not candidates:
+        raise TransportError(
+            f"round {r}: no result reached the coordinator — shard "
+            f"{shard}'s link exhausted {policy.max_redeliveries} "
+            f"redeliveries and no healthy shard could steal the round; "
+            f"the network plan violates the >=1-live-shard liveness "
+            f"precondition"
+        )
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    recv_s, _, survivor, result = candidates[0]
+    for _ in candidates[1:]:
+        transport.absorb_extra_result(r, survivor)
+    return survivor, result, recv_s
 
 
 def run_fleet_shard(task: ShardTask) -> ShardOutcome:
@@ -267,9 +427,7 @@ def run_fleet_shard(task: ShardTask) -> ShardOutcome:
 
         telemetry = RunTelemetry()
     system = PimSystem(task.config, task.kernel_config, telemetry=telemetry)
-    scheduler = BatchScheduler(
-        system, overlapped=task.overlapped, workers=task.workers
-    )
+    scheduler = BatchScheduler(system, workers=task.workers)
     health = None
     if task.health_policy is not None:
         from repro.pim.health import FleetHealth
@@ -282,15 +440,19 @@ def run_fleet_shard(task: ShardTask) -> ShardOutcome:
         )
         if task.health_state is not None:
             health.import_state(task.health_state)
+    lane = _Lane(task, scheduler, health)
+    results = _run_rows(task.rows, {task.shard_id: lane})
     return ShardOutcome(
         shard_id=task.shard_id,
-        run=_run_shard_rounds(scheduler, health, task),
+        results=results,
+        rounds_replayed=len(lane.replay),
         metrics=telemetry.registry.snapshot() if telemetry is not None else None,
         events=(
             [e.to_dict() for e in telemetry.events.events()]
             if telemetry is not None
             else None
         ),
+        runs=telemetry.segments if telemetry is not None else None,
         health_state=health.export_state() if health is not None else None,
     )
 
@@ -315,14 +477,11 @@ class FleetRun:
     placements: list[int]
     #: per-round results in global round order (the unsharded stream)
     per_round: list[PimRunResult] = field(default_factory=list)
-    #: each participating shard's own ScheduledRun
-    shard_runs: dict[int, ScheduledRun] = field(default_factory=dict)
-    overlapped: bool = False
     #: aggregate recovery report, pair indices global (None without faults)
     recovery: Optional[RecoveryReport] = None
     rounds_replayed: int = 0
     #: per-run transport report when the run went over a faulty network
-    #: (None on the direct path; see :mod:`repro.pim.transport`)
+    #: (None without a transport; see :mod:`repro.pim.transport`)
     transport: Optional[TransportReport] = None
 
     @property
@@ -339,10 +498,17 @@ class FleetRun:
 
     @property
     def shard_seconds(self) -> dict[int, float]:
-        """Modeled busy seconds per participating shard."""
+        """Modeled busy seconds per participating shard: its rounds,
+        stacked serially the way its scheduler's timeline stacks them."""
         if self.transport is not None:
             return {k: v for k, v in sorted(self.transport.shard_busy_s.items())}
-        return {k: run.total_seconds for k, run in sorted(self.shard_runs.items())}
+        rounds: dict[int, list[PimRunResult]] = {}
+        for shard, result in zip(self.placements, self.per_round):
+            rounds.setdefault(shard, []).append(result)
+        return {
+            k: ScheduledRun(self.schedule, rounds[k]).total_seconds
+            for k in sorted(rounds)
+        }
 
     @property
     def total_seconds(self) -> float:
@@ -412,15 +578,16 @@ class FleetCoordinator:
 
     Health-aware placement: before each run the coordinator asks every
     shard ledger for its healthy fraction; shards below
-    ``min_shard_healthy_fraction`` are quarantined out of placement and
+    :data:`MIN_SHARD_HEALTHY_FRACTION` are quarantined out of placement and
     a ``rebalance`` event is published on each change of the active
     set.  If *every* shard is quarantined the full fleet becomes probe
     traffic (mirroring :meth:`~repro.pim.health.FleetHealth.plan_round`).
 
     ``shard_workers`` > 1 fans shards out over a
     ``ProcessPoolExecutor`` (falling back to sequential execution if
-    the pool cannot start) — results are identical either way because a
-    shard's outcome is a pure function of its task.  Health ledgers
+    the pool cannot start): each worker feeds its own shard's rows
+    through the same round loop, so results are identical either way —
+    a shard's outcome is a pure function of its task.  Health ledgers
     survive the process boundary: each task carries the coordinator's
     exported breaker state in, the worker feeds its own rebuilt ledger,
     and the :class:`ShardOutcome` ships the end state home where it is
@@ -442,11 +609,9 @@ class FleetCoordinator:
         kernel_config: Optional[KernelConfig] = None,
         shards: int = 1,
         *,
-        overlapped: bool = False,
         workers: Optional[int] = None,
         shard_workers: int = 1,
         health_policy: Optional["HealthPolicy"] = None,
-        min_shard_healthy_fraction: float = 0.5,
         fault_domain: str = "global",
         telemetry: Optional["RunTelemetry"] = None,
         net_plan: Optional[NetworkFaultPlan] = None,
@@ -460,18 +625,11 @@ class FleetCoordinator:
             raise ConfigError(
                 f"fault_domain must be one of {FAULT_DOMAINS}, got {fault_domain!r}"
             )
-        if not 0 < min_shard_healthy_fraction <= 1:
-            raise ConfigError(
-                "min_shard_healthy_fraction must be in (0, 1], got "
-                f"{min_shard_healthy_fraction}"
-            )
         self.shards = shards
         self.config = config
-        self.overlapped = overlapped
         self.workers = workers
         self.shard_workers = shard_workers
         self.health_policy = health_policy
-        self.min_shard_healthy_fraction = min_shard_healthy_fraction
         self.fault_domain = fault_domain
         #: primary telemetry: coordinator-level events (rebalance) and the
         #: serve layer's own metrics land here; per-shard device telemetry
@@ -488,9 +646,7 @@ class FleetCoordinator:
             system = PimSystem(config, kernel_config, telemetry=shard_tel)
             self.shard_telemetries.append(shard_tel)
             self.systems.append(system)
-            self.schedulers.append(
-                BatchScheduler(system, overlapped=overlapped, workers=workers)
-            )
+            self.schedulers.append(BatchScheduler(system, workers=workers))
             health = None
             if health_policy is not None:
                 from repro.pim.health import FleetHealth
@@ -503,8 +659,8 @@ class FleetCoordinator:
                 )
             self.shard_healths.append(health)
         self._last_active: tuple[int, ...] = tuple(range(shards))
-        #: modeled network boundary; None under a calm/absent plan so the
-        #: direct path stays byte-identical (zero counters, events, time)
+        #: modeled network boundary; None under a calm/absent plan, so
+        #: the round loop delivers instantly (zero counters, events, time)
         self.net_plan = net_plan
         self.transport: Optional[ShardTransport] = None
         if net_plan is not None and not net_plan.is_calm():
@@ -560,16 +716,13 @@ class FleetCoordinator:
         """Sorted shard ids allowed to take rounds.
 
         A shard is quarantined when its ledger's healthy fraction falls
-        below ``min_shard_healthy_fraction``; with every shard
+        below :data:`MIN_SHARD_HEALTHY_FRACTION`; with every shard
         quarantined the whole fleet is returned as probe traffic.
         """
-        if self.health_policy is None:
-            return tuple(range(self.shards))
         active = tuple(
             k
             for k in range(self.shards)
-            if self.shard_healths[k].healthy_fraction(now)
-            >= self.min_shard_healthy_fraction
+            if _admits_rounds(self.shard_healths[k], now)
         )
         return active if active else tuple(range(self.shards))
 
@@ -617,33 +770,6 @@ class FleetCoordinator:
         return slice_fault_plan(fault_plan, shard, self.dpus_per_shard)
 
     # -- journal federation -------------------------------------------------
-
-    def _fingerprint(
-        self,
-        pairs: list[ReadPair],
-        schedule: BatchSchedule,
-        collect_results: bool,
-        fault_plan: Optional[FaultPlan],
-        retry_policy: Optional[RetryPolicy],
-    ) -> dict:
-        """Fleet workload fingerprint: excludes ``workers`` *and*
-        ``shards`` (the manifest records the shard count)."""
-        from repro.pim.journal import workload_fingerprint
-
-        policy: Optional[RetryPolicy] = None
-        if fault_plan is not None:
-            policy = retry_policy if retry_policy is not None else RetryPolicy()
-        return workload_fingerprint(
-            pairs,
-            schedule.pairs_per_round,
-            self.config.num_dpus,
-            self.config.tasklets,
-            self.config.metadata_policy,
-            collect_results,
-            fault_plan=fault_plan,
-            retry_policy=policy,
-            health_policy=self.health_policy,
-        )
 
     @staticmethod
     def _write_manifest(directory: Path, doc: dict) -> None:
@@ -705,12 +831,7 @@ class FleetCoordinator:
         internals — use :meth:`resume_run`.
         """
         schedule = self.plan(len(pairs), pairs_per_round)
-        sizes = schedule.round_sizes()
-        starts: list[int] = []
-        acc = 0
-        for size in sizes:
-            starts.append(acc)
-            acc += size
+        ppr = schedule.pairs_per_round
         if placements is None:
             placements = self.place_rounds(schedule.rounds, now)
         elif len(placements) != schedule.rounds:
@@ -718,32 +839,23 @@ class FleetCoordinator:
                 f"placement length {len(placements)} does not match the "
                 f"{schedule.rounds}-round schedule"
             )
-        shard_rounds: dict[int, list[int]] = {}
-        for index, shard in enumerate(placements):
+        # the one round loop's rows, in global order
+        rows: list[_Row] = []
+        shard_rounds: dict[int, int] = {}
+        for r, shard in enumerate(placements):
             if not 0 <= shard < self.shards:
-                raise ConfigError(f"round {index} placed on unknown shard {shard}")
-            shard_rounds.setdefault(shard, []).append(index)
+                raise ConfigError(f"round {r} placed on unknown shard {shard}")
+            index = shard_rounds.get(shard, 0)
+            shard_rounds[shard] = index + 1
+            rows.append((r, shard, index, pairs[r * ppr : (r + 1) * ppr]))
 
-        if self.transport is not None:
-            if journal is not None or resume:
-                raise ConfigError(
-                    "journaling/resume is not supported over a faulty network "
-                    "plan; run the networked drill without journal= (the "
-                    "transport's at-least-once delivery is the durability "
-                    "story there)"
-                )
-            return self._run_networked(
-                pairs,
-                schedule,
-                starts,
-                sizes,
-                placements,
-                collect_results,
-                fault_plan,
-                retry_policy,
-                now,
+        if self.transport is not None and (journal is not None or resume):
+            raise ConfigError(
+                "journaling/resume is not supported over a faulty network "
+                "plan; run the networked drill without journal= (the "
+                "transport's at-least-once delivery is the durability "
+                "story there)"
             )
-
         if journal is not None and self.shards > 1 and not resume:
             self._write_manifest(
                 Path(journal),
@@ -752,33 +864,40 @@ class FleetCoordinator:
                     "shards": self.shards,
                     "dpus_per_shard": self.dpus_per_shard,
                     "fault_domain": self.fault_domain,
-                    "pairs_per_round": schedule.pairs_per_round,
+                    "pairs_per_round": ppr,
                     "placements": list(placements),
                     "journals": {
                         str(k): shard_journal_name(k) for k in sorted(shard_rounds)
                     },
-                    "fingerprint": self._fingerprint(
-                        pairs, schedule, collect_results, fault_plan, retry_policy
+                    # shard 0's scheduler fingerprints the whole workload
+                    # under the fleet-global fault plan; it excludes
+                    # ``workers`` and ``shards`` (recorded above)
+                    "fingerprint": self.schedulers[0]._fingerprint(
+                        pairs,
+                        schedule,
+                        collect_results,
+                        fault_plan,
+                        retry_policy,
+                        self.shard_healths[0],
                     ),
                 },
             )
 
+        # a transport may steal a round onto any shard, so every shard
+        # gets a lane; otherwise only the shards that hold rounds do
+        lane_shards = (
+            range(self.shards) if self.transport is not None else sorted(shard_rounds)
+        )
         tasks: list[ShardTask] = []
-        for k in sorted(shard_rounds):
-            shard_pairs = tuple(
-                pair
-                for r in shard_rounds[k]
-                for pair in pairs[starts[r] : starts[r] + sizes[r]]
-            )
+        for k in lane_shards:
             tasks.append(
                 ShardTask(
                     shard_id=k,
                     config=self.config,
                     kernel_config=self.systems[k].kernel_config,
-                    overlapped=self.overlapped,
                     workers=self.workers,
-                    pairs=shard_pairs,
-                    pairs_per_round=schedule.pairs_per_round,
+                    rows=tuple(row for row in rows if row[1] == k),
+                    pairs_per_round=ppr,
                     collect_results=collect_results,
                     fault_plan=self._shard_plan(fault_plan, k),
                     retry_policy=retry_policy,
@@ -795,24 +914,13 @@ class FleetCoordinator:
                 )
             )
 
-        shard_runs = self._execute(tasks)
+        report = self.transport.begin_run(now) if self.transport is not None else None
+        results, rounds_replayed = self._execute(tasks, rows)
 
-        per_round: list[Optional[PimRunResult]] = [None] * schedule.rounds
-        rounds_replayed = 0
-        for k, run_k in shard_runs.items():
-            rounds_replayed += run_k.rounds_replayed
-            for j, r in enumerate(shard_rounds[k]):
-                result = run_k.per_round[j]
-                if result.recovery is not None:
-                    # the shard shifted this round's recovery to its own
-                    # (shard-local) pair space; lift it to the global one
-                    result.recovery.shift_pairs(
-                        starts[r] - j * schedule.pairs_per_round
-                    )
-                per_round[r] = result
+        per_round = [results[r] for r in range(schedule.rounds)]
         recovery: Optional[RecoveryReport] = None
         for result in per_round:
-            if result is not None and result.recovery is not None:
+            if result.recovery is not None:
                 if recovery is None:
                     recovery = RecoveryReport()
                 recovery.merge(result.recovery)
@@ -820,11 +928,10 @@ class FleetCoordinator:
             schedule=schedule,
             shards=self.shards,
             placements=list(placements),
-            per_round=[r for r in per_round if r is not None],
-            shard_runs=shard_runs,
-            overlapped=self.overlapped,
+            per_round=per_round,
             recovery=recovery,
             rounds_replayed=rounds_replayed,
+            transport=report,
         )
 
     def _journal_path(
@@ -838,13 +945,19 @@ class FleetCoordinator:
             return str(journal)
         return str(Path(journal) / shard_journal_name(shard))
 
-    def _execute(self, tasks: list[ShardTask]) -> dict[int, ScheduledRun]:
-        """Run shard tasks sequentially or over a process pool."""
-        if self.shard_workers not in (0, 1) and len(tasks) > 1:
-            workers = self.shard_workers or (os.cpu_count() or 1)
+    def _execute(
+        self, tasks: list[ShardTask], rows: list[_Row]
+    ) -> tuple[dict[int, PimRunResult], int]:
+        """Run the rows through the round loop, inline or split by shard
+        over a process pool; returns (results, rounds replayed)."""
+        if (
+            self.transport is None
+            and self.shard_workers not in (0, 1)
+            and len(tasks) > 1
+        ):
             try:
                 with ProcessPoolExecutor(
-                    max_workers=min(workers, len(tasks))
+                    max_workers=min(self.shard_workers, len(tasks))
                 ) as pool:
                     outcomes = list(pool.map(run_fleet_shard, tasks))
                 return self._absorb(outcomes)
@@ -852,22 +965,27 @@ class FleetCoordinator:
                 # pool infrastructure failure: the sequential path is
                 # result-identical (same discipline as repro.pim.parallel)
                 pass
-        # inline: each shard runs on its persistent system, ledger and
-        # telemetry, so there is nothing to fold home
-        return {
-            task.shard_id: _run_shard_rounds(
-                self.schedulers[task.shard_id],
-                self.shard_healths[task.shard_id],
-                task,
+        # inline: each lane runs on its shard's persistent system, ledger
+        # and telemetry, so there is nothing to fold home
+        lanes = {
+            task.shard_id: _Lane(
+                task, self.schedulers[task.shard_id], self.shard_healths[task.shard_id]
             )
             for task in tasks
         }
+        results = _run_rows(rows, lanes, self.transport)
+        return results, sum(len(lane.replay) for lane in lanes.values())
 
-    def _absorb(self, outcomes: list[ShardOutcome]) -> dict[int, ScheduledRun]:
-        """Fold pool outcomes home; merge worker telemetry deltas."""
-        shard_runs: dict[int, ScheduledRun] = {}
+    def _absorb(
+        self, outcomes: list[ShardOutcome]
+    ) -> tuple[dict[int, PimRunResult], int]:
+        """Fold pool outcomes home; merge worker telemetry deltas and lay
+        the workers' runs on their shards' model timelines."""
+        results: dict[int, PimRunResult] = {}
+        rounds_replayed = 0
         for outcome in outcomes:
-            shard_runs[outcome.shard_id] = outcome.run
+            results.update(outcome.results)
+            rounds_replayed += outcome.rounds_replayed
             if outcome.health_state is not None:
                 health = self.shard_healths[outcome.shard_id]
                 if health is not None:
@@ -883,207 +1001,13 @@ class FleetCoordinator:
                 shard_tel.events.publish(
                     record["kind"], record["t_s"], **record["attrs"]
                 )
-        return shard_runs
-
-    # -- networked execution --------------------------------------------------
-
-    def _run_networked(
-        self,
-        pairs: list[ReadPair],
-        schedule: BatchSchedule,
-        starts: list[int],
-        sizes: list[int],
-        placements: list[int],
-        collect_results: bool,
-        fault_plan: Optional[FaultPlan],
-        retry_policy: Optional[RetryPolicy],
-        now: float,
-    ) -> FleetRun:
-        """Run every round through the modeled transport, in global order.
-
-        Per-shard ``busy`` clocks serialize rounds on their shard while
-        shards overlap each other, exactly like the direct path — but
-        each round additionally pays its work-envelope delivery on the
-        way out and its result-envelope delivery on the way home, and a
-        delivery that misses the hedge deadline (``hedge=True``) steals
-        the round onto the next healthy shard.  Results are unaffected
-        by any of it: a round is a pure function of its chunk, so the
-        networked ``per_round`` stream is byte-identical to the direct
-        path's (pinned in ``tests/test_pim_transport.py``).
-        """
-        assert self.transport is not None
-        report = self.transport.begin_run(now)
-        busy = {k: now for k in range(self.shards)}
-        per_round: list[PimRunResult] = []
-        recovery: Optional[RecoveryReport] = None
-        for r in range(schedule.rounds):
-            chunk = pairs[starts[r] : starts[r] + sizes[r]]
-            survivor, result, recv_s = self._round_over_network(
-                r,
-                chunk,
-                placements[r],
-                busy,
-                now,
-                schedule.pairs_per_round,
-                collect_results,
-                fault_plan,
-                retry_policy,
-            )
-            report.receipts[r] = recv_s
-            report.survivors[r] = survivor
-            if result.recovery is not None:
-                result.recovery.shift_pairs(starts[r])
-                if recovery is None:
-                    recovery = RecoveryReport()
-                recovery.merge(result.recovery)
-            per_round.append(result)
-        report.shard_busy_s = {
-            k: busy[k] - now for k in range(self.shards) if busy[k] > now
-        }
-        return FleetRun(
-            schedule=schedule,
-            shards=self.shards,
-            placements=list(placements),
-            per_round=per_round,
-            shard_runs={},
-            overlapped=self.overlapped,
-            recovery=recovery,
-            rounds_replayed=0,
-            transport=report,
-        )
-
-    def _round_over_network(
-        self,
-        r: int,
-        chunk: list[ReadPair],
-        shard: int,
-        busy: dict[int, float],
-        now: float,
-        pairs_per_round: int,
-        collect_results: bool,
-        fault_plan: Optional[FaultPlan],
-        retry_policy: Optional[RetryPolicy],
-    ) -> tuple[int, PimRunResult, float]:
-        """One round's full network round-trip; returns the surviving
-        ``(shard, result, coordinator receipt time)``.
-
-        At-least-once on both legs: the work envelope retries until it
-        lands (or its redelivery budget exhausts), the round executes at
-        ``max(arrival, shard busy)``, and the result envelope retries
-        home.  Hedging arms a timer at dispatch: a round whose result
-        has not arrived by ``hedge_timeout_s`` is stolen onto the next
-        healthy shard and the two results race — earliest coordinator
-        receipt survives (tie goes to the original), the loser is
-        absorbed by dedup.
-        """
-        transport = self.transport
-        policy = transport.policy
-        # (receipt, origin-order) candidates; origin 0 = original shard
-        candidates: list[tuple[float, int, int, PimRunResult]] = []
-        tried = [shard]
-        work = transport.deliver("work", r, shard, now)
-        # the hedge timer is per-leg: the work envelope must be acked
-        # within hedge_timeout_s of dispatch, and the result must land
-        # within hedge_timeout_s of the round's modeled completion —
-        # a healthy shard that is merely *busy* is never stolen from.
-        hedge_needed = (not work.ok) or work.arrive_s > now + policy.hedge_timeout_s
-        t_steal = now + policy.hedge_timeout_s
-        if work.ok:
-            result, done = self._execute_round_on(
-                shard,
-                chunk,
-                busy,
-                work.arrive_s,
-                pairs_per_round,
-                collect_results,
-                fault_plan,
-                retry_policy,
-            )
-            back = transport.deliver("result", r, shard, done)
-            if back.ok:
-                candidates.append((back.arrive_s, 0, shard, result))
-            if not hedge_needed and (
-                not back.ok or back.arrive_s > done + policy.hedge_timeout_s
-            ):
-                hedge_needed = True
-                t_steal = done + policy.hedge_timeout_s
-        if policy.hedge and hedge_needed:
-            for offset in range(1, self.shards):
-                target = (shard + offset) % self.shards
-                if target in tried:
-                    continue
-                if not transport.link_ok(target, t_steal):
-                    continue
-                if not self._shard_placeable(target, t_steal):
-                    continue
-                tried.append(target)
-                transport.note_steal(r, shard, target, t_steal)
-                stolen = transport.deliver("work", r, target, t_steal)
-                if not stolen.ok:
-                    continue
-                result2, done2 = self._execute_round_on(
-                    target,
-                    chunk,
-                    busy,
-                    stolen.arrive_s,
-                    pairs_per_round,
-                    collect_results,
-                    fault_plan,
-                    retry_policy,
+            # the run counters arrived with the metrics snapshot; only
+            # the timeline (spans, segments, cursor) is laid here
+            for seg in outcome.runs or ():
+                shard_tel.place_run(
+                    seg.kind, seg.result, seg.trace, seg.seconds_per_cycle
                 )
-                back2 = transport.deliver("result", r, target, done2)
-                if back2.ok:
-                    candidates.append((back2.arrive_s, 1, target, result2))
-                    break
-        if not candidates:
-            raise TransportError(
-                f"round {r}: no result reached the coordinator — shard "
-                f"{shard}'s link exhausted {policy.max_redeliveries} "
-                f"redeliveries and no healthy shard could steal the round; "
-                f"the network plan violates the >=1-live-shard liveness "
-                f"precondition"
-            )
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        recv_s, _, survivor, result = candidates[0]
-        for _ in candidates[1:]:
-            transport.absorb_extra_result(r, survivor)
-        return survivor, result, recv_s
-
-    def _execute_round_on(
-        self,
-        k: int,
-        chunk: list[ReadPair],
-        busy: dict[int, float],
-        arrive_s: float,
-        pairs_per_round: int,
-        collect_results: bool,
-        fault_plan: Optional[FaultPlan],
-        retry_policy: Optional[RetryPolicy],
-    ) -> tuple[PimRunResult, float]:
-        """Execute one round's chunk on shard ``k`` at the modeled time
-        its work envelope arrived; returns (result, completion time)."""
-        start = max(arrive_s, busy[k])
-        run_k = self.schedulers[k].run(
-            list(chunk),
-            pairs_per_round=pairs_per_round,
-            collect_results=collect_results,
-            fault_plan=self._shard_plan(fault_plan, k),
-            retry_policy=retry_policy,
-            health=self.shard_healths[k],
-            now=start,
-        )
-        done = start + run_k.total_seconds
-        busy[k] = done
-        return run_k.per_round[0], done
-
-    def _shard_placeable(self, k: int, now: float) -> bool:
-        """Whether shard ``k``'s device health admits stolen work."""
-        if self.health_policy is None or self.shard_healths[k] is None:
-            return True
-        return (
-            self.shard_healths[k].healthy_fraction(now)
-            >= self.min_shard_healthy_fraction
-        )
+        return results, rounds_replayed
 
     def link_healthy_fraction(self, now: Optional[float] = None) -> float:
         """Fraction of coordinator<->shard links not quarantined (1.0
@@ -1140,8 +1064,13 @@ class FleetCoordinator:
                     f"{manifest.get('fault_domain')!r}, coordinator uses "
                     f"{self.fault_domain!r}"
                 )
-            expected = self._fingerprint(
-                pairs, schedule, collect_results, fault_plan, retry_policy
+            expected = self.schedulers[0]._fingerprint(
+                pairs,
+                schedule,
+                collect_results,
+                fault_plan,
+                retry_policy,
+                self.shard_healths[0],
             )
             if manifest.get("fingerprint") != expected:
                 recorded = manifest.get("fingerprint") or {}

@@ -9,17 +9,23 @@ serialized schedule the paper's host loop implies and an overlapped
 (double-buffered) schedule where round ``i+1``'s transfer proceeds while
 round ``i``'s kernel runs — the standard optimization the paper's
 "Total vs Kernel" gap begs for.
+
+One round is one :meth:`BatchScheduler.run_round`: :meth:`BatchScheduler.run`
+loops over it, the fleet's round loop (:mod:`repro.pim.fleet`) drives it
+on one lane per shard, and both open journals through
+:meth:`BatchScheduler.open_journal`.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.data.generator import ReadPair
-from repro.errors import ConfigError
+from repro.errors import ConfigError, JournalError
 from repro.pim.faults import FaultPlan, RecoveryReport, RetryPolicy
 from repro.pim.layout import HEADER_BYTES
 from repro.pim.system import PimRunResult, PimSystem
@@ -204,6 +210,57 @@ class BatchScheduler:
             health_policy=health.policy if health is not None else None,
         )
 
+    def open_journal(
+        self,
+        journal: Optional[Union[str, Path, "RunJournal"]],
+        pairs: list[ReadPair],
+        schedule: BatchSchedule,
+        collect_results: bool = False,
+        fault_plan: Optional[FaultPlan] = None,
+        retry_policy: Optional[RetryPolicy] = None,
+        health: Optional["FleetHealth"] = None,
+        resume: bool = False,
+    ) -> tuple[Optional["RunJournal"], dict[int, PimRunResult]]:
+        """Open a run's journal; returns ``(journal, replay)``.
+
+        A path starts a fresh ``repro.pim.journal/v1`` file stamped with
+        this run's fingerprint.  ``resume=True`` on a path, or an open
+        :class:`~repro.pim.journal.RunJournal`, loads it, refuses a
+        fingerprint mismatch (:class:`~repro.errors.JournalError`) and
+        maps each journaled round index to its completed result.
+        """
+        if journal is None:
+            return None, {}
+        from repro.pim.journal import RunJournal, result_from_dict
+
+        fingerprint = self._fingerprint(
+            pairs, schedule, collect_results, fault_plan, retry_policy, health
+        )
+        if not resume and not isinstance(journal, RunJournal):
+            return RunJournal.create(journal, fingerprint), {}
+        if not isinstance(journal, RunJournal):
+            journal = RunJournal.load(journal)
+        journal.validate_fingerprint(fingerprint)
+        num_rounds = schedule.rounds
+        replay: dict[int, PimRunResult] = {}
+        for index, record in journal.rounds().items():
+            if not 0 <= index < num_rounds:
+                raise JournalError(
+                    f"journal round {index} out of range for a "
+                    f"{num_rounds}-round schedule"
+                )
+            replay[index] = result_from_dict(record["result"])
+        return journal, replay
+
+    def _note_round_size(self, pairs_per_round: int) -> None:
+        """Publish the run's round size."""
+        telemetry = self.system.telemetry
+        if telemetry is not None:
+            telemetry.registry.gauge(
+                "pim_scheduler_pairs_per_round",
+                "pairs per MRAM-sized distribution round",
+            ).set(pairs_per_round)
+
     def run(
         self,
         pairs: list[ReadPair],
@@ -214,9 +271,8 @@ class BatchScheduler:
         health: Optional["FleetHealth"] = None,
         journal: Optional[Union[str, Path, "RunJournal"]] = None,
         now: float = 0.0,
-        replay: Optional[dict[int, PimRunResult]] = None,
     ) -> ScheduledRun:
-        """Align a concrete batch in rounds.
+        """Align a concrete batch in rounds: a loop over :meth:`run_round`.
 
         With telemetry attached to the system, each round records a
         wall-time ``scheduler_round`` span and bumps
@@ -241,111 +297,34 @@ class BatchScheduler:
 
         With a ``journal`` (a path starts a fresh
         ``repro.pim.journal/v1`` file; an open
-        :class:`~repro.pim.journal.RunJournal` continues one), every
-        completed round is appended atomically before the next begins.
-        ``replay`` maps round indices to already-completed results
-        (resume path — see :meth:`resume_run`): replayed rounds skip
-        device work entirely but still feed the health ledger and the
-        aggregate report, so a resumed run reconstructs the exact state
-        an uninterrupted run would have reached.
+        :class:`~repro.pim.journal.RunJournal` resumes one — see
+        :meth:`open_journal` and :meth:`resume_run`), every completed
+        round is appended atomically before the next begins, and the
+        rounds an open journal already holds are replayed instead of
+        executed.
         """
         schedule = self.plan(len(pairs), pairs_per_round)
         out = ScheduledRun(schedule=schedule, overlapped=self.overlapped)
-        replay = replay if replay is not None else {}
-        telemetry = self.system.telemetry
-        if isinstance(journal, (str, Path)):
-            from repro.pim.journal import RunJournal
-
-            journal = RunJournal.create(
-                journal,
-                self._fingerprint(
-                    pairs, schedule, collect_results, fault_plan, retry_policy, health
-                ),
-            )
-        if telemetry is not None:
-            telemetry.registry.gauge(
-                "pim_scheduler_pairs_per_round",
-                "pairs per MRAM-sized distribution round",
-            ).set(schedule.pairs_per_round)
+        journal, replay = self.open_journal(
+            journal, pairs, schedule, collect_results, fault_plan, retry_policy, health
+        )
+        self._note_round_size(schedule.pairs_per_round)
         start = 0
         clock = now
         for index, size in enumerate(schedule.round_sizes()):
-            chunk = pairs[start : start + size]
-            if index in replay:
-                # checkpointed round: splice the journaled result in —
-                # recovery is already rebased to global pair indices and
-                # the journal-write is already durable.
-                result = replay[index]
-                out.rounds_replayed += 1
-                if telemetry is not None:
-                    telemetry.registry.counter(
-                        "pim_journal_rounds_replayed_total",
-                        "scheduler rounds restored from a journal on resume",
-                    ).inc()
-                    from repro.obs.events import JOURNAL_REPLAY
-
-                    telemetry.events.publish(
-                        JOURNAL_REPLAY, clock, round=index, pairs=size
-                    )
-            else:
-                active: Optional[tuple[int, ...]] = None
-                if health is not None:
-                    active = health.plan_round(now=clock)
-                    if len(active) == self.system.config.num_dpus:
-                        active = None
-                if telemetry is not None:
-                    telemetry.registry.counter(
-                        "pim_scheduler_rounds_total",
-                        "distribute->launch->gather rounds executed",
-                    ).inc()
-                    with telemetry.profiler.span(
-                        "scheduler_round", round=index, pairs=size
-                    ):
-                        result = self.system.align(
-                            chunk,
-                            collect_results=collect_results,
-                            workers=self.workers,
-                            fault_plan=fault_plan,
-                            retry_policy=retry_policy,
-                            active_dpus=active,
-                        )
-                else:
-                    result = self.system.align(
-                        chunk,
-                        collect_results=collect_results,
-                        workers=self.workers,
-                        fault_plan=fault_plan,
-                        retry_policy=retry_policy,
-                        active_dpus=active,
-                    )
-                if result.recovery is not None:
-                    result.recovery.shift_pairs(start)
-                    if telemetry is not None:
-                        from repro.obs.events import WATCHDOG
-
-                        # records are kept sorted by logical pair id, so
-                        # the published order is deterministic.
-                        for rec in result.recovery.records:
-                            for placement, kind in rec.attempts_log:
-                                if kind == "TaskletStallError":
-                                    telemetry.events.publish(
-                                        WATCHDOG,
-                                        clock,
-                                        dpu=placement,
-                                        round=index,
-                                    )
-                if journal is not None:
-                    journal.append_round(index, start, size, result)
-            if health is not None:
-                if result.recovery is not None:
-                    health.observe_report(result.recovery, now=clock)
-                else:
-                    participants = (
-                        result.active_dpus
-                        if result.active_dpus is not None
-                        else range(self.system.config.num_dpus)
-                    )
-                    health.observe_success(participants, now=clock)
+            result = self.run_round(
+                index,
+                start,
+                pairs[start : start + size],
+                clock,
+                collect_results=collect_results,
+                fault_plan=fault_plan,
+                retry_policy=retry_policy,
+                health=health,
+                journal=journal,
+                replay=replay.get(index),
+            )
+            out.rounds_replayed += index in replay
             out.per_round.append(result)
             if result.recovery is not None:
                 if out.recovery is None:
@@ -354,6 +333,101 @@ class BatchScheduler:
             start += size
             clock += result.total_seconds + result.recovery_overhead_seconds
         return out
+
+    def run_round(
+        self,
+        index: int,
+        start: int,
+        chunk: list[ReadPair],
+        clock: float,
+        collect_results: bool = False,
+        fault_plan: Optional[FaultPlan] = None,
+        retry_policy: Optional[RetryPolicy] = None,
+        health: Optional["FleetHealth"] = None,
+        journal: Optional["RunJournal"] = None,
+        replay: Optional[PimRunResult] = None,
+    ) -> PimRunResult:
+        """One distribute → launch → gather round at modeled time ``clock``.
+
+        ``index`` is the round's place in its run and ``start`` its
+        first pair's run-level index (recovery is rebased by it).  The
+        caller advances its clock by ``total_seconds +
+        recovery_overhead_seconds``.  ``replay`` is the round's
+        journaled result (resume path): replayed rounds skip device
+        work entirely but still feed the health ledger and the
+        aggregate report, so a resumed run reconstructs the exact state
+        an uninterrupted run would have reached.
+        """
+        telemetry = self.system.telemetry
+        size = len(chunk)
+        if replay is not None:
+            # checkpointed round: splice the journaled result in —
+            # recovery is already rebased to global pair indices and
+            # the journal-write is already durable.
+            result = replay
+            if telemetry is not None:
+                telemetry.registry.counter(
+                    "pim_journal_rounds_replayed_total",
+                    "scheduler rounds restored from a journal on resume",
+                ).inc()
+                from repro.obs.events import JOURNAL_REPLAY
+
+                telemetry.events.publish(
+                    JOURNAL_REPLAY, clock, round=index, pairs=size
+                )
+        else:
+            active: Optional[tuple[int, ...]] = None
+            if health is not None:
+                active = health.plan_round(now=clock)
+                if len(active) == self.system.config.num_dpus:
+                    active = None
+            span = nullcontext()
+            if telemetry is not None:
+                telemetry.registry.counter(
+                    "pim_scheduler_rounds_total",
+                    "distribute->launch->gather rounds executed",
+                ).inc()
+                span = telemetry.profiler.span(
+                    "scheduler_round", round=index, pairs=size
+                )
+            with span:
+                result = self.system.align(
+                    chunk,
+                    collect_results=collect_results,
+                    workers=self.workers,
+                    fault_plan=fault_plan,
+                    retry_policy=retry_policy,
+                    active_dpus=active,
+                )
+            if result.recovery is not None:
+                result.recovery.shift_pairs(start)
+                if telemetry is not None:
+                    from repro.obs.events import WATCHDOG
+
+                    # records are kept sorted by logical pair id, so
+                    # the published order is deterministic.
+                    for rec in result.recovery.records:
+                        for placement, kind in rec.attempts_log:
+                            if kind == "TaskletStallError":
+                                telemetry.events.publish(
+                                    WATCHDOG,
+                                    clock,
+                                    dpu=placement,
+                                    round=index,
+                                )
+            if journal is not None:
+                journal.append_round(index, start, size, result)
+        if health is not None:
+            if result.recovery is not None:
+                health.observe_report(result.recovery, now=clock)
+            else:
+                participants = (
+                    result.active_dpus
+                    if result.active_dpus is not None
+                    else range(self.system.config.num_dpus)
+                )
+                health.observe_success(participants, now=clock)
+        return result
 
     def resume_run(
         self,
@@ -366,7 +440,8 @@ class BatchScheduler:
         health: Optional["FleetHealth"] = None,
         now: float = 0.0,
     ) -> ScheduledRun:
-        """Resume a journaled run after a crash.
+        """Resume a journaled run after a crash: :meth:`run` from the
+        loaded journal.
 
         Loads the journal, refuses a fingerprint mismatch (wrong
         workload, round size, fault plan, policy, or system shape —
@@ -378,30 +453,13 @@ class BatchScheduler:
         :attr:`ScheduledRun.rounds_replayed` says how much work the
         journal saved.
         """
-        from repro.pim.journal import RunJournal, result_from_dict
+        from repro.pim.journal import RunJournal
 
         journal = (
             journal_path
             if isinstance(journal_path, RunJournal)
             else RunJournal.load(journal_path)
         )
-        schedule = self.plan(len(pairs), pairs_per_round)
-        journal.validate_fingerprint(
-            self._fingerprint(
-                pairs, schedule, collect_results, fault_plan, retry_policy, health
-            )
-        )
-        num_rounds = schedule.rounds
-        replay: dict[int, PimRunResult] = {}
-        for index, record in journal.rounds().items():
-            if not 0 <= index < num_rounds:
-                from repro.errors import JournalError
-
-                raise JournalError(
-                    f"journal round {index} out of range for a "
-                    f"{num_rounds}-round schedule"
-                )
-            replay[index] = result_from_dict(record["result"])
         return self.run(
             pairs,
             pairs_per_round=pairs_per_round,
@@ -411,5 +469,4 @@ class BatchScheduler:
             health=health,
             journal=journal,
             now=now,
-            replay=replay,
         )

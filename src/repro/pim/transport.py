@@ -36,10 +36,10 @@ path as any other duplicate.
 
 Determinism contract: the transport is consulted **only** when the
 plan actually injects faults (``NetworkFaultPlan.is_calm()`` is
-``False``).  Under a calm plan the fleet takes its direct path
-untouched — zero transport counters, events, or modeled seconds — which
-is what keeps the calm-network transport path byte-identical to the
-pre-transport fleet.
+``False``).  Under a calm plan the fleet builds no transport and its
+round loop delivers every round instantly — zero transport counters,
+events, or modeled seconds — which is what keeps the calm-network path
+byte-identical to the pre-transport fleet.
 """
 
 from __future__ import annotations
@@ -223,13 +223,15 @@ class NetworkFaultPlan:
     partitions: tuple[Partition, ...] = ()
 
     def is_calm(self) -> bool:
-        """True when the plan injects nothing — the fleet then bypasses
-        the transport entirely (byte-identity with the direct path).
+        """True when the plan injects nothing — the fleet then builds no
+        transport and delivers rounds instantly (byte-identity with no
+        plan at all).
 
         Zero-effect entries count as nothing: a drop/duplicate/reorder
         at ``p=0``, a delay of zero seconds with zero jitter, and an
         empty partition window are all calm, so a sweep parameterized
-        down to intensity zero takes the same direct path as no plan.
+        down to intensity zero takes the same instant delivery as no
+        plan.
         """
         return not (
             any(d.p > 0.0 for d in self.drops)

@@ -310,6 +310,30 @@ class TestAcceptance512:
         assert resumed.results() == full.results()
 
 
+class TestPooledShards:
+    def test_pool_workers_ship_their_runs_home(self):
+        """Pool workers' runs land on their shards' home timelines: the
+        run manifest, the Chrome trace and the reconciled run count are
+        the inline run's."""
+        from repro.obs.export import to_chrome_trace
+
+        pairs = make_pairs(48)
+        plan = FaultPlan(seed=3, deaths=(DpuDeath(dpu_id=1),))
+        seen = {}
+        for shard_workers in (1, 2):
+            telemetry = RunTelemetry()
+            make_fleet(2, shard_workers=shard_workers, telemetry=telemetry).run(
+                pairs, pairs_per_round=8, collect_results=True, fault_plan=plan
+            )
+            seen[shard_workers] = (
+                telemetry.metrics_document()["runs"],
+                to_chrome_trace(telemetry),
+                telemetry.reconcile()["runs"],
+            )
+        assert seen[1][2] == 6
+        assert seen[2] == seen[1]
+
+
 class TestPlacementAndRebalance:
     def test_striped_placement_is_deterministic(self):
         fleet = make_fleet(4)
@@ -426,8 +450,6 @@ class TestValidation:
             make_fleet(0)
         with pytest.raises(ConfigError):
             make_fleet(2, fault_domain="banana")
-        with pytest.raises(ConfigError):
-            make_fleet(2, min_shard_healthy_fraction=0.0)
         # shard_workers > 1 + health_policy used to be refused; health
         # deltas now ride home in ShardOutcome, so it constructs fine
         fleet = make_fleet(2, shard_workers=2, health_policy=HealthPolicy())

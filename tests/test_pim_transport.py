@@ -12,7 +12,9 @@ The transport's core claims, pinned:
   ``total_seconds`` under a long one-shard partition (the acceptance
   pin the ISSUE names);
 - health-ledger deltas ride home from pool workers, so the per-shard
-  health docs are byte-identical at ``shard_workers`` 0, 1 and 2.
+  health docs are byte-identical at ``shard_workers`` 0, 1 and 2;
+- networked rounds run through the same round loop as direct ones, so
+  their ``watchdog`` events name the shard-local round.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.errors import ConfigError, DegradedCapacity, TransportError
 from repro.obs.events import validate_event_log
 from repro.obs.telemetry import RunTelemetry
 from repro.pim.config import PimSystemConfig
-from repro.pim.faults import DpuDeath, FaultPlan, RetryPolicy
+from repro.pim.faults import DpuDeath, FaultPlan, RetryPolicy, TaskletStall
 from repro.pim.fleet import FleetCoordinator
 from repro.pim.health import HealthPolicy
 from repro.pim.kernel import KernelConfig
@@ -237,6 +239,27 @@ class TestNetworkedRuns:
             "every run replayed identical drop decisions; begin_run "
             "did not salt the fault RNG"
         )
+
+    def test_watchdog_events_carry_shard_local_rounds(self):
+        """A DPU that stalls every round trips the watchdog on each of
+        its shard's rounds; over the network, as on the direct path,
+        every trip names its own shard-local round."""
+        fleet = make_fleet(
+            2, telemetry=RunTelemetry(), net_plan=kitchen_sink_plan()
+        )
+        stall = FaultPlan(
+            seed=5, stalls=(TaskletStall(dpu_id=2, attempts=(0,)),)
+        )
+        run = fleet.run(
+            make_pairs(48), pairs_per_round=8, collect_results=True, fault_plan=stall
+        )
+        assert run.placements.count(0) == 3
+        rounds = [
+            r["attrs"]["round"]
+            for r in fleet.event_records()[1:]
+            if r["kind"] == "watchdog" and r["attrs"]["shard"] == 0
+        ]
+        assert rounds == [0, 1, 2]
 
     def test_journal_refused_over_an_active_plan(self, tmp_path):
         fleet = make_fleet(2, net_plan=kitchen_sink_plan())
