@@ -3,7 +3,8 @@
 The paper's whole-wavefront staging sizes WRAM buffers by the score
 bound, which collapses tasklet admission on long reads (the obstacle
 behind its "longer read lengths" future work).  Chunked staging keeps
-WRAM constant per tasklet and recovers the thread count.
+WRAM constant per tasklet and recovers the thread count; the ``auto``
+row is the chunk the WRAM planner picks when none is configured.
 """
 
 from conftest import emit
@@ -22,6 +23,9 @@ def test_staging_granularity(benchmark):
     emit("staging_chunk", result.report())
 
     rows = {r.label: r.values for r in result.rows}
+    # the planner's own pick beats whole wavefronts on both counts
+    assert rows["auto"]["tasklets"] > rows["whole"]["tasklets"]
+    assert rows["auto"]["kernel_s"] < rows["whole"]["kernel_s"]
     # chunked staging admits strictly more tasklets than whole-wavefront...
     assert rows["256B"]["tasklets"] > rows["whole"]["tasklets"]
     # ...and converts that into net kernel time despite extra DMA setups.

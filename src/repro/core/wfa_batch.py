@@ -231,17 +231,23 @@ class BatchWfaEngine:
 
     # -- metric dispatch ---------------------------------------------------
 
-    def _select_compute(self, penalties: Penalties):
+    @staticmethod
+    def _select_compute(penalties: Penalties):
+        """The score step for ``penalties``, called as ``step(engine, s)``.
+
+        Plain functions, not methods bound to the engine: an engine that
+        held a reference to itself would leave every batch's arrays to
+        the cyclic garbage collector instead of freeing them on release.
+        """
         if isinstance(penalties, TwoPieceAffinePenalties):
-            return self._compute_affine2p
+            return BatchWfaEngine._compute_affine2p
         if isinstance(penalties, AffinePenalties):
-            return self._compute_affine
+            return BatchWfaEngine._compute_affine
         if isinstance(penalties, LinearPenalties):
-            return lambda s: self._compute_unified(
-                s, penalties.mismatch, penalties.indel
-            )
+            x, ind = penalties.mismatch, penalties.indel
+            return lambda engine, s: engine._compute_unified(s, x, ind)
         if isinstance(penalties, EditPenalties):
-            return lambda s: self._compute_unified(s, 1, 1)
+            return lambda engine, s: engine._compute_unified(s, 1, 1)
         raise AlignmentError(f"unsupported penalty model: {penalties!r}")
 
     # -- shared-layout helpers ---------------------------------------------
@@ -545,7 +551,7 @@ class BatchWfaEngine:
                 self._live &= ~over
                 if not self._live.any():
                     break
-            entry = self._compute(score)
+            entry = self._compute(self, score)
             self._scores[score] = entry
             if entry is not None:
                 comps = self._extend(entry)

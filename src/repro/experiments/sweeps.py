@@ -24,7 +24,7 @@ from repro.data.datasets import DatasetSpec
 from repro.data.generator import ReadPairGenerator
 from repro.errors import KernelError
 from repro.perf.report import format_table
-from repro.pim.config import PimSystemConfig, upmem_paper_system
+from repro.pim.config import DpuConfig, PimSystemConfig, upmem_paper_system
 from repro.pim.dpu import Dpu
 from repro.pim.kernel import KernelConfig, WfaDpuKernel, max_supported_tasklets
 from repro.pim.kernel_banded import BandedDpuKernel, BandedKernelConfig
@@ -176,9 +176,11 @@ def allocator_policy_ablation(
 def _admitted_tasklets(kc: KernelConfig, preferred: int = 16) -> int:
     """Largest usable tasklet count <= ``preferred`` for this kernel.
 
-    Bigger scores mean bigger WRAM staging buffers, so long reads / high
-    error thresholds genuinely force fewer tasklets — the very challenge
-    the paper's future work names.  Sweeps report the admitted count.
+    Bigger scores mean wider wavefronts; where whole-wavefront staging
+    buffers no longer fit a tasklet's WRAM slice the planner stages in
+    chunks instead, so only reads whose input and result records alone
+    crowd the slice force fewer tasklets.  Sweeps report the admitted
+    count.
     """
     base = upmem_paper_system(num_simulated_dpus=1)
     cap = max_supported_tasklets(WfaDpuKernel(kc), base.dpu, "mram")
@@ -330,10 +332,23 @@ def dpu_count_sweep(
     )
 
 
+def _whole_wavefront_tasklets(kernel: WfaDpuKernel, dpu: DpuConfig) -> int:
+    """Largest tasklet count whose plan stages whole wavefronts (0 if none)."""
+    best = 0
+    for t in range(1, dpu.max_tasklets + 1):
+        try:
+            plan = kernel.plan_wram(dpu, t, "mram")
+        except KernelError:
+            continue
+        if plan.staging_chunk is None:
+            best = t
+    return best
+
+
 def staging_chunk_ablation(
     length: int = 1000,
     error_rate: float = 0.02,
-    chunks: tuple = (None, 1024, 512, 256, 128),
+    chunks: tuple[int, ...] = (1024, 512, 256, 128),
     sample_pairs_per_dpu: int = 4,
     penalties: Penalties | None = None,
 ) -> SweepResult:
@@ -341,25 +356,34 @@ def staging_chunk_ablation(
 
     Whole-wavefront staging sizes WRAM buffers by the score bound, which
     starves tasklets on long reads; fixed-size chunks keep WRAM constant
-    at the price of more DMA transfers.  The sweep shows the trade:
-    chunked staging recovers tasklet admission (and usually net kernel
-    time) exactly where the paper's future work needs it.
+    at the price of more DMA transfers.  Rows: ``whole`` runs at the
+    largest tasklet count whose plan keeps whole wavefronts (the paper's
+    baseline design), ``auto`` at up to 16 tasklets with the chunk the
+    WRAM planner picks, then one row per fixed chunk in ``chunks``.  The
+    sweep shows the trade: chunked staging recovers tasklet admission
+    (and usually net kernel time) exactly where the paper's future work
+    needs it.
     """
     pen = penalties if penalties is not None else AffinePenalties()
     spec = DatasetSpec(
         num_pairs=500_000, length=length, error_rate=error_rate, seed=0
     )
     base = upmem_paper_system(num_simulated_dpus=1)
+    variants = [("whole", None), ("auto", None)]
+    variants += [(f"{chunk}B", chunk) for chunk in chunks]
     rows: list[SweepRow] = []
-    for chunk in chunks:
+    for label, chunk in variants:
         kc = KernelConfig(
             penalties=pen,
             max_read_len=length,
             max_edits=max(spec.edit_budget, 1),
             staging_chunk_bytes=chunk,
         )
-        cap = max_supported_tasklets(WfaDpuKernel(kc), base.dpu, "mram")
-        label = "whole" if chunk is None else f"{chunk}B"
+        kernel = WfaDpuKernel(kc)
+        if label == "whole":
+            cap = _whole_wavefront_tasklets(kernel, base.dpu)
+        else:
+            cap = max_supported_tasklets(kernel, base.dpu, "mram")
         if cap == 0:
             rows.append(
                 SweepRow(

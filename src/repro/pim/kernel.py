@@ -8,8 +8,9 @@ This mirrors the paper's kernel exactly (§I, last two paragraphs):
 3. WFA's malloc is replaced by the custom two-level allocator
    (:mod:`repro.pim.allocator`);
 4. under the paper's ``"mram"`` metadata policy, wavefronts are allocated
-   in MRAM and staged through small WRAM buffers on demand (so 64 KB of
-   shared WRAM never caps the tasklet count); under the ``"wram"``
+   in MRAM and staged through small WRAM buffers on demand, whole where
+   they fit the tasklet's slice and in chunks where they do not (so 64 KB
+   of shared WRAM never caps the tasklet count); under the ``"wram"``
    ablation policy everything lives in WRAM and the supported tasklet
    count collapses.
 
@@ -55,7 +56,7 @@ from repro.core.wfa_batch import BatchPairView, BatchWfaEngine
 from repro.errors import AllocationError, AlignmentError, KernelError
 from repro.pim.allocator import TaskletAllocator
 from repro.pim.config import DpuConfig
-from repro.pim.dma import aligned_size, dma_pieces
+from repro.pim.dma import DMA_ALIGN, DMA_MAX, DMA_MIN, aligned_size, dma_pieces
 from repro.pim.dpu import Dpu
 from repro.pim.layout import MramLayout
 from repro.pim.tasklet import TaskletContext, TaskletStats
@@ -120,11 +121,12 @@ class KernelConfig:
     traceback: bool = True
     adaptive: bool = False
     #: WRAM staging granularity for MRAM-resident metadata.  ``None``
-    #: stages whole wavefronts (buffers scale with the score bound, the
-    #: paper's baseline design); a fixed chunk size (multiple of 8, up to
-    #: 2048) decouples WRAM footprint from score at the price of more
-    #: DMA transfers — the engineering answer to the WRAM pressure that
-    #: long reads / high E create (see the staging-chunk ablation).
+    #: lets :meth:`WfaDpuKernel.plan_wram` pick: whole wavefronts (buffers
+    #: scale with the score bound, the paper's baseline design) wherever
+    #: they fit the tasklet's slice, else the largest chunk that does,
+    #: which admits long reads / high E at the requested tasklet count
+    #: for a few more DMA transfers.  A fixed chunk size (multiple of 8,
+    #: up to 2048) overrides the pick; the staging-chunk ablation sweeps it.
     staging_chunk_bytes: Optional[int] = None
     #: alignment span.  Defaults to global (the paper's mode).  Ends-free
     #: spans must be *bounded* (free allowances widen the score-0
@@ -230,6 +232,8 @@ class WramPlan:
     staging_buffer_bytes: int
     metadata_off: int  # base of the in-WRAM metadata arena ("wram" policy)
     metadata_bytes: int
+    #: bytes per staging transfer; ``None`` stages whole wavefronts
+    staging_chunk: Optional[int] = None
 
     @property
     def used_bytes(self) -> int:
@@ -271,9 +275,16 @@ class WfaDpuKernel:
     ) -> WramPlan:
         """Divide WRAM among ``tasklets`` and map one slice.
 
+        Under the ``"mram"`` policy with ``staging_chunk_bytes=None`` the
+        planner picks the staging granularity: whole-wavefront buffers
+        wherever they fit, else the largest chunk (a multiple of 8, at
+        most 2048 B) that lets the slice hold every staging buffer.  The
+        plan records the pick as ``staging_chunk``.
+
         Raises :class:`KernelError` when the per-tasklet slice cannot hold
         the kernel's buffers — the admission failure that caps the tasklet
-        count (the paper's central WRAM-pressure problem).
+        count (the paper's central WRAM-pressure problem).  The error
+        names the need of the smallest plan the configuration allows.
         """
         if not 1 <= tasklets <= dpu_config.max_tasklets:
             raise KernelError(
@@ -286,40 +297,38 @@ class WfaDpuKernel:
         input_off = 0
         result_off = input_off + aligned_size(self.input_record_bytes())
         after_result = result_off + aligned_size(self.result_record_bytes())
+        chunk = None
         if metadata_policy == "mram":
-            if self.config.staging_chunk_bytes is not None:
-                staging_buffer_bytes = self.config.staging_chunk_bytes
-            else:
-                staging_buffer_bytes = aligned_size(
-                    4 * self.config.max_wavefront_width
-                )
             staging = STAGING_BUFFERS_BY_COMPONENTS[self.config.wavefront_components]
-            plan = WramPlan(
-                slice_bytes=slice_bytes,
-                input_off=input_off,
-                result_off=result_off,
-                staging_off=after_result,
-                staging_buffers=staging,
-                staging_buffer_bytes=staging_buffer_bytes,
-                metadata_off=after_result,
-                metadata_bytes=0,
-            )
+            chunk = self.config.staging_chunk_bytes
+            whole = aligned_size(4 * self.config.max_wavefront_width)
+            if chunk is None and after_result + staging * whole > slice_bytes:
+                # Whole wavefronts do not fit: the largest chunk that does
+                # (8 B when none does, so the error names the least need).
+                room = (slice_bytes - after_result) // staging // DMA_ALIGN * DMA_ALIGN
+                chunk = max(DMA_MIN, min(room, DMA_MAX))
+            staging_buffer_bytes = whole if chunk is None else chunk
+            metadata_bytes = 0
         else:
+            staging = staging_buffer_bytes = 0
             metadata_bytes = aligned_size(self.config.metadata_peak_bytes())
-            plan = WramPlan(
-                slice_bytes=slice_bytes,
-                input_off=input_off,
-                result_off=result_off,
-                staging_off=after_result,
-                staging_buffers=0,
-                staging_buffer_bytes=0,
-                metadata_off=after_result,
-                metadata_bytes=metadata_bytes,
-            )
+        plan = WramPlan(
+            slice_bytes=slice_bytes,
+            input_off=input_off,
+            result_off=result_off,
+            staging_off=after_result,
+            staging_buffers=staging,
+            staging_buffer_bytes=staging_buffer_bytes,
+            metadata_off=after_result,
+            metadata_bytes=metadata_bytes,
+            staging_chunk=chunk,
+        )
         if plan.used_bytes > slice_bytes:
+            chunked = f" with {chunk} B staging chunks" if chunk is not None else ""
             raise KernelError(
-                f"WRAM slice of {slice_bytes} B (64KB / {tasklets} tasklets) "
-                f"cannot hold kernel buffers ({plan.used_bytes} B needed, "
+                f"WRAM slice of {slice_bytes} B ({dpu_config.wram_bytes} B / "
+                f"{tasklets} tasklets) cannot hold kernel buffers "
+                f"({plan.used_bytes} B needed{chunked}, "
                 f"policy={metadata_policy!r}, max_score={self.config.max_score})"
             )
         return plan
@@ -360,6 +369,14 @@ class WfaDpuKernel:
             raise KernelError(
                 "layout reserves fewer CIGAR runs than the kernel may emit"
             )
+        # The fixed buffers in the plan's order, reserved in one step:
+        # the slice holds them all (the plan fits), so each lands at its
+        # planned offset.
+        fixed = [
+            aligned_size(self.input_record_bytes()),
+            aligned_size(self.result_record_bytes()),
+            *[plan.staging_buffer_bytes] * plan.staging_buffers,
+        ]
         contexts = []
         for t in range(tasklets):
             base = t * plan.slice_bytes
@@ -372,16 +389,15 @@ class WfaDpuKernel:
                 mram_capacity=layout.metadata_bytes_per_tasklet,
                 metadata_policy=metadata_policy,
             )
-            # Reserve the fixed buffers exactly as planned.
-            input_alloc = alloc.alloc_buffer(aligned_size(self.input_record_bytes()))
-            result_alloc = alloc.alloc_buffer(aligned_size(self.result_record_bytes()))
-            staging = []
-            for _ in range(plan.staging_buffers):
-                staging.append(alloc.alloc_buffer(plan.staging_buffer_bytes).addr)
+            alloc.wram.reserve(fixed)
             ctx = TaskletContext(tasklet_id=t, allocator=alloc)
-            ctx.input_buffer = input_alloc.addr
-            ctx.result_buffer = result_alloc.addr
-            ctx.staging_buffers = tuple(staging)
+            ctx.input_buffer = base + plan.input_off
+            ctx.result_buffer = base + plan.result_off
+            ctx.staging_buffers = tuple(
+                base + plan.staging_off + i * plan.staging_buffer_bytes
+                for i in range(plan.staging_buffers)
+            )
+            ctx.staging_chunk = plan.staging_chunk
             contexts.append(ctx)
 
         precomputed: Optional[dict[int, BatchPairView]] = None
@@ -473,8 +489,10 @@ class WfaDpuKernel:
         # 2. Align (functional engine; counters drive the cost replay).
         # A precomputed batch view is used only when its sequences match
         # what the charged DMA actually delivered (fault hooks may have
-        # corrupted the WRAM copy since the batch ran over MRAM).
-        view = precomputed.get(index) if precomputed is not None else None
+        # corrupted the WRAM copy since the batch ran over MRAM).  It is
+        # taken out of ``precomputed`` so that it, and the traceback rows
+        # it materializes, die with this pair.
+        view = precomputed.pop(index, None) if precomputed is not None else None
         if view is not None and (view.pattern, view.text) != (
             pair.pattern,
             pair.text,
@@ -632,10 +650,9 @@ class WfaDpuKernel:
                     if score + distance in computed:
                         n += 1
                 uses.append(n)
-            chunk = self.config.staging_chunk_bytes
             stage = ctx.staging_buffers[0] if ctx.staging_buffers else ctx.input_buffer
             transfers, moved = dpu.dma.transfers, dpu.dma.bytes_moved
-            per_use = dpu.dma.stage(base, stage, sizes[:fit], uses, chunk)
+            per_use = dpu.dma.stage(base, stage, sizes[:fit], uses, ctx.staging_chunk)
             stats = ctx.stats
             # One addition per use, in use order, so the float total is
             # the one per-use charging produces.
@@ -655,7 +672,11 @@ def max_supported_tasklets(
 
     This is the quantitative form of the paper's design argument: under
     the ``"wram"`` policy the metadata arena eats the slice and few
-    tasklets fit; under the ``"mram"`` policy all 24 usually do.
+    tasklets fit; under the ``"mram"`` policy all 24 usually do, long
+    reads included, because the planner stages in chunks where whole
+    wavefronts no longer fit (24 at 1000 bp / E=2%).  Only reads whose
+    input and result records crowd the slice, or a fixed
+    ``staging_chunk_bytes`` too large for it, lower the count.
     """
     best = 0
     for t in range(1, dpu_config.max_tasklets + 1):

@@ -50,7 +50,12 @@ class Timer:
         self.cancelled = False
 
     def cancel(self) -> None:
+        # Drop the callback, as asyncio's handles do: a cancelled timer
+        # waits in the heap until its deadline passes, and its callback
+        # (usually a method of the clock's owner) would keep the owner,
+        # which holds the clock, alive in a reference cycle.
         self.cancelled = True
+        self.callback = None
 
     def __lt__(self, other: "Timer") -> bool:
         return (self.when, self.seq) < (other.when, other.seq)

@@ -1,9 +1,20 @@
 """Tests for the WFA DPU kernel: planning, execution, fidelity."""
 
+import dataclasses
+import gc
+import itertools
+import weakref
+from typing import Optional
+
 import pytest
 
 from repro.baselines.gotoh import gotoh_score
-from repro.core.penalties import AffinePenalties, EditPenalties
+from repro.core.penalties import (
+    AffinePenalties,
+    EditPenalties,
+    LinearPenalties,
+    TwoPieceAffinePenalties,
+)
 from repro.data.generator import ReadPairGenerator
 from repro.errors import KernelError
 from repro.pim.config import DpuConfig
@@ -11,10 +22,12 @@ from repro.pim.dpu import Dpu
 from repro.pim.kernel import (
     KernelConfig,
     WfaDpuKernel,
+    WramPlan,
     max_supported_tasklets,
     per_edit_cost,
 )
 from repro.pim.layout import MramLayout
+from repro.pim.trace import KernelTrace
 from repro.pim.transfer import HostTransferEngine
 from repro.pim.config import HostTransferConfig
 
@@ -108,6 +121,22 @@ class TestWramPlanning:
         assert plan.used_bytes <= plan.slice_bytes
         assert plan.staging_buffers == 7
         assert plan.staging_buffer_bytes % 8 == 0
+
+    def test_admission_error_names_wram_size_and_least_need(self):
+        kc = KernelConfig(penalties=PEN, max_read_len=2000, max_edits=40)
+        kernel = WfaDpuKernel(kc)
+        with pytest.raises(KernelError) as excinfo:
+            kernel.plan_wram(DpuConfig(), 16, "mram")
+        message = str(excinfo.value)
+        assert "WRAM slice of 4096 B (65536 B / 16 tasklets)" in message
+        # the 4088 B input and 344 B result records plus seven 8 B chunks,
+        # not the 22464 B of whole-wavefront buffers
+        assert "(4488 B needed with 8 B staging chunks," in message
+        with pytest.raises(KernelError, match=r"slice of 2048 B \(32768 B / 16 "):
+            kernel.plan_wram(DpuConfig(wram_bytes=32 * 1024), 16, "mram")
+        with pytest.raises(KernelError) as excinfo:
+            kernel.plan_wram(DpuConfig(), 16, "wram")
+        assert "staging chunks" not in str(excinfo.value)
 
 
 class TestKernelExecution:
@@ -231,16 +260,19 @@ class TestKernelExecution:
         assert sum(t.dma_cycles for t in s2) > sum(t.dma_cycles for t in s1)
 
     def test_chunked_staging_shrinks_wram_plan(self):
-        kc_whole = KernelConfig(penalties=PEN, max_read_len=1000, max_edits=20)
-        kc_chunk = KernelConfig(
-            penalties=PEN,
-            max_read_len=1000,
-            max_edits=20,
-            staging_chunk_bytes=256,
-        )
-        whole_cap = max_supported_tasklets(WfaDpuKernel(kc_whole), DpuConfig(), "mram")
-        chunk_cap = max_supported_tasklets(WfaDpuKernel(kc_chunk), DpuConfig(), "mram")
-        assert chunk_cap > whole_cap
+        """At 1000 bp the planner chunks where whole wavefronts stop fitting."""
+        kc = KernelConfig(penalties=PEN, max_read_len=1000, max_edits=20)
+        auto = WfaDpuKernel(kc)
+        auto_cap = max_supported_tasklets(auto, DpuConfig(), "mram")
+        assert auto_cap == 24
+        for chunk in (2048, 1024, 512, 256, 128, 64, 8):
+            fixed = WfaDpuKernel(dataclasses.replace(kc, staging_chunk_bytes=chunk))
+            assert auto_cap >= max_supported_tasklets(fixed, DpuConfig(), "mram")
+        chunks = [
+            auto.plan_wram(DpuConfig(), t, "mram").staging_chunk for t in range(1, 25)
+        ]
+        assert chunks[:5] == [None] * 5
+        assert None not in chunks[5:]
 
     def test_invalid_chunk_sizes_rejected(self):
         for bad in (4, 12, 0, 4096):
@@ -262,3 +294,112 @@ class TestKernelExecution:
         )
         with pytest.raises(KernelError, match="CIGAR"):
             kernel.run(dpu, layout, [[0, 1]], "mram")
+
+
+def whole_wavefront_plan(kc: KernelConfig, tasklets: int) -> Optional[WramPlan]:
+    """The "mram" plan with whole-wavefront staging buffers, from first
+    principles: records, then one score-bound-wide buffer per resident
+    wavefront.  ``None`` where they do not fit a slice.
+    """
+
+    def rounded(nbytes: int) -> int:
+        return -(-nbytes // 8) * 8
+
+    slice_bytes = 64 * 1024 // tasklets // 8 * 8
+    result_off = rounded(8 + 2 * rounded(kc.max_seq_len))
+    staging_off = result_off + rounded(8 + rounded(4 * kc.max_cigar_ops))
+    buffers = {1: 3, 3: 7, 5: 12}[kc.wavefront_components]
+    buffer_bytes = rounded(4 * (2 * kc.max_score + 3))
+    if staging_off + buffers * buffer_bytes > slice_bytes:
+        return None
+    return WramPlan(
+        slice_bytes=slice_bytes,
+        input_off=0,
+        result_off=result_off,
+        staging_off=staging_off,
+        staging_buffers=buffers,
+        staging_buffer_bytes=buffer_bytes,
+        metadata_off=staging_off,
+        metadata_bytes=0,
+    )
+
+
+METRICS = (EditPenalties(), LinearPenalties(), PEN, TwoPieceAffinePenalties())
+
+
+class TestStagingPlanner:
+    def test_whole_wavefront_plans_unchanged(self):
+        """Plans keep whole wavefronts wherever they fit; the rest take the
+        largest chunk that fits."""
+        chunked = 0
+        grid = itertools.product(METRICS, (50, 100, 150, 250), (0.02, 0.04, 0.08))
+        for penalties, length, rate in grid:
+            kc = KernelConfig(
+                penalties=penalties,
+                max_read_len=length,
+                max_edits=round(rate * length),
+            )
+            kernel = WfaDpuKernel(kc)
+            for tasklets in range(1, 25):
+                plan = kernel.plan_wram(DpuConfig(), tasklets, "mram")
+                whole = whole_wavefront_plan(kc, tasklets)
+                if whole is not None:
+                    assert plan == whole, (penalties, length, rate, tasklets)
+                    assert plan.staging_chunk is None
+                    continue
+                chunked += 1
+                room = plan.slice_bytes - plan.staging_off
+                assert plan.staging_chunk == plan.staging_buffer_bytes
+                assert plan.staging_chunk == min(
+                    2048, room // plan.staging_buffers // 8 * 8
+                )
+        assert chunked > 0  # the grid reaches past whole-wavefront plans
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_auto_plan_matches_explicit_chunk(self, engine):
+        pairs = ReadPairGenerator(length=1000, error_rate=0.02, seed=12).pairs(6)
+        auto = KernelConfig(
+            penalties=PEN, max_read_len=1000, max_edits=20, engine=engine
+        )
+        chunk = WfaDpuKernel(auto).plan_wram(DpuConfig(), 16, "mram").staging_chunk
+        assert chunk == 264
+        runs = []
+        for kc in (auto, dataclasses.replace(auto, staging_chunk_bytes=chunk)):
+            kernel, dpu, layout, assignments = setup_dpu(pairs, kc, tasklets=16)
+            trace = KernelTrace()
+            stats, _ = kernel.run(dpu, layout, assignments, "mram", trace=trace)
+            dma = (dpu.dma.transfers, dpu.dma.bytes_moved, dpu.dma.cycles)
+            runs.append((stats, dma, trace.events))
+        assert runs[0] == runs[1]
+        assert sum(s.pairs_done for s in runs[0][0]) == 6
+
+    def test_pair_view_dies_before_the_next_pair(self):
+        """The kernel holds no vector-engine view past its own pair."""
+        pairs = ReadPairGenerator(length=100, error_rate=0.04, seed=13).pairs(6)
+        kc = KernelConfig(penalties=PEN, max_read_len=100, max_edits=4, engine="vector")
+        kernel, dpu, layout, assignments = setup_dpu(pairs, kc, tasklets=2)
+        views, done = {}, []
+        prepare, align_one = kernel._prepare_vector, kernel._align_one
+
+        def spy_prepare(*args):
+            precomputed = prepare(*args)
+            views.update((i, weakref.ref(v)) for i, v in precomputed.items())
+            return precomputed
+
+        def spy_align_one(dpu, layout, ctx, index, *rest):
+            assert [i for i in done if views[i]() is not None] == []
+            result = align_one(dpu, layout, ctx, index, *rest)
+            done.append(index)
+            return result
+
+        kernel._prepare_vector = spy_prepare
+        kernel._align_one = spy_align_one
+        gc.disable()
+        try:
+            _, results = kernel.run(
+                dpu, layout, assignments, "mram", collect_results=True
+            )
+        finally:
+            gc.enable()
+        assert sorted(done) == sorted(views) == list(range(6))
+        assert len(results) == 6

@@ -1,11 +1,14 @@
 """Tests for the full PIM system orchestration."""
 
+import gc
 import math
 
 import pytest
 
 from repro.baselines.gotoh import gotoh_score
+from repro.core.backtrace import backtrace
 from repro.core.penalties import AffinePenalties
+from repro.core.wfa import WfaEngine
 from repro.data.datasets import DatasetSpec
 from repro.data.generator import ReadPairGenerator
 from repro.errors import ConfigError
@@ -205,3 +208,41 @@ class TestPolicies:
         kc = KernelConfig(penalties=PEN, max_read_len=100, max_edits=4)
         with pytest.raises(KernelError):
             PimSystem(cfg, kc)
+
+
+class TestLongReads:
+    def test_default_tasklets_align_1000bp_reads(self):
+        """Whole wavefronts do not fit 16 slices at 1000 bp; chunks do."""
+        kc = KernelConfig(max_read_len=1000, max_edits=20)
+        system = PimSystem(upmem_single_rank(tasklets=16), kc)
+        pairs = ReadPairGenerator(length=1000, error_rate=0.02, seed=14).pairs(3)
+        res = system.align(pairs, verify=True)
+        assert res.tasklets == 16
+        assert len(res.results) == 3
+        for idx, score, cigar in res.results:
+            pair = pairs[idx]
+            engine = WfaEngine(
+                pair.pattern, pair.text, kc.penalties, max_score=kc.max_score
+            )
+            assert (score, str(cigar)) == (engine.run(), str(backtrace(engine)))
+
+
+class TestMemory:
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_runs_leave_no_cyclic_garbage(self, engine):
+        cfg = PimSystemConfig(
+            num_dpus=4, num_ranks=1, tasklets=4, num_simulated_dpus=4
+        )
+        kc = KernelConfig(penalties=PEN, max_read_len=60, max_edits=3, engine=engine)
+        system = PimSystem(cfg, kc)
+        pairs = ReadPairGenerator(length=60, error_rate=0.04, seed=15).pairs(16)
+        spec = DatasetSpec(num_pairs=400, length=60, error_rate=0.04, seed=2)
+        gc.collect()
+        gc.disable()
+        try:
+            system.align(pairs, verify=True)
+            assert gc.collect() == 0
+            system.model_run(spec, sample_pairs_per_dpu=8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -13,8 +13,10 @@ plan.
 
 from __future__ import annotations
 
+import gc
 import json
 import warnings
+import weakref
 
 import pytest
 
@@ -255,6 +257,26 @@ class TestEdgeCases:
         assert service.stats.to_dict() == {
             "submitted": 2, "completed": 1, "rejected": 1, "in_flight": 0,
         }
+
+    def test_drained_service_is_freed_without_the_cycle_collector(self):
+        """Cancelled timers drop their callbacks: no service-clock cycle."""
+        pair = ReadPair(pattern="ACGTACGT", text="ACGTACGA")
+        gc.collect()
+        gc.disable()
+        try:
+            service = make_service(max_wait_s=1.0, max_batch_pairs=64)
+            for i in range(3):
+                request = AlignRequest(
+                    client="c", request_id=f"r{i}", pairs=(pair,), deadline_s=5.0
+                )
+                service.submit(request)
+            service.drain()
+            ref = weakref.ref(service)
+            del service
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_metrics_cover_the_request_path(self):
         service = make_service(cache_pairs=8, max_batch_pairs=2)

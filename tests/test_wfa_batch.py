@@ -11,8 +11,10 @@ every byte of the serve layer's responses must be unchanged when the
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import (
+    AffinePenalties,
     EditPenalties,
+    LinearPenalties,
     TwoPieceAffinePenalties,
     WavefrontAligner,
 )
@@ -139,6 +143,32 @@ class TestFailureParity:
                 EditPenalties(),
                 span=AlignmentSpan(text_begin_free=4),
             )
+
+
+class TestRelease:
+    @pytest.mark.parametrize(
+        "penalties",
+        [
+            EditPenalties(),
+            LinearPenalties(),
+            AffinePenalties(),
+            TwoPieceAffinePenalties(),
+        ],
+        ids=["edit", "linear", "affine", "affine2p"],
+    )
+    def test_engine_is_freed_when_released(self, penalties):
+        """No reference cycle: the batch arrays go as soon as the engine does."""
+        generated = ReadPairGenerator(length=40, seed=3).pairs(4)
+        pairs = [(p.pattern, p.text) for p in generated]
+        gc.disable()
+        try:
+            engine = BatchWfaEngine(pairs, penalties)
+            views = engine.run()
+            ref = weakref.ref(engine)
+            del engine, views
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def run_system(engine: str):
