@@ -2,8 +2,8 @@
 """A tour of every distance metric and alignment mode in the library.
 
 One noisy pair, aligned under all four penalty models, in all the modes:
-exact, adaptive, static band, score-only, bidirectional, ends-free, and
-linear-space traceback — each checked against its classical-DP oracle.
+exact, adaptive, static band, score-only, ends-free, and linear-space
+traceback — each checked against its classical-DP oracle.
 
 Run:  python examples/metrics_tour.py
 """
@@ -19,7 +19,6 @@ from repro import (
     StaticBand,
     TwoPieceAffinePenalties,
     WavefrontAligner,
-    biwfa_score,
 )
 from repro.baselines import (
     gotoh2p_score,
@@ -82,10 +81,6 @@ def main() -> None:
             "upper bound" if banded.score > exact.score else "= exact",
         )
     )
-
-    bi = biwfa_score(pattern, text, pen)
-    assert bi == exact.score
-    rows.append(("affine, bidirectional (O(s) mem)", bi, "score only", "= exact"))
 
     mm_score, mm_cigar = myers_miller_align(pattern, text, pen)
     assert mm_score == exact.score

@@ -6,15 +6,14 @@ from positions inside a reference contig, then located by aligning each
 read semi-globally against its candidate window — the text may overhang
 freely on both sides, the read must align end-to-end.
 
-Also demonstrates the bidirectional scorer (BiWFA-style, O(s) memory)
-agreeing with the standard engine, and the analysis helpers.
+Also demonstrates the batch-statistics helpers.
 
 Run:  python examples/semiglobal_mapping.py
 """
 
 import random
 
-from repro import AffinePenalties, AlignmentSpan, WavefrontAligner, biwfa_score
+from repro import AffinePenalties, AlignmentSpan, WavefrontAligner
 from repro.analysis import summarize_results
 from repro.data import mutate_sequence, random_sequence
 
@@ -57,16 +56,6 @@ def main() -> None:
           f"{located}/{NUM_READS}")
     print()
     print(summarize_results(results).report())
-
-    # Bidirectional scorer cross-check on a global sub-case.
-    read, window, off = reads[0]
-    target = window[: len(read) + 5]
-    standard = WavefrontAligner(penalties).score(read, target)
-    bidirectional = biwfa_score(read, target, penalties)
-    assert standard == bidirectional
-    print()
-    print(f"BiWFA cross-check: standard={standard}, bidirectional={bidirectional} "
-          "(O(s)-memory scoring agrees)")
 
 
 if __name__ == "__main__":

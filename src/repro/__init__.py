@@ -15,8 +15,6 @@ from repro.core import (
     AffinePenalties,
     AlignmentResult,
     AlignmentSpan,
-    BiWfaScorer,
-    biwfa_score,
     Cigar,
     EditPenalties,
     LinearPenalties,
@@ -32,8 +30,6 @@ __all__ = [
     "WavefrontAligner",
     "AlignmentResult",
     "AlignmentSpan",
-    "BiWfaScorer",
-    "biwfa_score",
     "Cigar",
     "Penalties",
     "EditPenalties",

@@ -1,22 +1,9 @@
-"""Result analysis: batch statistics and cross-implementation comparison."""
+"""Result analysis: batch statistics."""
 
-from repro.analysis.compare import (
-    ComparisonReport,
-    Disagreement,
-    compare_alignments,
-    compare_scores,
-)
-from repro.analysis.mapping_eval import MappingEvaluation, evaluate_mappings
 from repro.analysis.stats import BatchStats, Distribution, summarize_results
 
 __all__ = [
     "BatchStats",
     "Distribution",
     "summarize_results",
-    "ComparisonReport",
-    "Disagreement",
-    "compare_scores",
-    "compare_alignments",
-    "MappingEvaluation",
-    "evaluate_mappings",
 ]

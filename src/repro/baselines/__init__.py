@@ -11,7 +11,6 @@ from repro.baselines.banded import (
     banded_gotoh_score,
 )
 from repro.baselines.bitparallel import levenshtein_dp, myers_edit_distance
-from repro.baselines.bounded import bounded_edit_distance
 from repro.baselines.gotoh import gotoh_align, gotoh_score
 from repro.baselines.gotoh2p import gotoh2p_score
 from repro.baselines.gotoh_endsfree import gotoh_endsfree_score
@@ -30,5 +29,4 @@ __all__ = [
     "myers_indel_distance",
     "myers_edit_distance",
     "levenshtein_dp",
-    "bounded_edit_distance",
 ]

@@ -1164,12 +1164,16 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A library error or a file the OS refuses (a missing input, a
+    directory where a file belongs) prints ``error: <msg>`` and exits 1.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

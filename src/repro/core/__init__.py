@@ -7,7 +7,6 @@ modes and full-CIGAR or score-only output.
 """
 
 from repro.core.aligner import AlignmentResult, WavefrontAligner
-from repro.core.bidirectional import BiWfaScorer, biwfa_score
 from repro.core.cigar import Cigar, CigarOp
 from repro.core.heuristics import AdaptiveReduction, StaticBand
 from repro.core.span import AlignmentSpan
@@ -25,19 +24,12 @@ from repro.core.wavefront import (
     WavefrontSet,
     WfaCounters,
 )
-from repro.core.viz import (
-    render_alignment_matrix,
-    render_score_histogram,
-    render_wavefront_progress,
-)
 from repro.core.wfa import WfaEngine
 from repro.core.wfa_batch import BatchPairView, BatchWfaEngine, align_batch
 
 __all__ = [
     "AlignmentResult",
     "WavefrontAligner",
-    "BiWfaScorer",
-    "biwfa_score",
     "Cigar",
     "CigarOp",
     "AdaptiveReduction",
@@ -57,7 +49,4 @@ __all__ = [
     "align_batch",
     "OFFSET_NULL",
     "NULL_THRESHOLD",
-    "render_wavefront_progress",
-    "render_alignment_matrix",
-    "render_score_histogram",
 ]

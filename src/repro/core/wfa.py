@@ -149,8 +149,8 @@ class WfaEngine:
 
         Seeds the anchored start point plus, for ends-free spans, one
         point per diagonal reachable by a free prefix skip.  Sets
-        ``self.score = 0``.  Part of the stepping API used by the
-        bidirectional scorer; :meth:`run` drives it internally.
+        ``self.score = 0``.  :meth:`run` calls it once, then
+        :meth:`advance` per score.
         """
         span = self.span
         wf0 = Wavefront(-span.pattern_begin_free, span.text_begin_free)

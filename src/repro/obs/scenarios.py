@@ -249,9 +249,8 @@ def host_parallel(profile: str) -> ScenarioResult:
 
 @scenario("scheduler_rounds")
 def scheduler_rounds(profile: str) -> ScenarioResult:
-    """MRAM-sized rounds through the batch scheduler, serialized vs
-    overlapped, with per-scenario counter attribution via the registry
-    diff."""
+    """MRAM-sized rounds through the batch scheduler, with per-scenario
+    counter attribution via the registry diff."""
     config = {
         "scenario": "scheduler_rounds",
         "profile": profile,
@@ -284,16 +283,6 @@ def scheduler_rounds(profile: str) -> ScenarioResult:
     )
     counters = counters_from_diff(telemetry.registry.diff(before))
 
-    overlapped = BatchScheduler(
-        _system(
-            config["num_dpus"],
-            config["tasklets"],
-            config["length"],
-            config["max_edits"],
-        ),
-        overlapped=True,
-    ).run(pairs, pairs_per_round=config["pairs_per_round"], collect_results=True)
-
     p50, p90, p99 = _pctl([r.total_seconds for r in run.per_round])
     return ScenarioResult(
         scenario="scheduler_rounds",
@@ -304,15 +293,7 @@ def scheduler_rounds(profile: str) -> ScenarioResult:
         latency_p50_s=p50,
         latency_p90_s=p90,
         latency_p99_s=p99,
-        info={
-            "rounds": run.schedule.rounds,
-            "overlapped_total_seconds": overlapped.total_seconds,
-            "overlap_speedup": (
-                run.total_seconds / overlapped.total_seconds
-                if overlapped.total_seconds
-                else 0.0
-            ),
-        },
+        info={"rounds": run.schedule.rounds},
         counters=counters,
     )
 

@@ -2,7 +2,6 @@
 
 from repro.perf.calibration import PAPER_TARGETS, PaperTargets
 from repro.perf.costs import CpuCostModel, DpuCostModel
-from repro.perf.energy import EnergyBreakdown, EnergyModel
 from repro.perf.report import (
     format_comparison,
     format_series,
@@ -15,8 +14,6 @@ __all__ = [
     "PAPER_TARGETS",
     "CpuCostModel",
     "DpuCostModel",
-    "EnergyModel",
-    "EnergyBreakdown",
     "format_table",
     "format_series",
     "format_comparison",

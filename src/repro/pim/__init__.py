@@ -63,7 +63,6 @@ from repro.pim.kernel import (
 )
 from repro.pim.layout import MramLayout
 from repro.pim.memory import Mram, SimMemory, Wram
-from repro.pim.host_api import DpuSet, dpu_alloc
 from repro.pim.parallel import (
     DpuJob,
     DpuJobResult,
@@ -75,7 +74,6 @@ from repro.pim.parallel import (
     run_dpu_job,
     run_dpu_job_resilient,
 )
-from repro.pim.rank import RankSummary, group_by_rank, imbalance
 from repro.pim.scheduler import BatchSchedule, BatchScheduler, ScheduledRun
 from repro.pim.system import PimRunResult, PimSystem
 from repro.pim.tasklet import TaskletContext, TaskletStats
@@ -116,8 +114,6 @@ __all__ = [
     "BatchScheduler",
     "BatchSchedule",
     "ScheduledRun",
-    "DpuSet",
-    "dpu_alloc",
     "DpuJob",
     "DpuJobResult",
     "GeneratorSpec",
@@ -154,9 +150,6 @@ __all__ = [
     "workload_fingerprint",
     "result_to_dict",
     "result_from_dict",
-    "RankSummary",
-    "group_by_rank",
-    "imbalance",
     "TaskletContext",
     "KernelTrace",
     "TraceEvent",

@@ -4,11 +4,9 @@ The paper's experiment fits 5M pairs into one distribution round (~430 KB
 per DPU against 64 MB banks), but a production workload — or longer
 reads — can exceed what the input+output regions of a bank can hold.
 The scheduler splits such workloads into rounds sized to MRAM capacity
-and runs distribute → launch → gather per round, modeling both the
-serialized schedule the paper's host loop implies and an overlapped
-(double-buffered) schedule where round ``i+1``'s transfer proceeds while
-round ``i``'s kernel runs — the standard optimization the paper's
-"Total vs Kernel" gap begs for.
+and runs distribute → launch → gather per round, serialized as the
+paper's host loop implies: a round's results are copied back only when
+its DPUs complete, and the next round starts after that.
 
 One round is one :meth:`BatchScheduler.run_round`: :meth:`BatchScheduler.run`
 loops over it, the fleet's round loop (:mod:`repro.pim.fleet`) drives it
@@ -66,7 +64,6 @@ class ScheduledRun:
 
     schedule: BatchSchedule
     per_round: list[PimRunResult] = field(default_factory=list)
-    overlapped: bool = False
     #: aggregate graceful-degradation report across rounds, with pair
     #: indices rebased to the full workload (``None`` without faults).
     recovery: Optional[RecoveryReport] = None
@@ -84,41 +81,23 @@ class ScheduledRun:
     @property
     def recovery_seconds(self) -> float:
         """Modeled host recovery overhead across rounds (backoff waits +
-        watchdog detection latency).  Serial host work either way — it
-        cannot hide behind the overlapped pipeline."""
+        watchdog detection latency)."""
         return sum(r.recovery_overhead_seconds for r in self.per_round)
 
     @property
     def total_seconds(self) -> float:
-        """Serialized: sum of round totals.  Overlapped: transfers of
-        round i+1 hide behind the kernel of round i (classic double
-        buffering), so each inner round costs max(kernel, transfer).
-        Recovery overhead (retry backoff, watchdog expiry) is exposed
-        host time in both schedules."""
+        """Sum of round totals: every round's transfers, launch and
+        kernel, plus the exposed recovery overhead (retry backoff,
+        watchdog expiry)."""
         if not self.per_round:
             return 0.0
-        if not self.overlapped:
-            launches = sum(r.launch_seconds for r in self.per_round)
-            return (
-                self.kernel_seconds
-                + self.transfer_seconds
-                + launches
-                + self.recovery_seconds
-            )
-        # pipeline: first in-transfer exposed, last out-transfer exposed,
-        # middle stages bounded by the slower of kernel / transfer.
-        # Launch overhead is host-side software work; while round i's
-        # kernel occupies the DPUs the host is idle and preps round
-        # i+1's launch, so inner launches pipeline behind the
-        # max(kernel, transfer) stages — only the first round's launch
-        # (nothing to hide behind yet) is exposed.
-        first_in = self.per_round[0].transfer_in_seconds
-        last_out = self.per_round[-1].transfer_out_seconds
-        exposed_launch = self.per_round[0].launch_seconds
-        middle = sum(
-            max(r.kernel_seconds, r.transfer_seconds) for r in self.per_round
+        launches = sum(r.launch_seconds for r in self.per_round)
+        return (
+            self.kernel_seconds
+            + self.transfer_seconds
+            + launches
+            + self.recovery_seconds
         )
-        return first_in + exposed_launch + middle + last_out + self.recovery_seconds
 
     def throughput(self) -> float:
         total = self.schedule.total_pairs
@@ -128,14 +107,8 @@ class ScheduledRun:
 class BatchScheduler:
     """Runs workloads through a :class:`PimSystem` in MRAM-sized rounds."""
 
-    def __init__(
-        self,
-        system: PimSystem,
-        overlapped: bool = False,
-        workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, system: PimSystem, workers: Optional[int] = None) -> None:
         self.system = system
-        self.overlapped = overlapped
         #: host worker processes per round (None = the system's config).
         self.workers = workers
 
@@ -277,9 +250,8 @@ class BatchScheduler:
         With telemetry attached to the system, each round records a
         wall-time ``scheduler_round`` span and bumps
         ``pim_scheduler_rounds_total``; the rounds' model-time sections
-        stack serially on the telemetry timeline (the serialized
-        schedule — the overlapped aggregate stays available via
-        :attr:`ScheduledRun.total_seconds`).
+        stack serially on the telemetry timeline, as they do in
+        :attr:`ScheduledRun.total_seconds`.
 
         With a ``fault_plan`` (or one configured on the system), each
         round runs fault-tolerantly and the per-round recovery reports
@@ -304,7 +276,7 @@ class BatchScheduler:
         executed.
         """
         schedule = self.plan(len(pairs), pairs_per_round)
-        out = ScheduledRun(schedule=schedule, overlapped=self.overlapped)
+        out = ScheduledRun(schedule=schedule)
         journal, replay = self.open_journal(
             journal, pairs, schedule, collect_results, fault_plan, retry_policy, health
         )

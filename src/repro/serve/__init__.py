@@ -2,7 +2,7 @@
 
 Layers (bottom up):
 
-* :mod:`repro.serve.clock` — injectable virtual / asyncio clocks;
+* :mod:`repro.serve.clock` — the injectable virtual clock;
 * :mod:`repro.serve.batcher` — pure micro-batching state machine;
 * :mod:`repro.serve.cache` — deterministic LRU/LFU result cache;
 * :mod:`repro.serve.dispatcher` — batches through the scheduler on a
@@ -19,7 +19,7 @@ recipe.
 
 from repro.serve.batcher import Batch, BatchPolicy, BatcherStats, MicroBatcher, WorkItem
 from repro.serve.cache import CacheStats, ResultCache, kernel_fingerprint, result_key
-from repro.serve.clock import AsyncioClock, Clock, Timer, VirtualClock
+from repro.serve.clock import Clock, Timer, VirtualClock
 from repro.serve.dispatcher import BatchDispatcher, BatchOutcome
 from repro.serve.resilience import (
     BACKEND_CPU,
@@ -42,7 +42,6 @@ from repro.serve.service import (
     AlignmentService,
     AlignRequest,
     AlignResponse,
-    AsyncAlignmentService,
     ServeFuture,
     ServiceConfig,
     ServiceStats,
@@ -53,8 +52,6 @@ __all__ = [
     "AlignmentService",
     "AlignRequest",
     "AlignResponse",
-    "AsyncAlignmentService",
-    "AsyncioClock",
     "BACKEND_CPU",
     "BACKEND_PIM",
     "Batch",

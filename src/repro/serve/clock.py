@@ -6,9 +6,8 @@ clock objects instead of ``time`` / ``asyncio.sleep``, for one reason:
 timeline and a deterministic timer queue — advancing it fires due
 timers in ``(deadline, registration order)`` order, so a thousand-request
 soak test runs in milliseconds of wall time and produces bit-identical
-modeled latencies on every run.  The :class:`AsyncioClock` adapter gives
-the same interface real-time semantics on a running event loop for
-production use.
+modeled latencies on every run.  Every command (``repro serve``,
+``repro loadgen``) runs the service on one.
 
 The interface is intentionally tiny:
 
@@ -25,7 +24,7 @@ from typing import Callable, List, Optional, Protocol
 
 from repro.errors import ServeError
 
-__all__ = ["Clock", "Timer", "VirtualClock", "AsyncioClock"]
+__all__ = ["Clock", "Timer", "VirtualClock"]
 
 
 class Clock(Protocol):
@@ -118,26 +117,3 @@ class VirtualClock:
         while self._timers and self._timers[0].cancelled:
             heapq.heappop(self._timers)
         return self._timers[0].when if self._timers else None
-
-
-class AsyncioClock:
-    """Real-time clock adapter over a running asyncio event loop.
-
-    Gives the service real deadline semantics in production: timers ride
-    ``loop.call_at`` and ``now()`` is ``loop.time()``.  Construct it
-    inside a running loop (e.g. at the top of ``asyncio.run``'s
-    coroutine).
-    """
-
-    def __init__(self, loop=None) -> None:
-        if loop is None:
-            import asyncio
-
-            loop = asyncio.get_running_loop()
-        self._loop = loop
-
-    def now(self) -> float:
-        return self._loop.time()
-
-    def call_at(self, when: float, callback: Callable[[], None]):
-        return self._loop.call_at(when, callback)

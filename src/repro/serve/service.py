@@ -67,7 +67,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceStats",
     "AlignmentService",
-    "AsyncAlignmentService",
     "build_service",
 ]
 
@@ -144,8 +143,7 @@ class ServeFuture:
 
     Callbacks run synchronously at resolution (inside ``submit``, a
     deadline firing, or ``drain``), which keeps the engine free of event
-    -loop dependencies; :class:`AsyncAlignmentService` bridges these to
-    ``asyncio`` futures.
+    -loop dependencies.
     """
 
     __slots__ = ("_result", "_exception", "_done", "_callbacks")
@@ -805,44 +803,6 @@ class AlignmentService:
                     request=response.request_id,
                 )
             pending.future._resolve(response, None)
-
-
-class AsyncAlignmentService:
-    """``asyncio`` facade over the deterministic engine.
-
-    Pair it with an :class:`~repro.serve.clock.AsyncioClock` for real
-    deadline timers on the running loop, or keep the
-    :class:`~repro.serve.clock.VirtualClock` and drive flushes manually
-    (size triggers and :meth:`AlignmentService.drain` need no timers).
-    """
-
-    def __init__(self, service: AlignmentService) -> None:
-        self.service = service
-
-    async def align(self, request: AlignRequest) -> AlignResponse:
-        """Submit and await one request (raises typed serve errors)."""
-        import asyncio
-
-        future = self.service.submit(request)
-        if future.done():
-            return future.result()
-        loop = asyncio.get_running_loop()
-        aio_future: "asyncio.Future[AlignResponse]" = loop.create_future()
-
-        def _bridge(done: ServeFuture) -> None:
-            if aio_future.cancelled():  # pragma: no cover - defensive
-                return
-            exc = done.exception()
-            if exc is not None:
-                aio_future.set_exception(exc)
-            else:
-                aio_future.set_result(done.result())
-
-        future.add_done_callback(_bridge)
-        return await aio_future
-
-    async def drain(self) -> None:
-        self.service.drain()
 
 
 def build_service(

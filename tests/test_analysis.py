@@ -1,16 +1,9 @@
-"""Tests for the analysis package (stats + comparison)."""
+"""Tests for the analysis package (batch statistics)."""
 
 import pytest
 
-from repro.analysis import (
-    ComparisonReport,
-    Distribution,
-    compare_alignments,
-    compare_scores,
-    summarize_results,
-)
+from repro.analysis import Distribution, summarize_results
 from repro.core.aligner import WavefrontAligner
-from repro.core.cigar import Cigar
 from repro.core.penalties import AffinePenalties
 from repro.data.generator import ReadPairGenerator
 from repro.errors import ConfigError
@@ -75,50 +68,3 @@ class TestBatchStats:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             summarize_results([])
-
-
-class TestCompareScores:
-    def test_agreement(self):
-        r = compare_scores([1, 2, 3], [1, 2, 3])
-        assert r.scores_agree
-        assert r.score_agreement == 1.0
-        assert not r.disagreements
-
-    def test_disagreement_recorded(self):
-        r = compare_scores([1, 2, 3], [1, 9, 3])
-        assert not r.scores_agree
-        assert r.score_matches == 2
-        assert r.disagreements[0].index == 1
-        assert "1/3" not in r.report()  # sanity: report renders counts
-        assert "2/3" in r.report()
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            compare_scores([1], [1, 2])
-        with pytest.raises(ConfigError):
-            compare_scores([], [])
-
-
-class TestCompareAlignments:
-    def test_identical(self):
-        c = Cigar.from_string("3M")
-        r = compare_alignments([(0, c)], [(0, c)])
-        assert r.cigar_matches == 1 and r.cigars_compared == 1
-
-    def test_cooptimal_paths_differ(self):
-        a = Cigar.from_string("1M1X1M")
-        b = Cigar.from_string("1X2M")
-        r = compare_alignments([(4, a)], [(4, b)])
-        assert r.scores_agree
-        assert r.cigar_matches == 0
-        assert any(d.kind == "cigar" for d in r.disagreements)
-
-    def test_score_only_entries_skipped(self):
-        r = compare_alignments([(4, None)], [(4, Cigar.from_string("1M"))])
-        assert r.cigars_compared == 0
-
-    def test_many_disagreements_truncated_in_report(self):
-        left = [(i, None) for i in range(20)]
-        right = [(i + 1, None) for i in range(20)]
-        text = compare_alignments(left, right).report()
-        assert "and 10 more" in text

@@ -121,10 +121,26 @@ class TestAlign:
         assert rc == 1
         assert "linear-space" in capsys.readouterr().err
 
-    def test_missing_input_is_clean_error(self, tmp_path, capsys):
-        missing = tmp_path / "nope.seq"
-        with pytest.raises(FileNotFoundError):
-            main(["align", "-i", str(missing)])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["align", "-i", "{missing}"],
+            ["pim-align", "-i", "{missing}"],
+            ["stats", "-i", "{missing}"],
+            ["serve", "-i", "{missing}"],
+            ["map", "--reference", "{missing}", "--reads", "r.fa", "-o", "o.paf"],
+            ["generate", "-o", "{missing}/x.seq"],
+            ["align", "-i", "{dir}"],
+        ],
+        ids=["align", "pim-align", "stats", "serve", "map", "generate", "directory"],
+    )
+    def test_missing_input_is_clean_error(self, argv, tmp_path, capsys):
+        paths = {"missing": str(tmp_path / "nope"), "dir": str(tmp_path)}
+        culprit = next(arg for arg in argv if "{" in arg).format(**paths)
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert culprit in err
 
 
 class TestPimAlign:

@@ -53,7 +53,6 @@ class TestExamples:
     def test_semiglobal_mapping(self):
         out = run_example("semiglobal_mapping.py")
         assert "position recovered" in out
-        assert "BiWFA cross-check" in out
 
     def test_metrics_tour(self):
         out = run_example("metrics_tour.py")
@@ -64,8 +63,3 @@ class TestExamples:
         out = run_example("pim_mapping.py")
         assert "96/96" in out
         assert "PAF round trip" in out
-
-    def test_filter_pipeline(self):
-        out = run_example("filter_pipeline.py")
-        assert "pre-alignment filtering" in out
-        assert "96/96" in out

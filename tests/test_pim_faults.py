@@ -31,8 +31,7 @@ from repro.pim.faults import (
     TransferTruncation,
     spare_placements,
 )
-from repro.pim.host_api import dpu_alloc
-from repro.pim.kernel import KernelConfig, WfaDpuKernel
+from repro.pim.kernel import KernelConfig
 from repro.pim.layout import MramLayout
 from repro.pim.scheduler import BatchScheduler
 from repro.pim.system import PimSystem
@@ -407,59 +406,6 @@ class TestSchedulerFaults:
             for i, s, c in [(i + 10 * rnd_i, s, c) for i, s, c in rnd.results]
         )
         assert flat(run) == flat(baseline)
-
-
-class TestHostApiFaults:
-    def _layout_and_batches(self, kernel, n_dpus=2, batch=4):
-        layout = make_layout(kernel.config, per_dpu=batch, tasklets=2)
-        gen = ReadPairGenerator(length=24, error_rate=0.05, seed=3)
-        return layout, [gen.pairs(batch) for _ in range(n_dpus)]
-
-    def test_dpu_set_surfaces_typed_errors(self):
-        kernel = WfaDpuKernel(
-            KernelConfig(penalties=EditPenalties(), max_read_len=24, max_edits=4)
-        )
-        plan = FaultPlan(deaths=(DpuDeath(dpu_id=1),))
-        with dpu_alloc(2, fault_plan=plan) as dpu_set:
-            dpu_set.load(kernel)
-            layout, batches = self._layout_and_batches(kernel)
-            dpu_set.copy_to(layout, batches)
-            with pytest.raises(DpuFailure):
-                dpu_set.launch(tasklets=2)
-
-    def test_dpu_set_pull_truncation(self):
-        kernel = WfaDpuKernel(
-            KernelConfig(penalties=EditPenalties(), max_read_len=24, max_edits=4)
-        )
-        plan = FaultPlan(
-            truncations=(TransferTruncation(dpu_id=0, direction="pull", keep_bytes=8),)
-        )
-        with dpu_alloc(2, fault_plan=plan) as dpu_set:
-            dpu_set.load(kernel)
-            layout, batches = self._layout_and_batches(kernel)
-            dpu_set.copy_to(layout, batches)
-            dpu_set.launch(tasklets=2)
-            with pytest.raises(TransferError):
-                dpu_set.copy_from()
-
-    def test_fault_free_plan_changes_nothing(self):
-        kernel = WfaDpuKernel(
-            KernelConfig(penalties=EditPenalties(), max_read_len=24, max_edits=4)
-        )
-        layout, batches = self._layout_and_batches(kernel)
-        outputs = []
-        for plan in (None, FaultPlan(deaths=(DpuDeath(dpu_id=7),))):
-            with dpu_alloc(2, fault_plan=plan) as dpu_set:
-                dpu_set.load(kernel)
-                dpu_set.copy_to(layout, batches)
-                dpu_set.launch(tasklets=2)
-                outputs.append(
-                    [
-                        [(s, str(c)) for s, c in per_dpu]
-                        for per_dpu in dpu_set.copy_from()
-                    ]
-                )
-        assert outputs[0] == outputs[1]
 
 
 class TestErrorTaxonomy:

@@ -97,9 +97,8 @@ def _round(kernel, t_in, t_out, launch) -> PimRunResult:
     )
 
 
-class TestOverlappedLaunchAccounting:
-    """Regression for the overlapped timing model: inner-round launches
-    pipeline behind max(kernel, transfer); only the first is exposed."""
+class TestLaunchAccounting:
+    """The serialized total charges every round's launch."""
 
     ROUNDS = [
         _round(1.0, 0.2, 0.1, 0.01),
@@ -107,49 +106,24 @@ class TestOverlappedLaunchAccounting:
         _round(0.5, 0.1, 0.4, 0.01),
     ]
 
+    def _run(self, rounds) -> ScheduledRun:
+        return ScheduledRun(
+            schedule=BatchSchedule(total_pairs=3, pairs_per_round=1),
+            per_round=list(rounds),
+        )
+
     def test_serialized_total_pinned(self):
-        run = ScheduledRun(
-            schedule=BatchSchedule(total_pairs=3, pairs_per_round=1),
-            per_round=list(self.ROUNDS),
-            overlapped=False,
-        )
         # kernels 3.5 + transfers 1.3 + all three launches 0.03
-        assert run.total_seconds == pytest.approx(3.5 + 1.3 + 0.03)
+        assert self._run(self.ROUNDS).total_seconds == pytest.approx(
+            3.5 + 1.3 + 0.03
+        )
 
-    def test_overlapped_total_pinned(self):
-        run = ScheduledRun(
-            schedule=BatchSchedule(total_pairs=3, pairs_per_round=1),
-            per_round=list(self.ROUNDS),
-            overlapped=True,
-        )
-        # first_in 0.2 + exposed launch 0.01
-        #   + max(1.0, 0.3) + max(2.0, 0.5) + max(0.5, 0.5) = 3.5
-        #   + last_out 0.4
-        assert run.total_seconds == pytest.approx(0.2 + 0.01 + 3.5 + 0.4)
-
-    def test_only_one_launch_charged(self):
-        serial = ScheduledRun(
-            schedule=BatchSchedule(total_pairs=3, pairs_per_round=1),
-            per_round=list(self.ROUNDS),
-            overlapped=False,
-        )
-        overlap = ScheduledRun(
-            schedule=BatchSchedule(total_pairs=3, pairs_per_round=1),
-            per_round=list(self.ROUNDS),
-            overlapped=True,
-        )
-        # zeroing the launch overhead must shrink the serialized total by
-        # 3 launches but the overlapped total by only the exposed one
+    def test_every_launch_charged(self):
+        # zeroing the launch overhead shrinks the total by all 3 launches
         free = [_round(r.kernel_seconds, r.transfer_in_seconds,
                        r.transfer_out_seconds, 0.0) for r in self.ROUNDS]
-        serial_free = ScheduledRun(
-            schedule=serial.schedule, per_round=free, overlapped=False
-        )
-        overlap_free = ScheduledRun(
-            schedule=serial.schedule, per_round=free, overlapped=True
-        )
-        assert serial.total_seconds - serial_free.total_seconds == pytest.approx(0.03)
-        assert overlap.total_seconds - overlap_free.total_seconds == pytest.approx(0.01)
+        saved = self._run(self.ROUNDS).total_seconds - self._run(free).total_seconds
+        assert saved == pytest.approx(0.03)
 
 
 class TestExecution:
@@ -169,17 +143,6 @@ class TestExecution:
         run = sched.run(pairs, pairs_per_round=20)
         expect = sum(r.total_seconds for r in run.per_round)
         assert run.total_seconds == pytest.approx(expect)
-
-    def test_overlap_beats_serialized(self, pairs):
-        serial = BatchScheduler(small_system(), overlapped=False).run(
-            pairs, pairs_per_round=20
-        )
-        overlap = BatchScheduler(small_system(), overlapped=True).run(
-            pairs, pairs_per_round=20
-        )
-        assert overlap.total_seconds < serial.total_seconds
-        assert overlap.kernel_seconds == pytest.approx(serial.kernel_seconds)
-        assert overlap.throughput() > serial.throughput()
 
     def test_single_round_equivalent_to_direct_align(self, pairs):
         system = small_system()

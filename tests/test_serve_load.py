@@ -25,7 +25,6 @@ from repro.errors import DegradedCapacity, Overloaded
 from repro.pim.faults import DpuDeath, FaultPlan
 from repro.serve import (
     AlignRequest,
-    AsyncAlignmentService,
     LoadgenConfig,
     ServiceConfig,
     arrival_times,
@@ -298,51 +297,6 @@ class TestEdgeCases:
             "serve_cache_lookups_total",
         ):
             assert name in flat, f"missing metric family {name}"
-
-
-class TestAsyncFacade:
-    def test_align_roundtrip_on_virtual_clock(self):
-        import asyncio
-
-        async def scenario():
-            # max_batch_pairs=1: every submit size-flushes, no timer needed
-            service = make_service(max_batch_pairs=1, cache_pairs=4)
-            facade = AsyncAlignmentService(service)
-            pair = ReadPair(pattern="ACGTACGT", text="ACGTACGA")
-            first = await facade.align(
-                AlignRequest(client="c", request_id="r0", pairs=(pair,))
-            )
-            again = await facade.align(
-                AlignRequest(client="c", request_id="r1", pairs=(pair,))
-            )
-            return first, again
-
-        first, again = asyncio.run(scenario())
-        assert first.scores == again.scores
-        assert first.cigars == again.cigars
-        assert again.cached == (True,)
-
-    def test_overload_propagates_through_await(self):
-        import asyncio
-
-        async def scenario():
-            service = make_service(
-                max_queue_pairs=1, max_wait_s=10.0, max_batch_pairs=64
-            )
-            facade = AsyncAlignmentService(service)
-            pair = ReadPair(pattern="ACGTACGT", text="ACGTACGA")
-            await_first = service.submit(
-                AlignRequest(client="c", request_id="r0", pairs=(pair,))
-            )
-            with pytest.raises(Overloaded):
-                await facade.align(
-                    AlignRequest(client="c", request_id="r1", pairs=(pair,))
-                )
-            await facade.drain()
-            return await_first
-
-        future = asyncio.run(scenario())
-        assert future.result().scores
 
 
 class TestFleetSoak:
