@@ -9,29 +9,12 @@ paper ports.
 from conftest import emit
 
 from repro.experiments.sweeps import algorithm_comparison
-from repro.perf.report import format_table
 
 
 def test_wfa_vs_banded_on_dpu(benchmark):
-    results = benchmark.pedantic(
-        lambda: {e: algorithm_comparison(error_rate=e, sample_pairs_per_dpu=24)
-                 for e in (0.02, 0.04)},
-        rounds=1,
-        iterations=1,
-    )
-    blocks = [res.report() for res in results.values()]
-    rows = []
-    for e, res in results.items():
-        vals = {r.label.split("(")[0]: r.values for r in res.rows}
-        rows.append(
-            (
-                f"E={e:.0%}",
-                f"{vals['banded']['kernel_s'] / vals['wfa']['kernel_s']:.2f}x",
-            )
-        )
-    blocks.append(format_table(["threshold", "wfa_speedup_over_banded"], rows))
-    emit("algo_comparison", "\n\n".join(blocks))
+    # the sweep's defaults: the same sampling as `repro sweep algos`
+    result = benchmark.pedantic(algorithm_comparison, rounds=1, iterations=1)
+    emit("algo_comparison", result.report())
 
-    for res in results.values():
-        vals = {r.label.split("(")[0]: r.values for r in res.rows}
-        assert vals["wfa"]["kernel_s"] < vals["banded"]["kernel_s"]
+    for e in result.results:
+        assert result.speedup(e) > 1.0  # WFA's kernel beats banded DP

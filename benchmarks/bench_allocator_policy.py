@@ -15,11 +15,8 @@ from repro.experiments.sweeps import allocator_policy_ablation
 
 
 def test_allocator_policy(benchmark):
-    result = benchmark.pedantic(
-        lambda: allocator_policy_ablation(error_rate=0.04, sample_pairs_per_dpu=32),
-        rounds=1,
-        iterations=1,
-    )
+    # the sweep's defaults: the same sampling as `repro sweep allocator`
+    result = benchmark.pedantic(allocator_policy_ablation, rounds=1, iterations=1)
     emit("allocator_policy", result.report())
 
     values = {r.label: r.values for r in result.rows}

@@ -12,13 +12,8 @@ from repro.experiments.sweeps import dpu_count_sweep
 
 
 def test_dpu_count_scaling(benchmark):
-    result = benchmark.pedantic(
-        lambda: dpu_count_sweep(
-            dpu_counts=(64, 256, 640, 1280, 2560), sample_pairs_per_dpu=32
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    # the sweep's defaults: the same sampling as `repro sweep dpus`
+    result = benchmark.pedantic(dpu_count_sweep, rounds=1, iterations=1)
     emit("dpu_count_sweep", result.report())
 
     kernel = result.series("kernel_s")

@@ -12,13 +12,8 @@ from repro.experiments.sweeps import error_rate_sweep
 
 
 def test_error_rate_scaling(benchmark):
-    result = benchmark.pedantic(
-        lambda: error_rate_sweep(
-            rates=(0.01, 0.02, 0.04, 0.06, 0.08, 0.10), sample_pairs_per_dpu=12
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    # the sweep's defaults: the same sampling as `repro sweep error-rate`
+    result = benchmark.pedantic(error_rate_sweep, rounds=1, iterations=1)
     emit("error_rate_sweep", result.report())
 
     kernel = result.series("kernel_s")

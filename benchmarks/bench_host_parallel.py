@@ -44,12 +44,13 @@ from repro.pim.system import PimSystem
 OUT_DIR = Path(__file__).parent / "out"
 
 
-def build_system(num_dpus: int, tasklets: int) -> PimSystem:
+def build_system(num_dpus: int, tasklets: int, workers: int) -> PimSystem:
     cfg = PimSystemConfig(
         num_dpus=num_dpus,
         num_ranks=1,
         tasklets=tasklets,
         num_simulated_dpus=num_dpus,
+        workers=workers,
     )
     kc = KernelConfig(
         penalties=AffinePenalties(4, 6, 2), max_read_len=100, max_edits=2
@@ -84,9 +85,9 @@ def main(argv=None) -> int:
     baseline_sig = None
     baseline_s = None
     for workers in worker_counts:
-        system = build_system(args.dpus, args.tasklets)
+        system = build_system(args.dpus, args.tasklets, workers)
         t0 = time.perf_counter()
-        res = system.align(pairs, collect_results=True, workers=workers)
+        res = system.align(pairs, collect_results=True)
         elapsed = time.perf_counter() - t0
         sig = signature(res)
         if baseline_sig is None:

@@ -11,13 +11,8 @@ from repro.experiments.sweeps import read_length_sweep
 
 
 def test_read_length_scaling(benchmark):
-    result = benchmark.pedantic(
-        lambda: read_length_sweep(
-            lengths=(100, 200, 500, 1000), sample_pairs_per_dpu=6
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    # the sweep's defaults: the same sampling as `repro sweep read-length`
+    result = benchmark.pedantic(read_length_sweep, rounds=1, iterations=1)
     emit("read_length_sweep", result.report())
 
     pairs_per_s = result.series("pairs_per_s")

@@ -24,10 +24,9 @@ from repro.errors import DegradedCapacity
 from repro.perf.report import format_table
 from repro.pim.config import PimSystemConfig
 from repro.pim.faults import DpuDeath, FaultPlan, RetryPolicy
-from repro.pim.health import FleetHealth, HealthPolicy
+from repro.pim.fleet import FleetCoordinator
+from repro.pim.health import HealthPolicy
 from repro.pim.kernel import KernelConfig
-from repro.pim.scheduler import BatchScheduler
-from repro.pim.system import PimSystem
 
 NUM_DPUS = 8
 DEAD_DPU = 3
@@ -47,12 +46,13 @@ def _conftest():
     return module
 
 
-def build_system(length: int = LENGTH) -> PimSystem:
+def build_fleet(length: int = LENGTH, health_policy=None) -> FleetCoordinator:
+    """A one-shard fleet: the plain multi-round run."""
     cfg = PimSystemConfig(
         num_dpus=NUM_DPUS, num_ranks=1, tasklets=8, num_simulated_dpus=NUM_DPUS
     )
     kc = KernelConfig(penalties=AffinePenalties(), max_read_len=length, max_edits=3)
-    return PimSystem(cfg, kc)
+    return FleetCoordinator(cfg, kc, health_policy=health_policy)
 
 
 def flat(run):
@@ -75,28 +75,26 @@ def run_resilience(
     )
     plan = FaultPlan(deaths=(DpuDeath(dpu_id=DEAD_DPU),))
     policy = RetryPolicy(max_attempts=2, backoff_base_s=2e-3)
-    retry_only = BatchScheduler(build_system(length)).run(
+    retry_only = build_fleet(length).run(
         pairs,
         pairs_per_round=pairs_per_round,
         collect_results=True,
         fault_plan=plan,
         retry_policy=policy,
     )
-    health = FleetHealth(
-        NUM_DPUS,
-        policy=HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9),
+    fleet = build_fleet(
+        length, HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9)
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedCapacity)
-        with_breaker = BatchScheduler(build_system(length)).run(
+        with_breaker = fleet.run(
             pairs,
             pairs_per_round=pairs_per_round,
             collect_results=True,
             fault_plan=plan,
             retry_policy=policy,
-            health=health,
         )
-    return retry_only, with_breaker, health
+    return retry_only, with_breaker, fleet.shard_healths[0]
 
 
 def write_resilience_artifact(

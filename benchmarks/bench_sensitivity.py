@@ -15,11 +15,8 @@ from repro.experiments.sensitivity import sensitivity_analysis
 
 
 def test_sensitivity(benchmark):
-    result = benchmark.pedantic(
-        lambda: sensitivity_analysis(factor=1.5, cpu_sample=150, pim_sample=32),
-        rounds=1,
-        iterations=1,
-    )
+    # the sweep's defaults: the same sampling as `repro sweep sensitivity`
+    result = benchmark.pedantic(sensitivity_analysis, rounds=1, iterations=1)
     emit("sensitivity", result.report())
 
     assert result.all_pim_wins()

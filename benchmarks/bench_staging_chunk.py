@@ -13,13 +13,8 @@ from repro.experiments.sweeps import staging_chunk_ablation
 
 
 def test_staging_granularity(benchmark):
-    result = benchmark.pedantic(
-        lambda: staging_chunk_ablation(
-            length=1000, error_rate=0.02, sample_pairs_per_dpu=4
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    # the sweep's defaults: the same sampling as `repro sweep staging`
+    result = benchmark.pedantic(staging_chunk_ablation, rounds=1, iterations=1)
     emit("staging_chunk", result.report())
 
     rows = {r.label: r.values for r in result.rows}

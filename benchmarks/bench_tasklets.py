@@ -11,15 +11,8 @@ from repro.experiments.sweeps import tasklet_sweep
 
 
 def test_tasklet_scaling(benchmark):
-    result = benchmark.pedantic(
-        lambda: tasklet_sweep(
-            error_rate=0.02,
-            tasklet_counts=(1, 2, 4, 8, 11, 16, 20, 24),
-            sample_pairs_per_dpu=48,
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    # the sweep's defaults: the same sampling as `repro sweep tasklets`
+    result = benchmark.pedantic(tasklet_sweep, rounds=1, iterations=1)
     emit("tasklet_sweep", result.report())
 
     ks = result.series("kernel_s")

@@ -42,15 +42,11 @@ def admission_table() -> None:
 def main() -> None:
     admission_table()
     print()
-    print(allocator_policy_ablation(error_rate=0.04, sample_pairs_per_dpu=24).report())
+    # the sweeps' defaults: the tables `repro sweep allocator` and
+    # `repro sweep tasklets` print
+    print(allocator_policy_ablation().report())
     print()
-    print(
-        tasklet_sweep(
-            error_rate=0.02,
-            tasklet_counts=(1, 2, 4, 8, 11, 16, 24),
-            sample_pairs_per_dpu=48,
-        ).report()
-    )
+    print(tasklet_sweep().report())
     print()
     print(
         "Reading: the 'wram' policy starves thread-level parallelism exactly\n"

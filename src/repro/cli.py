@@ -802,12 +802,6 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sensitivity_sweep():
-    from repro.experiments.sensitivity import sensitivity_analysis
-
-    return sensitivity_analysis(cpu_sample=120, pim_sample=24)
-
-
 def _cmd_qa(args: argparse.Namespace) -> int:
     from repro.pim.faults import DpuDeath, FaultPlan
     from repro.qa import QaConfig, run_qa, validate_qa_report
@@ -1131,17 +1125,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments import sweeps
+    """Print one sweep at its defaults: the committed ``benchmarks/out`` table."""
+    from repro.experiments import sensitivity, sweeps
 
     runner = {
-        "tasklets": lambda: sweeps.tasklet_sweep(sample_pairs_per_dpu=32),
-        "allocator": lambda: sweeps.allocator_policy_ablation(sample_pairs_per_dpu=24),
-        "error-rate": lambda: sweeps.error_rate_sweep(sample_pairs_per_dpu=12),
-        "read-length": lambda: sweeps.read_length_sweep(sample_pairs_per_dpu=6),
-        "dpus": lambda: sweeps.dpu_count_sweep(sample_pairs_per_dpu=24),
-        "algos": lambda: sweeps.algorithm_comparison(sample_pairs_per_dpu=16),
-        "staging": lambda: sweeps.staging_chunk_ablation(sample_pairs_per_dpu=3),
-        "sensitivity": _sensitivity_sweep,
+        "tasklets": sweeps.tasklet_sweep,
+        "allocator": sweeps.allocator_policy_ablation,
+        "error-rate": sweeps.error_rate_sweep,
+        "read-length": sweeps.read_length_sweep,
+        "dpus": sweeps.dpu_count_sweep,
+        "algos": sweeps.algorithm_comparison,
+        "staging": sweeps.staging_chunk_ablation,
+        "sensitivity": sensitivity.sensitivity_analysis,
     }[args.which]
     print(runner().report())
     return 0

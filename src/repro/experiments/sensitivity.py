@@ -99,7 +99,7 @@ def _evaluate(
 
 def sensitivity_analysis(
     factor: float = 1.5,
-    cpu_sample: int = 120,
+    cpu_sample: int = 150,
     pim_sample: int = 32,
 ) -> SensitivityResult:
     """Perturb each key constant by ``x factor`` and ``/ factor``."""

@@ -35,6 +35,7 @@ from repro.pim.transfer import HostTransferEngine
 __all__ = [
     "SweepRow",
     "SweepResult",
+    "AlgorithmComparison",
     "tasklet_sweep",
     "allocator_policy_ablation",
     "read_length_sweep",
@@ -84,7 +85,7 @@ def tasklet_sweep(
     error_rate: float = 0.02,
     tasklet_counts: tuple[int, ...] = (1, 2, 4, 8, 11, 16, 20, 24),
     metadata_policy: str = "mram",
-    sample_pairs_per_dpu: int = 32,
+    sample_pairs_per_dpu: int = 48,
     penalties: Penalties | None = None,
 ) -> SweepResult:
     """Kernel time vs tasklets (Abl. B).  Inadmissible points are skipped."""
@@ -190,7 +191,7 @@ def _admitted_tasklets(kc: KernelConfig, preferred: int = 16) -> int:
 def read_length_sweep(
     lengths: tuple[int, ...] = (100, 200, 500, 1000),
     error_rate: float = 0.02,
-    sample_pairs_per_dpu: int = 8,
+    sample_pairs_per_dpu: int = 6,
     penalties: Penalties | None = None,
 ) -> SweepResult:
     """Future work Ext. C: scaling to longer reads.
@@ -247,7 +248,7 @@ def read_length_sweep(
 
 def error_rate_sweep(
     rates: tuple[float, ...] = (0.01, 0.02, 0.04, 0.06, 0.08, 0.10),
-    sample_pairs_per_dpu: int = 16,
+    sample_pairs_per_dpu: int = 12,
     penalties: Penalties | None = None,
 ) -> SweepResult:
     """Future work Ext. D: higher edit-distance thresholds."""
@@ -413,12 +414,47 @@ def staging_chunk_ablation(
     )
 
 
+@dataclass
+class AlgorithmComparison:
+    """Ext. E: one WFA-vs-banded table per error threshold, plus WFA's
+    kernel speedup over banded DP at each."""
+
+    results: dict[float, SweepResult]
+
+    def speedup(self, error_rate: float) -> float:
+        """Banded kernel seconds over WFA kernel seconds at one threshold."""
+        vals = {r.label.split("(")[0]: r.values for r in self.results[error_rate].rows}
+        return vals["banded"]["kernel_s"] / vals["wfa"]["kernel_s"]
+
+    def report(self) -> str:
+        speedups = format_table(
+            ["threshold", "wfa_speedup_over_banded"],
+            [(f"E={e:.0%}", f"{self.speedup(e):.2f}x") for e in self.results],
+        )
+        return "\n\n".join(
+            [res.report() for res in self.results.values()] + [speedups]
+        )
+
+
 def algorithm_comparison(
-    error_rate: float = 0.02,
-    sample_pairs_per_dpu: int = 32,
+    error_rates: tuple[float, ...] = (0.02, 0.04),
+    sample_pairs_per_dpu: int = 24,
     tasklets: int = 16,
+) -> AlgorithmComparison:
+    """Ext. E: WFA vs banded-DP DPU kernels, both score-only, at each
+    error threshold."""
+    return AlgorithmComparison(
+        {
+            e: _algorithm_point(e, sample_pairs_per_dpu, tasklets)
+            for e in error_rates
+        }
+    )
+
+
+def _algorithm_point(
+    error_rate: float, sample_pairs_per_dpu: int, tasklets: int
 ) -> SweepResult:
-    """Ext. E: WFA vs banded-DP DPU kernels, both score-only."""
+    """WFA and banded DP at one error threshold."""
     spec = _default_spec(error_rate)
     load = math.ceil(spec.num_pairs / 2560)
     k = min(sample_pairs_per_dpu, load)

@@ -29,10 +29,11 @@ kind                 published by / meaning
 ``breaker``          :class:`~repro.pim.health.FleetHealth` — a circuit
                      breaker changed state (attrs: ``dpu``, ``old``,
                      ``new``)
-``watchdog``         :class:`~repro.pim.scheduler.BatchScheduler` — a
+``watchdog``         :meth:`~repro.pim.scheduler.BatchScheduler.run` — a
                      launch was declared stalled by watchdog-deadline
                      expiry (attrs: ``dpu``, ``round``)
-``journal_replay``   scheduler resume path — a journaled round was
+``journal_replay``   :meth:`~repro.pim.scheduler.BatchScheduler.run` on
+                     a resumed fleet run — a journaled round was
                      spliced in instead of executed (attrs: ``round``,
                      ``pairs``)
 ``fallback``         :class:`~repro.serve.dispatcher.BatchDispatcher` —

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import List, Optional
+from typing import List
 
 from repro.core.penalties import AffinePenalties
 from repro.data.generator import ReadPairGenerator
@@ -40,9 +40,9 @@ from repro.obs.bench import ScenarioResult, counters_from_diff, scenario
 from repro.obs.telemetry import RunTelemetry
 from repro.pim.config import PimSystemConfig
 from repro.pim.faults import DpuDeath, FaultPlan, RetryPolicy
-from repro.pim.health import FleetHealth, HealthPolicy
+from repro.pim.fleet import FleetCoordinator
+from repro.pim.health import HealthPolicy
 from repro.pim.kernel import KernelConfig
-from repro.pim.scheduler import BatchScheduler
 from repro.pim.system import PimSystem
 from repro.serve.loadgen import LoadgenConfig, percentile, run_load
 
@@ -61,20 +61,23 @@ SCENARIO_NAMES = (
 )
 
 
-def _system(
+def _configs(
     num_dpus: int,
     tasklets: int,
     length: int,
     max_edits: int,
     engine: str = "vector",
-    telemetry: Optional[RunTelemetry] = None,
-) -> PimSystem:
-    return PimSystem(
+    workers: int = 1,
+) -> tuple[PimSystemConfig, KernelConfig]:
+    """One system's (config, kernel config), for a ``PimSystem`` or a
+    one-shard ``FleetCoordinator``."""
+    return (
         PimSystemConfig(
             num_dpus=num_dpus,
             num_ranks=1,
             tasklets=tasklets,
             num_simulated_dpus=num_dpus,
+            workers=workers,
         ),
         KernelConfig(
             penalties=AffinePenalties(),
@@ -82,7 +85,6 @@ def _system(
             max_edits=max_edits,
             engine=engine,
         ),
-        telemetry=telemetry,
     )
 
 
@@ -130,12 +132,14 @@ def engine_vector_vs_scalar(profile: str) -> ScenarioResult:
     runs = {}
     walls = {}
     for engine in ("scalar", "vector"):
-        system = _system(
-            config["num_dpus"],
-            config["tasklets"],
-            config["length"],
-            config["max_edits"],
-            engine=engine,
+        system = PimSystem(
+            *_configs(
+                config["num_dpus"],
+                config["tasklets"],
+                config["length"],
+                config["max_edits"],
+                engine=engine,
+            )
         )
         t0 = time.perf_counter()
         runs[engine] = system.align(pairs, collect_results=True)
@@ -203,14 +207,17 @@ def host_parallel(profile: str) -> ScenarioResult:
     baseline = None
     walls = {}
     for workers in config["worker_counts"]:
-        system = _system(
-            config["num_dpus"],
-            config["tasklets"],
-            config["length"],
-            config["max_edits"],
+        system = PimSystem(
+            *_configs(
+                config["num_dpus"],
+                config["tasklets"],
+                config["length"],
+                config["max_edits"],
+                workers=workers,
+            )
         )
         t0 = time.perf_counter()
-        run = system.align(pairs, collect_results=True, workers=workers)
+        run = system.align(pairs, collect_results=True)
         walls[str(workers)] = time.perf_counter() - t0
         if baseline is None:
             baseline = run
@@ -249,8 +256,9 @@ def host_parallel(profile: str) -> ScenarioResult:
 
 @scenario("scheduler_rounds")
 def scheduler_rounds(profile: str) -> ScenarioResult:
-    """MRAM-sized rounds through the batch scheduler, with per-scenario
-    counter attribution via the registry diff."""
+    """MRAM-sized rounds through a one-shard fleet (the plain
+    multi-round run), with per-scenario counter attribution via the
+    registry diff."""
     config = {
         "scenario": "scheduler_rounds",
         "profile": profile,
@@ -270,15 +278,17 @@ def scheduler_rounds(profile: str) -> ScenarioResult:
     ).pairs(config["pairs"])
 
     telemetry = RunTelemetry()
-    system = _system(
-        config["num_dpus"],
-        config["tasklets"],
-        config["length"],
-        config["max_edits"],
+    fleet = FleetCoordinator(
+        *_configs(
+            config["num_dpus"],
+            config["tasklets"],
+            config["length"],
+            config["max_edits"],
+        ),
         telemetry=telemetry,
     )
     before = telemetry.registry.snapshot()
-    run = BatchScheduler(system).run(
+    run = fleet.run(
         pairs, pairs_per_round=config["pairs_per_round"], collect_results=True
     )
     counters = counters_from_diff(telemetry.registry.diff(before))
@@ -407,16 +417,19 @@ def resilience_breaker(profile: str) -> ScenarioResult:
             start += size
         return sorted(out)
 
-    def run_once(health):
-        system = _system(
-            config["num_dpus"],
-            config["tasklets"],
-            config["length"],
-            config["max_edits"],
+    def run_once(health_policy):
+        fleet = FleetCoordinator(
+            *_configs(
+                config["num_dpus"],
+                config["tasklets"],
+                config["length"],
+                config["max_edits"],
+            ),
+            health_policy=health_policy,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedCapacity)
-            return BatchScheduler(system).run(
+            return fleet.run(
                 pairs,
                 pairs_per_round=config["pairs_per_round"],
                 collect_results=True,
@@ -424,15 +437,11 @@ def resilience_breaker(profile: str) -> ScenarioResult:
                     deaths=(DpuDeath(dpu_id=config["dead_dpu"]),)
                 ),
                 retry_policy=policy,
-                health=health,
             )
 
-    retry_only = run_once(health=None)
+    retry_only = run_once(health_policy=None)
     with_breaker = run_once(
-        health=FleetHealth(
-            config["num_dpus"],
-            policy=HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9),
-        )
+        health_policy=HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9)
     )
     if flat(retry_only) != flat(with_breaker):
         raise LedgerError(
@@ -480,8 +489,6 @@ def fleet_scaling(profile: str) -> ScenarioResult:
     monotonically — from 1 through 20 shards.  Gated metrics come from
     the 4-shard point; the whole 1→2→4→20 curve rides in ``info``.
     """
-    from repro.pim.fleet import FleetCoordinator
-
     config = {
         "scenario": "fleet_scaling",
         "profile": profile,
@@ -706,7 +713,6 @@ def fleet_lossy_net(profile: str) -> ScenarioResult:
     time).  Gated metrics come from the 5% point, whose transport
     counters ride in ``counters`` for the ledger diff.
     """
-    from repro.pim.fleet import FleetCoordinator
     from repro.pim.transport import LinkDrop, LinkDuplicate, NetworkFaultPlan
 
     config = {

@@ -2,8 +2,8 @@
 to the PIM execution path.
 
 One :class:`RunTelemetry` accompanies a :class:`~repro.pim.system.PimSystem`
-(and any :class:`~repro.pim.scheduler.BatchScheduler` above it) for the
-lifetime of a workload.  The system calls back into it:
+(and the :class:`~repro.pim.scheduler.BatchScheduler` round step above
+it) for the lifetime of a workload.  The system calls back into it:
 
 * :meth:`absorb_worker` — after the deterministic ``dpu_id``-ordered
   merge, each worker's picklable metrics snapshot is folded into the
@@ -18,7 +18,7 @@ lifetime of a workload.  The system calls back into it:
   (:meth:`place_run` is the timeline half alone, for runs whose
   counters arrive in a pool worker's snapshot).
 
-Successive runs (e.g. scheduler rounds) stack serially on the model
+Successive runs (e.g. a fleet shard's rounds) stack serially on the model
 timeline, so a multi-round workload opens in Perfetto as one
 contiguous picture.
 

@@ -74,7 +74,7 @@ from repro.pim.parallel import (
     run_dpu_job,
     run_dpu_job_resilient,
 )
-from repro.pim.scheduler import BatchSchedule, BatchScheduler, ScheduledRun
+from repro.pim.scheduler import BatchSchedule, BatchScheduler
 from repro.pim.system import PimRunResult, PimSystem
 from repro.pim.tasklet import TaskletContext, TaskletStats
 from repro.pim.trace import KernelTrace, TraceEvent
@@ -113,7 +113,6 @@ __all__ = [
     "PimRunResult",
     "BatchScheduler",
     "BatchSchedule",
-    "ScheduledRun",
     "DpuJob",
     "DpuJobResult",
     "GeneratorSpec",

@@ -9,13 +9,15 @@ workload across ``shards`` independent, identically-shaped
 on the modeled clock (each shard's rounds stack serially on its own
 timeline; the fleet's makespan is the slowest shard's), the way the
 authors' follow-up framework paper dispatches work across real PIM
-ranks with host-side aggregation.
+ranks with host-side aggregation.  Its round loop is the only
+multi-round loop and :class:`FleetRun` the only multi-round record: a
+one-shard fleet is the plain multi-round run.
 
 Sharding model — **round striping**:
 
-* the workload is split into MRAM-sized rounds exactly as the unsharded
-  :class:`~repro.pim.scheduler.BatchScheduler` would split it (same
-  ``pairs_per_round``, same chunk boundaries);
+* the workload is split into MRAM-sized rounds by
+  :meth:`~repro.pim.scheduler.BatchScheduler.plan` (the same
+  ``pairs_per_round`` and chunk boundaries at every shard count);
 * round ``i`` is placed on shard ``active[i % len(active)]``, where
   ``active`` is the deterministic, health-ordered list of shards whose
   per-shard :class:`~repro.pim.health.FleetHealth` ledger still reports
@@ -23,8 +25,8 @@ Sharding model — **round striping**:
   DPUs — quarantined shards receive no rounds and a ``rebalance`` event
   is published on every change of the active set;
 * each shard executes its rounds through its own
-  :class:`~repro.pim.scheduler.BatchScheduler`, one
-  :meth:`~repro.pim.scheduler.BatchScheduler.run_round` at a time.
+  :class:`~repro.pim.scheduler.BatchScheduler`, one round step
+  (:meth:`~repro.pim.scheduler.BatchScheduler.run`) at a time.
 
 The round loop: every fleet run executes its ``(global round, shard,
 shard-local index, chunk)`` rows through one loop (:func:`_run_rows`)
@@ -40,10 +42,9 @@ function of (chunk, system config, fault plan, retry policy), a round
 produces the byte-identical :class:`~repro.pim.system.PimRunResult`
 no matter which shard runs it or how many shards exist.  Merging the
 per-round results back in global round order therefore reconstructs
-exactly the unsharded run's result stream — the differential
+exactly the one-shard run's result stream — the differential
 shard-equivalence property ``tests/test_pim_fleet.py`` pins
-(``shards=1`` ≡ unsharded ``BatchScheduler.run`` to the byte, and
-``shards=2/4`` ≡ ``shards=1`` at any worker count).  Placement only
+(``shards=2/4`` ≡ ``shards=1`` at any worker count).  Placement only
 moves modeled *time*, never results.
 
 Journal federation: ``journal=<dir>`` writes one standard
@@ -56,13 +57,12 @@ today.  The workload fingerprint deliberately excludes both ``workers``
 and ``shards`` (see :func:`~repro.pim.journal.workload_fingerprint`);
 the manifest is what carries ``shards``.
 
-The one-shard rule: a one-shard fleet adds nothing over its one shard,
-so it is byte-identical to a lone :class:`~repro.pim.scheduler.BatchScheduler`
-and every caller (serve, ``repro pim-align``, QA) runs through the fleet
-at any shard count.  Shard 0 then reports straight into the caller's
-telemetry (there is nothing to federate), and ``journal=`` names shard
-0's own journal *file* with no manifest, because its placement is
-trivially all-zero.
+The one-shard rule: a one-shard fleet adds nothing over its one shard's
+rounds, so every caller (serve, ``repro pim-align``, QA, the ledger
+scenarios) runs through the fleet at any shard count.  Shard 0 then
+reports straight into the caller's telemetry (there is nothing to
+federate), and ``journal=`` names shard 0's own journal *file* with no
+manifest, because its placement is trivially all-zero.
 
 Fault domains: a :class:`~repro.pim.faults.FaultPlan` handed to
 :meth:`FleetCoordinator.run` is interpreted per ``fault_domain``:
@@ -107,7 +107,7 @@ from repro.data.generator import ReadPair
 from repro.errors import ConfigError, DegradedCapacity, JournalError, TransportError
 from repro.pim.faults import FaultPlan, RecoveryReport, RetryPolicy
 from repro.pim.kernel import KernelConfig
-from repro.pim.scheduler import BatchSchedule, BatchScheduler, ScheduledRun
+from repro.pim.scheduler import BatchSchedule, BatchScheduler
 from repro.pim.system import PimRunResult, PimSystem
 from repro.pim.transport import (
     NetworkFaultPlan,
@@ -208,7 +208,6 @@ class ShardTask:
     shard_id: int
     config: "PimSystemConfig"
     kernel_config: KernelConfig
-    workers: Optional[int]
     #: the shard's rows, in global round order
     rows: tuple[_Row, ...]
     pairs_per_round: int
@@ -287,7 +286,7 @@ class _Lane:
         task = self.task
         self.scheduler._note_round_size(task.pairs_per_round)
         begin = max(arrive_s, self.clock)
-        result = self.scheduler.run_round(
+        result = self.scheduler.run(
             index,
             index * task.pairs_per_round,
             chunk,
@@ -427,7 +426,7 @@ def run_fleet_shard(task: ShardTask) -> ShardOutcome:
 
         telemetry = RunTelemetry()
     system = PimSystem(task.config, task.kernel_config, telemetry=telemetry)
-    scheduler = BatchScheduler(system, workers=task.workers)
+    scheduler = BatchScheduler(system)
     health = None
     if task.health_policy is not None:
         from repro.pim.health import FleetHealth
@@ -462,13 +461,15 @@ def run_fleet_shard(task: ShardTask) -> ShardOutcome:
 
 @dataclass
 class FleetRun:
-    """Aggregate outcome of one fleet run, in global round order.
+    """Aggregate outcome of one fleet run, in global round order — the
+    only multi-round record.
 
-    ``per_round`` / ``schedule`` / ``recovery`` / ``total_seconds``
-    deliberately mirror :class:`~repro.pim.scheduler.ScheduledRun`; the
-    timing semantics differ — shards run concurrently, so
+    Each shard's rounds stack serially on its own timeline
+    (:attr:`shard_seconds`); shards run concurrently, so
     ``total_seconds`` is the fleet *makespan* (slowest shard), not the
-    serial sum (on one shard the two coincide).
+    serial sum.  On one shard the two coincide: the plain multi-round
+    run, every round's transfers, launch and kernel plus its exposed
+    recovery overhead.
     """
 
     schedule: BatchSchedule
@@ -499,14 +500,18 @@ class FleetRun:
     @property
     def shard_seconds(self) -> dict[int, float]:
         """Modeled busy seconds per participating shard: its rounds,
-        stacked serially the way its scheduler's timeline stacks them."""
+        stacked serially on its lane — Σkernel + Σtransfer + Σlaunch +
+        Σrecovery overhead, summed in that order."""
         if self.transport is not None:
             return {k: v for k, v in sorted(self.transport.shard_busy_s.items())}
         rounds: dict[int, list[PimRunResult]] = {}
         for shard, result in zip(self.placements, self.per_round):
             rounds.setdefault(shard, []).append(result)
         return {
-            k: ScheduledRun(self.schedule, rounds[k]).total_seconds
+            k: sum(r.kernel_seconds for r in rounds[k])
+            + sum(r.transfer_seconds for r in rounds[k])
+            + sum(r.launch_seconds for r in rounds[k])
+            + sum(r.recovery_overhead_seconds for r in rounds[k])
             for k in sorted(rounds)
         }
 
@@ -609,7 +614,6 @@ class FleetCoordinator:
         kernel_config: Optional[KernelConfig] = None,
         shards: int = 1,
         *,
-        workers: Optional[int] = None,
         shard_workers: int = 1,
         health_policy: Optional["HealthPolicy"] = None,
         fault_domain: str = "global",
@@ -627,7 +631,6 @@ class FleetCoordinator:
             )
         self.shards = shards
         self.config = config
-        self.workers = workers
         self.shard_workers = shard_workers
         self.health_policy = health_policy
         self.fault_domain = fault_domain
@@ -646,7 +649,7 @@ class FleetCoordinator:
             system = PimSystem(config, kernel_config, telemetry=shard_tel)
             self.shard_telemetries.append(shard_tel)
             self.systems.append(system)
-            self.schedulers.append(BatchScheduler(system, workers=workers))
+            self.schedulers.append(BatchScheduler(system))
             health = None
             if health_policy is not None:
                 from repro.pim.health import FleetHealth
@@ -697,9 +700,6 @@ class FleetCoordinator:
     ) -> BatchSchedule:
         """The canonical (unsharded) schedule rounds are striped from."""
         return self.schedulers[0].plan(total_pairs, pairs_per_round)
-
-    def max_pairs_per_round(self, mram_budget_fraction: float = 0.9) -> int:
-        return self.schedulers[0].max_pairs_per_round(mram_budget_fraction)
 
     # -- health-aware placement --------------------------------------------
 
@@ -895,7 +895,6 @@ class FleetCoordinator:
                     shard_id=k,
                     config=self.config,
                     kernel_config=self.systems[k].kernel_config,
-                    workers=self.workers,
                     rows=tuple(row for row in rows if row[1] == k),
                     pairs_per_round=ppr,
                     collect_results=collect_results,

@@ -11,8 +11,9 @@ This module is the *across-round* memory: a :class:`FleetHealth` ledger
 holds one :class:`CircuitBreaker` per physical DPU, fed by the
 :class:`~repro.pim.faults.RecoveryReport` s each round produces (the
 per-attempt ``(placement, error)`` log attributes failures to physical
-hardware even after requeues).  The :class:`~repro.pim.scheduler.BatchScheduler`
-consults the ledger when planning a round: quarantined DPUs are
+hardware even after requeues).  The round step
+(:meth:`~repro.pim.scheduler.BatchScheduler.run`) consults the ledger
+when placing a round: quarantined DPUs are
 excluded from placement entirely — the round runs on the healthy
 remainder (honestly modeled: fewer DPUs means bigger per-DPU batches
 and longer kernels) instead of burning retries — and the capacity loss

@@ -2,20 +2,23 @@
 
 A host crash mid-batch today loses every completed round; at the
 paper's scale (millions of pairs over thousands of DPUs) that is hours
-of modeled device time.  This module gives :class:`~repro.pim.scheduler.BatchScheduler`
-durable, resumable runs:
+of modeled device time.  This module gives fleet runs
+(:class:`~repro.pim.fleet.FleetCoordinator`) durable, resumable rounds:
 
-* the scheduler opens a :class:`RunJournal` before the first round and
-  appends one record per completed round — admitted-workload
+* each shard's :class:`~repro.pim.scheduler.BatchScheduler` opens a
+  :class:`RunJournal` before its first round
+  (:meth:`~repro.pim.scheduler.BatchScheduler.open_journal`) and its
+  round step appends one record per completed round — admitted-workload
   fingerprint, per-round placement, the full gathered result set
   (digest-keyed by the workload), and the round's recovery outcome;
 * a crashed run is resumed with
-  :meth:`~repro.pim.scheduler.BatchScheduler.resume_run`, which replays
+  :meth:`~repro.pim.fleet.FleetCoordinator.resume_run`, which replays
   the journaled rounds *idempotently* (no device work, no re-shifting,
   no double-counted recovery) and executes only the incomplete
-  remainder — the final :class:`~repro.pim.scheduler.ScheduledRun` is
+  remainder — the final :class:`~repro.pim.fleet.FleetRun` is
   byte-identical to an uninterrupted run's, a guarantee the test suite
-  pins at ``workers=0`` and ``workers=2``.
+  pins at ``workers=0`` and ``workers=2``.  A one-shard run journals to
+  one file; a multi-shard run to one file per shard plus a manifest.
 
 File format (``repro.pim.journal/v1``): JSONL.  Line 1 is the header —
 schema tag plus a :func:`workload_fingerprint` of everything that

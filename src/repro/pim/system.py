@@ -31,6 +31,7 @@ deterministically by ``dpu_id``, so the two modes are result-identical.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -114,8 +115,8 @@ class PimRunResult:
     def recovery_overhead_seconds(self) -> float:
         """Modeled host-side recovery cost (backoff waits + watchdog
         detection latency).  Kept out of :attr:`total_seconds` — whose
-        section breakdown telemetry reconciles exactly — and charged at
-        the scheduler level (:attr:`~repro.pim.scheduler.ScheduledRun.total_seconds`),
+        section breakdown telemetry reconciles exactly — and charged on
+        the fleet's round timeline (:attr:`~repro.pim.fleet.FleetRun.shard_seconds`),
         where multi-round degradation accumulates."""
         return self.recovery.overhead_seconds if self.recovery is not None else 0.0
 
@@ -153,8 +154,6 @@ class PimSystem:
         config: PimSystemConfig,
         kernel_config: Optional[KernelConfig] = None,
         telemetry: Optional["RunTelemetry"] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         config.validate()
         self.config = config
@@ -165,13 +164,6 @@ class PimSystem:
         #: attached, every run collects kernel traces and worker metric
         #: snapshots and lays its sections on the model timeline.
         self.telemetry = telemetry
-        #: optional :class:`~repro.pim.faults.FaultPlan` every run
-        #: executes under; jobs then verify gathered results end to end
-        #: and route through the recovery layer.
-        self.fault_plan = fault_plan
-        #: recovery policy for fault-tolerant runs (defaults applied when
-        #: a plan is present and no policy was given).
-        self.retry_policy = retry_policy
         self.kernel = WfaDpuKernel(self.kernel_config)
         self.transfer = HostTransferEngine(
             config.transfer,
@@ -292,55 +284,32 @@ class PimSystem:
         )
         return per_dpu, results, regions, simulated, run_trace
 
-    def _execute(self, jobs: list[DpuJob], workers: Optional[int], kind: str):
-        """Run jobs, under a wall-time profiler span when telemetry is on."""
-        n = self._resolve_workers(workers)
-        if self.telemetry is None:
-            return execute_jobs(jobs, n)
-        with self.telemetry.profiler.span(
-            "host_execute", kind=kind, jobs=len(jobs), workers=n
-        ):
-            return execute_jobs(jobs, n)
-
-    def _execute_recovered(
-        self,
-        jobs: list[DpuJob],
-        workers: Optional[int],
-        kind: str,
-        policy: RetryPolicy,
-    ) -> tuple[list[DpuJobResult], RecoveryReport]:
-        """Fault-tolerant job execution under the same profiling span."""
-        n = self._resolve_workers(workers)
-        if self.telemetry is None:
-            return execute_jobs_resilient(jobs, n, policy)
-        with self.telemetry.profiler.span(
-            "host_execute", kind=kind, jobs=len(jobs), workers=n
-        ):
-            return execute_jobs_resilient(jobs, n, policy)
-
     def _run_jobs(
         self,
         jobs: list[DpuJob],
-        workers: Optional[int],
         kind: str,
         fault_plan: Optional[FaultPlan],
         retry_policy: Optional[RetryPolicy],
         num_slots: Optional[int] = None,
     ) -> tuple[list[DpuJobResult], Optional[RecoveryReport]]:
-        """Dispatch jobs on the plain or the recovered path.
+        """Dispatch jobs on the plain or the recovered path, under a
+        wall-time ``host_execute`` profiler span when telemetry is on.
 
         With a fault plan, the report's pair-index attribution is filled
         in under the round-robin contract (over ``num_slots`` logical
         slots) and its counters land in the attached telemetry registry.
         """
-        if fault_plan is None:
-            return self._execute(jobs, workers, kind), None
-        policy = (
-            retry_policy
-            if retry_policy is not None
-            else (self.retry_policy if self.retry_policy is not None else RetryPolicy())
-        )
-        records, report = self._execute_recovered(jobs, workers, kind, policy)
+        n = self.config.workers
+        span = nullcontext()
+        if self.telemetry is not None:
+            span = self.telemetry.profiler.span(
+                "host_execute", kind=kind, jobs=len(jobs), workers=n
+            )
+        with span:
+            if fault_plan is None:
+                return execute_jobs(jobs, n), None
+            policy = retry_policy if retry_policy is not None else RetryPolicy()
+            records, report = execute_jobs_resilient(jobs, n, policy)
         assign_pairs(
             report,
             num_slots if num_slots is not None else self.config.num_dpus,
@@ -349,9 +318,6 @@ class PimSystem:
         if self.telemetry is not None:
             report.count_into(self.telemetry.registry)
         return records, report
-
-    def _resolve_workers(self, workers: Optional[int]) -> int:
-        return self.config.workers if workers is None else workers
 
     def _system_bytes(
         self, num_pairs: int, layout: MramLayout, num_slots: Optional[int] = None
@@ -387,7 +353,6 @@ class PimSystem:
         pairs: list[ReadPair],
         collect_results: bool = True,
         verify: bool = False,
-        workers: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         active_dpus: Optional[tuple[int, ...]] = None,
@@ -400,11 +365,10 @@ class PimSystem:
         :class:`~repro.errors.KernelError` on any inconsistency) — the
         simulated-hardware analogue of WFA's verification mode.
 
-        ``workers`` overrides ``config.workers`` for this run;
-        ``fault_plan``/``retry_policy`` override the system-level ones.
-        A run under a fault plan verifies every gathered record in the
-        worker, recovers per the policy (retry, backoff, requeue onto
-        healthy DPUs), and attaches a
+        A run under a ``fault_plan`` verifies every gathered record in
+        the worker, recovers per ``retry_policy`` (retry, backoff,
+        requeue onto healthy DPUs; default :class:`~repro.pim.faults.RetryPolicy`),
+        and attaches a
         :class:`~repro.pim.faults.RecoveryReport` as ``result.recovery``.
 
         ``active_dpus`` restricts placement to a subset of the physical
@@ -421,7 +385,6 @@ class PimSystem:
         batches = [pairs[s::num_slots] for s in range(min(num_slots, max(n, 1)))]
         max_batch = max((len(b) for b in batches), default=0)
         layout = self.plan_layout(max(max_batch, 1))
-        plan = fault_plan if fault_plan is not None else self.fault_plan
 
         pull = collect_results or verify
         jobs = [
@@ -430,7 +393,7 @@ class PimSystem:
                 layout,
                 pairs=tuple(batch),
                 pull=pull,
-                fault_plan=plan,
+                fault_plan=fault_plan,
                 physical=None if active is None else active[s],
                 spare_pool=active,
             )
@@ -438,7 +401,7 @@ class PimSystem:
             if batch
         ]
         records, recovery = self._run_jobs(
-            jobs, workers, "align", plan, retry_policy, num_slots=num_slots
+            jobs, "align", fault_plan, retry_policy, num_slots=num_slots
         )
         per_dpu, results, regions, simulated, run_trace = self._merge_records(
             records, num_slots=num_slots
@@ -524,7 +487,6 @@ class PimSystem:
         spec: DatasetSpec,
         sample_pairs_per_dpu: int = 256,
         collect_results: bool = False,
-        workers: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> PimRunResult:
@@ -550,7 +512,6 @@ class PimSystem:
         scale = load / k
         layout = self.plan_layout(k)
 
-        plan = fault_plan if fault_plan is not None else self.fault_plan
         jobs = [
             self._make_job(
                 d,
@@ -563,12 +524,12 @@ class PimSystem:
                     count=k,
                 ),
                 pull=collect_results,
-                fault_plan=plan,
+                fault_plan=fault_plan,
             )
             for d in range(self.config.num_simulated_dpus)
         ]
         records, recovery = self._run_jobs(
-            jobs, workers, "model_run", plan, retry_policy
+            jobs, "model_run", fault_plan, retry_policy
         )
         per_dpu, results, regions, simulated, run_trace = self._merge_records(
             records

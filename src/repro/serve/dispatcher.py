@@ -3,9 +3,10 @@
 The dispatcher is the bridge between the service's batches and the
 existing execution stack: each batch runs through a
 :class:`~repro.pim.fleet.FleetCoordinator` (which splits it into
-MRAM-sized rounds, stripes them across its shards and fans each shard's
-rounds out over the host-parallel workers; a one-shard fleet is exactly
-its shard's :class:`~repro.pim.scheduler.BatchScheduler`), optionally
+MRAM-sized rounds, stripes them across its shards, runs each round
+through its shard's :class:`~repro.pim.scheduler.BatchScheduler` round
+step and fans it out over ``PimSystemConfig.workers`` host processes;
+a one-shard fleet is the plain multi-round run), optionally
 under a :class:`~repro.pim.faults.FaultPlan` so a DPU death mid-batch
 retries / requeues without dropping or duplicating a pair.
 

@@ -830,6 +830,8 @@ def build_service(
     One shared :class:`~repro.obs.telemetry.RunTelemetry` is attached to
     the fleet and the service (unless ``with_telemetry=False``), so a
     single federated metrics snapshot covers the whole request path.
+    ``workers`` is the shards' ``PimSystemConfig.workers`` (host
+    processes per round; results never depend on it).
 
     ``engine`` selects the kernel's host-side alignment engine
     (``"vector"``, the default since the QA sweep soaked on it, or
@@ -851,7 +853,7 @@ def build_service(
     byte-identical to ``shards=1`` while modeled completion times
     shrink).  Placement rebalances away from quarantined shards,
     publishing ``rebalance`` events into the service telemetry.  A
-    one-shard fleet is exactly the unsharded scheduler.
+    one-shard fleet is the plain multi-round run.
 
     ``net_plan``/``transport_policy`` model the coordinator<->shard
     network via :mod:`repro.pim.transport`: batches pay envelope

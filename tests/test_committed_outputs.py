@@ -1,9 +1,10 @@
-"""The committed sweep tables under ``benchmarks/out/`` match a fresh run.
+"""The committed tables under ``benchmarks/out/`` match a fresh run.
 
-Each case reruns one sweep with the arguments its ``benchmarks/bench_*.py``
-script passes and compares the rendered table byte for byte with the file
-that script writes, so a change that moves a modeled number cannot land
-without regenerating the table (and the docs that quote it).
+Each case runs one ``repro sweep`` (or ``repro fig1``) at its defaults —
+the sampling the ``benchmarks/bench_*.py`` script that writes the file
+uses too — and compares stdout byte for byte with the committed file, so
+a change that moves a modeled number cannot land without regenerating
+the table (and the docs that quote it).
 """
 
 from __future__ import annotations
@@ -12,32 +13,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.sweeps import (
-    error_rate_sweep,
-    read_length_sweep,
-    staging_chunk_ablation,
-)
+from repro.cli import main
 
 OUT = Path(__file__).resolve().parent.parent / "benchmarks" / "out"
 
-#: output name -> the sweep call of the script that writes it
-SWEEPS = {
-    # benchmarks/bench_read_length.py
-    "read_length_sweep": lambda: read_length_sweep(
-        lengths=(100, 200, 500, 1000), sample_pairs_per_dpu=6
-    ),
-    # benchmarks/bench_error_rate.py
-    "error_rate_sweep": lambda: error_rate_sweep(
-        rates=(0.01, 0.02, 0.04, 0.06, 0.08, 0.10), sample_pairs_per_dpu=12
-    ),
-    # benchmarks/bench_staging_chunk.py
-    "staging_chunk": lambda: staging_chunk_ablation(
-        length=1000, error_rate=0.02, sample_pairs_per_dpu=4
-    ),
+#: committed output name -> the command that prints it
+COMMANDS = {
+    "tasklet_sweep": ["sweep", "tasklets"],
+    "allocator_policy": ["sweep", "allocator"],
+    "error_rate_sweep": ["sweep", "error-rate"],
+    "read_length_sweep": ["sweep", "read-length"],
+    "dpu_count_sweep": ["sweep", "dpus"],
+    "algo_comparison": ["sweep", "algos"],
+    "staging_chunk": ["sweep", "staging"],
+    "sensitivity": ["sweep", "sensitivity"],
+    "fig1": ["fig1"],
 }
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_committed_sweep_output_is_current(name):
-    committed = (OUT / f"{name}.txt").read_text()
-    assert SWEEPS[name]().report() + "\n" == committed
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_committed_sweep_output_is_current(name, capsys):
+    assert main(COMMANDS[name]) == 0
+    assert capsys.readouterr().out == (OUT / f"{name}.txt").read_text()

@@ -1,6 +1,7 @@
 """Tests for the perf ledger: scenarios, records, and the regression gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ from repro.obs.bench import (
     validate_record,
 )
 from repro.obs.scenarios import SCENARIO_NAMES
+
+#: the committed perf-gate baseline (`make perf-gate`)
+BASELINE = Path(__file__).resolve().parent.parent / "BENCH_baseline.json"
 
 
 def result(scenario="demo", **overrides):
@@ -207,6 +211,16 @@ class TestScenarioCatalog:
         assert by_name["host_parallel"]["info"]["results_identical"] is True
         # and a fresh run gates cleanly against itself
         assert compare(records, records) == []
+        # every modeled number equals the committed baseline's exactly; a
+        # change that moves one on purpose re-records BENCH_baseline.json
+        baseline = latest_by_scenario(load_ledger(BASELINE))
+        assert sorted(baseline) == sorted(by_name)
+        for name, base in sorted(baseline.items()):
+            fresh = by_name[name]
+            assert fresh["config_fingerprint"] == base["config_fingerprint"], name
+            assert fresh["counters"] == base["counters"], name
+            for key in GATED_FIELDS:
+                assert fresh[key] == base[key], f"{name}: {key}"
 
 
 class TestCountersFromDiff:

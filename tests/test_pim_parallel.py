@@ -17,6 +17,7 @@ from repro.data.generator import ReadPairGenerator
 from repro.errors import ConfigError
 from repro.pim import parallel as parallel_mod
 from repro.pim.config import PimSystemConfig
+from repro.pim.fleet import FleetCoordinator
 from repro.pim.kernel import KernelConfig
 from repro.pim.parallel import (
     DpuJob,
@@ -25,19 +26,19 @@ from repro.pim.parallel import (
     resolve_workers,
     run_dpu_job,
 )
-from repro.pim.scheduler import BatchScheduler
 from repro.pim.system import PimSystem
 
 PEN = AffinePenalties(4, 6, 2)
+KERNEL = KernelConfig(penalties=PEN, max_read_len=50, max_edits=2)
 
 
-def make_system(
+def make_config(
     workers: int = 1,
     tasklets: int = 2,
     policy: str = "mram",
     num_dpus: int = 4,
-) -> PimSystem:
-    cfg = PimSystemConfig(
+) -> PimSystemConfig:
+    return PimSystemConfig(
         num_dpus=num_dpus,
         num_ranks=1,
         tasklets=tasklets,
@@ -45,8 +46,10 @@ def make_system(
         metadata_policy=policy,
         workers=workers,
     )
-    kc = KernelConfig(penalties=PEN, max_read_len=50, max_edits=2)
-    return PimSystem(cfg, kc)
+
+
+def make_system(**kwargs) -> PimSystem:
+    return PimSystem(make_config(**kwargs), KERNEL)
 
 
 def run_signature(res):
@@ -100,11 +103,12 @@ class TestEquivalence:
         assert run_signature(par) == run_signature(seq)
 
     def test_scheduler_matches_sequential(self):
+        """Multi-round runs (a one-shard fleet's rounds) too."""
         pairs = ReadPairGenerator(length=50, error_rate=0.02, seed=8).pairs(18)
-        seq = BatchScheduler(make_system()).run(
+        seq = FleetCoordinator(make_config(), KERNEL).run(
             pairs, pairs_per_round=8, collect_results=True
         )
-        par = BatchScheduler(make_system(), workers=2).run(
+        par = FleetCoordinator(make_config(workers=2), KERNEL).run(
             pairs, pairs_per_round=8, collect_results=True
         )
         assert seq.schedule == par.schedule
@@ -112,13 +116,6 @@ class TestEquivalence:
             run_signature(r) for r in seq.per_round
         ]
         assert par.total_seconds == seq.total_seconds
-
-    def test_workers_override_per_call(self):
-        pairs = ReadPairGenerator(length=50, error_rate=0.02, seed=9).pairs(8)
-        system = make_system(workers=1)
-        seq = system.align(pairs)
-        par = system.align(pairs, workers=2)
-        assert run_signature(par) == run_signature(seq)
 
 
 class TestTelemetryEquivalence:

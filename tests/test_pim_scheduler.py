@@ -1,4 +1,5 @@
-"""Tests for the multi-round batch scheduler."""
+"""Tests for the batch scheduler: round planning, MRAM capacity, and
+the round step a one-shard fleet loops over."""
 
 import pytest
 
@@ -6,17 +7,30 @@ from repro.core.penalties import AffinePenalties
 from repro.data.generator import ReadPairGenerator
 from repro.errors import ConfigError
 from repro.pim.config import PimSystemConfig
+from repro.pim.fleet import FleetCoordinator, FleetRun
 from repro.pim.kernel import KernelConfig
-from repro.pim.scheduler import BatchSchedule, BatchScheduler, ScheduledRun
+from repro.pim.scheduler import BatchSchedule, BatchScheduler
 from repro.pim.system import PimRunResult, PimSystem
+from repro.pim.transport import LinkDrop, NetworkFaultPlan, Partition, TransportPolicy
 
 PEN = AffinePenalties(4, 6, 2)
 
 
+def small_config() -> PimSystemConfig:
+    return PimSystemConfig(num_dpus=4, num_ranks=1, tasklets=2, num_simulated_dpus=4)
+
+
+def small_kernel() -> KernelConfig:
+    return KernelConfig(penalties=PEN, max_read_len=50, max_edits=2)
+
+
 def small_system() -> PimSystem:
-    cfg = PimSystemConfig(num_dpus=4, num_ranks=1, tasklets=2, num_simulated_dpus=4)
-    kc = KernelConfig(penalties=PEN, max_read_len=50, max_edits=2)
-    return PimSystem(cfg, kc)
+    return PimSystem(small_config(), small_kernel())
+
+
+def small_fleet(shards: int = 1, **kwargs) -> FleetCoordinator:
+    """A one-shard fleet by default: the plain multi-round run."""
+    return FleetCoordinator(small_config(), small_kernel(), shards=shards, **kwargs)
 
 
 class TestSchedule:
@@ -46,13 +60,6 @@ class TestCapacity:
         cap = sched.max_pairs_per_round()
         assert cap > 100_000  # 64 MB banks hold a lot of 50bp records
         assert cap % 4 == 0  # whole per-DPU batches
-
-    def test_budget_fraction_validated(self):
-        sched = BatchScheduler(small_system())
-        with pytest.raises(ConfigError):
-            sched.max_pairs_per_round(0)
-        with pytest.raises(ConfigError):
-            sched.max_pairs_per_round(1.5)
 
     def test_plan_validation(self):
         sched = BatchScheduler(small_system())
@@ -98,7 +105,7 @@ def _round(kernel, t_in, t_out, launch) -> PimRunResult:
 
 
 class TestLaunchAccounting:
-    """The serialized total charges every round's launch."""
+    """A one-shard run's serialized total charges every round's launch."""
 
     ROUNDS = [
         _round(1.0, 0.2, 0.1, 0.01),
@@ -106,9 +113,11 @@ class TestLaunchAccounting:
         _round(0.5, 0.1, 0.4, 0.01),
     ]
 
-    def _run(self, rounds) -> ScheduledRun:
-        return ScheduledRun(
+    def _run(self, rounds) -> FleetRun:
+        return FleetRun(
             schedule=BatchSchedule(total_pairs=3, pairs_per_round=1),
+            shards=1,
+            placements=[0] * len(rounds),
             per_round=list(rounds),
         )
 
@@ -132,30 +141,26 @@ class TestExecution:
         return ReadPairGenerator(length=50, error_rate=0.02, seed=8).pairs(60)
 
     def test_multi_round_aligns_everything(self, pairs):
-        sched = BatchScheduler(small_system())
-        run = sched.run(pairs, pairs_per_round=25, collect_results=True)
+        run = small_fleet().run(pairs, pairs_per_round=25, collect_results=True)
         assert run.schedule.rounds == 3
         assert sum(len(r.results) for r in run.per_round) == 60
         assert sum(r.pairs_simulated for r in run.per_round) == 60
 
     def test_serialized_time_is_sum_of_rounds(self, pairs):
-        sched = BatchScheduler(small_system())
-        run = sched.run(pairs, pairs_per_round=20)
+        run = small_fleet().run(pairs, pairs_per_round=20)
         expect = sum(r.total_seconds for r in run.per_round)
         assert run.total_seconds == pytest.approx(expect)
 
     def test_single_round_equivalent_to_direct_align(self, pairs):
-        system = small_system()
-        direct = system.align(pairs)
-        run = BatchScheduler(system).run(pairs)
+        direct = small_system().align(pairs)
+        run = small_fleet().run(pairs)
         assert run.schedule.rounds == 1
         assert run.total_seconds == pytest.approx(direct.total_seconds)
 
     def test_run_empty_workload_end_to_end(self):
         """Regression companion to the ``round_sizes()`` fix: an empty
         run performs zero device work and aggregates cleanly."""
-        sched = BatchScheduler(small_system())
-        run = sched.run([], collect_results=True)
+        run = small_fleet().run([], collect_results=True)
         assert run.schedule.total_pairs == 0
         assert run.per_round == []
         assert run.total_seconds == 0.0
@@ -163,8 +168,7 @@ class TestExecution:
         assert run.recovery is None
 
     def test_results_partition_by_round(self, pairs):
-        sched = BatchScheduler(small_system())
-        run = sched.run(pairs, pairs_per_round=25, collect_results=True)
+        run = small_fleet().run(pairs, pairs_per_round=25, collect_results=True)
         # scores across rounds match a flat alignment
         flat = small_system().align(pairs).results
         flat_scores = [s for _i, s, _c in sorted(flat)]
@@ -174,3 +178,46 @@ class TestExecution:
             chunked_scores.extend(s for _i, s, _c in sorted(r.results))
             start += size
         assert chunked_scores == flat_scores
+
+
+class TestRoundStep:
+    """The fleet's round loop calls :meth:`BatchScheduler.run` once per
+    round execution — the step perfbench times as ``pim.scheduler``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        step = BatchScheduler.run
+
+        def counted(self, *args, **kwargs):
+            seen.append(args[0])
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchScheduler, "run", counted)
+        return seen
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_one_step_per_round(self, calls, shards):
+        pairs = ReadPairGenerator(length=50, error_rate=0.02, seed=8).pairs(60)
+        run = small_fleet(shards).run(pairs, pairs_per_round=8)
+        assert run.schedule.rounds == 8
+        assert len(calls) == run.schedule.rounds
+        # shard-local indices: each shard counts its own rounds from 0
+        assert sorted(calls) == sorted(
+            run.placements[:r].count(shard) for r, shard in enumerate(run.placements)
+        )
+
+    def test_one_step_per_execution_under_hedging(self, calls):
+        """A steal executes the round a second time on another shard."""
+        plan = NetworkFaultPlan(
+            seed=1,
+            drops=tuple(LinkDrop(shard_id=s, p=0.2) for s in range(4)),
+            partitions=(Partition(start_s=1e-4, end_s=0.3, shard_ids=(1,)),),
+        )
+        fleet = small_fleet(
+            4, net_plan=plan, transport_policy=TransportPolicy(hedge=True)
+        )
+        pairs = ReadPairGenerator(length=50, error_rate=0.02, seed=8).pairs(64)
+        run = fleet.run(pairs, pairs_per_round=8)
+        assert run.transport.steals >= 1
+        assert len(calls) == run.schedule.rounds + run.transport.steals

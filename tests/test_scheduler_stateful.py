@@ -2,7 +2,9 @@
 
 A :class:`~hypothesis.stateful.RuleBasedStateMachine` accumulates a
 workload and a fault plan through arbitrary interleavings of rules, then
-flushes through a :class:`~repro.pim.scheduler.BatchScheduler`.  The
+flushes through a one-shard :class:`~repro.pim.fleet.FleetCoordinator`
+(the plain multi-round run of :class:`~repro.pim.scheduler.BatchScheduler`
+round steps).  The
 invariant under ANY fault plan (transient deaths, persistent deaths,
 corruption, even every-DPU-dead):
 
@@ -39,21 +41,23 @@ from repro.errors import DegradedCapacity
 from repro.pim.config import PimSystemConfig
 from repro.pim.faults import DpuDeath, FaultPlan, MramCorruption, RetryPolicy
 from repro.pim.fleet import FleetCoordinator
-from repro.pim.health import FleetHealth, HealthPolicy
+from repro.pim.health import HealthPolicy
 from repro.pim.kernel import KernelConfig
-from repro.pim.scheduler import BatchScheduler
-from repro.pim.system import PimSystem
 
 NUM_DPUS = 4
 
 
-def make_system() -> PimSystem:
-    return PimSystem(
+def make_fleet(shards: int = 1, health: bool = False) -> FleetCoordinator:
+    return FleetCoordinator(
         PimSystemConfig(
             num_dpus=NUM_DPUS, num_ranks=1, tasklets=4, num_simulated_dpus=NUM_DPUS
         ),
-        kernel_config=KernelConfig(
-            penalties=EditPenalties(), max_read_len=32, max_edits=4
+        KernelConfig(penalties=EditPenalties(), max_read_len=32, max_edits=4),
+        shards=shards,
+        health_policy=(
+            HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9)
+            if health
+            else None
         ),
     )
 
@@ -133,7 +137,7 @@ class SchedulerFaultMachine(RuleBasedStateMachine):
         pairs, plan = self.pending, self._plan()
         self.pending = []
         n = len(pairs)
-        run = BatchScheduler(make_system()).run(
+        run = make_fleet().run(
             pairs,
             pairs_per_round=pairs_per_round,
             collect_results=True,
@@ -157,7 +161,7 @@ class SchedulerFaultMachine(RuleBasedStateMachine):
         )
         if not self.corruptions:
             # deaths only: recovery must be invisible in the delivered data
-            baseline = BatchScheduler(make_system()).run(
+            baseline = make_fleet().run(
                 pairs, pairs_per_round=pairs_per_round, collect_results=True
             )
             expected = dict(
@@ -180,41 +184,28 @@ class SchedulerFaultMachine(RuleBasedStateMachine):
         self.pending = []
         n = len(pairs)
         policy = RetryPolicy(max_attempts=2, max_requeues=NUM_DPUS - 1)
-        health_policy = (
-            HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9)
-            if with_health
-            else None
-        )
-
-        def health():
-            if health_policy is None:
-                return None
-            return FleetHealth(NUM_DPUS, policy=health_policy)
-
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.jsonl"
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegradedCapacity)
-                full = BatchScheduler(make_system()).run(
+                full = make_fleet(health=with_health).run(
                     pairs,
                     pairs_per_round=pairs_per_round,
                     collect_results=True,
                     fault_plan=plan,
                     retry_policy=policy,
-                    health=health(),
                     journal=path,
                 )
                 lines = path.read_text().splitlines()
                 keep = 1 + min(crash_after, len(lines) - 1)  # header + k rounds
                 path.write_text("\n".join(lines[:keep]) + "\n")
-                resumed = BatchScheduler(make_system()).resume_run(
+                resumed = make_fleet(health=with_health).resume_run(
                     path,
                     pairs,
                     pairs_per_round=pairs_per_round,
                     collect_results=True,
                     fault_plan=plan,
                     retry_policy=policy,
-                    health=health(),
                 )
         assert resumed.rounds_replayed == keep - 1
         got = global_indices(resumed)
@@ -247,21 +238,6 @@ SHARDS = 2
 FLEET_DPUS = SHARDS * NUM_DPUS
 
 
-def make_fleet(health: bool = False) -> FleetCoordinator:
-    return FleetCoordinator(
-        PimSystemConfig(
-            num_dpus=NUM_DPUS, num_ranks=1, tasklets=4, num_simulated_dpus=NUM_DPUS
-        ),
-        KernelConfig(penalties=EditPenalties(), max_read_len=32, max_edits=4),
-        shards=SHARDS,
-        health_policy=(
-            HealthPolicy(window=4, failure_threshold=2, cooldown_s=1e9)
-            if health
-            else None
-        ),
-    )
-
-
 class FleetFaultMachine(RuleBasedStateMachine):
     """The scheduler machine's invariant, federated across shards.
 
@@ -271,8 +247,8 @@ class FleetFaultMachine(RuleBasedStateMachine):
 
     * delivered pair indices stay unique,
     * ``completed_pairs`` + ``abandoned_pairs`` partition ``0..n-1``,
-    * deaths-only plans deliver byte-identical alignments to an
-      unsharded fault-free baseline, and
+    * deaths-only plans deliver byte-identical alignments to a
+      one-shard fault-free baseline, and
     * crashing mid-run (one shard journal torn at a record boundary,
       another deleted outright) and resuming from the federated journal
       replays to identical results and identical per-shard health
@@ -337,7 +313,7 @@ class FleetFaultMachine(RuleBasedStateMachine):
         n = len(pairs)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedCapacity)
-            run = make_fleet().run(
+            run = make_fleet(SHARDS).run(
                 pairs,
                 pairs_per_round=pairs_per_round,
                 collect_results=True,
@@ -346,7 +322,7 @@ class FleetFaultMachine(RuleBasedStateMachine):
             )
         self._check_partition(run, n, plan)
         # deaths never change delivered data, sharded or not
-        baseline = BatchScheduler(make_system()).run(
+        baseline = make_fleet().run(
             pairs, pairs_per_round=pairs_per_round, collect_results=True
         )
         expected = dict((i, (s, c)) for i, s, c in flat_results(baseline))
@@ -376,7 +352,7 @@ class FleetFaultMachine(RuleBasedStateMachine):
             journal = Path(tmp) / "journal"
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegradedCapacity)
-                reference = make_fleet(with_health)
+                reference = make_fleet(SHARDS, with_health)
                 full = reference.run(
                     pairs,
                     pairs_per_round=pairs_per_round,
@@ -392,7 +368,7 @@ class FleetFaultMachine(RuleBasedStateMachine):
                 torn.write_text("\n".join(lines[:keep]) + "\n")
                 if lose_whole_shard and len(shard_files) > 1:
                     shard_files[-1].unlink()
-                resumer = make_fleet(with_health)
+                resumer = make_fleet(SHARDS, with_health)
                 resumed = resumer.resume_run(
                     journal,
                     pairs,
