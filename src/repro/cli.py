@@ -466,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="error budget: tolerated bad-request fraction")
     lg.add_argument("--events-out", metavar="PATH", default=None,
                     help="write the structured event log (breaker / "
-                         "watchdog / fallback / shed / deadline / "
-                         "slo_alert) as JSONL")
+                         "watchdog / fallback / slo_alert) as JSONL")
     lg.add_argument("--trace-out", metavar="PATH", default=None,
                     help="write a Chrome trace_event JSON of the replay "
                          "with events as instant annotations")
@@ -963,6 +962,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 rejected += 1
                 doc = {"client": request.client, "id": request.request_id,
                        "error": "overloaded", "detail": str(future)}
+            elif future.exception() is not None:
+                # fault recovery abandoned one of the request's pairs
+                rejected += 1
+                doc = {"client": request.client, "id": request.request_id,
+                       "error": "failed", "detail": str(future.exception())}
             else:
                 completed += 1
                 doc = future.result().to_dict()

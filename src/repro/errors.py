@@ -145,31 +145,6 @@ class Overloaded(ServeError):
         self.limit = limit
 
 
-class RequestCancelled(ServeError):
-    """A pending request was cancelled before its future resolved."""
-
-
-class DeadlineExceeded(ServeError):
-    """A request missed its modeled deadline.
-
-    Raised through the request's future when either (a) the deadline
-    passes on the service clock while the request is still unresolved,
-    or (b) the request's modeled completion time lands past the
-    deadline.  Carries the deadline and (when known) the modeled
-    completion so clients can log the miss margin.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        deadline_s: float = 0.0,
-        completion_s: float | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.deadline_s = deadline_s
-        self.completion_s = completion_s
-
-
 class ConfigError(ReproError):
     """Invalid platform / experiment configuration."""
 

@@ -20,7 +20,7 @@ hand:
   Chrome ``trace_event`` JSON for ``chrome://tracing`` / Perfetto;
 * :class:`~repro.obs.events.EventLog` — the bounded, deterministic
   structured event log (breaker transitions, watchdog trips, journal
-  replays, fallback edges, shed/deadline decisions, SLO alerts);
+  replays, fallback edges, SLO alerts);
 * :mod:`~repro.obs.slo` — declarative latency/error-budget SLOs with
   multi-window burn-rate alerting on the virtual clock;
 * :mod:`~repro.obs.bench` — the perf ledger: registered scenarios,

@@ -39,11 +39,6 @@ kind                 published by / meaning
 ``fallback``         :class:`~repro.serve.dispatcher.BatchDispatcher` —
                      CPU fallback engaged/disengaged (attrs: ``state``
                      ``"active"``/``"recovered"``, ``healthy_fraction``)
-``shed``             :class:`~repro.serve.service.AlignmentService` — a
-                     lower-priority request was shed under overload
-                     (attrs: ``request``, ``priority``, ``pairs``)
-``deadline``         service — a request missed its modeled deadline
-                     (attrs: ``request``, ``deadline_s``)
 ``slo_alert``        :mod:`repro.obs.slo` — a burn-rate alert fired or
                      resolved (attrs: ``state`` ``"fire"``/``"resolve"``,
                      ``window_s``, ``burn``)
@@ -88,8 +83,6 @@ __all__ = [
     "WATCHDOG",
     "JOURNAL_REPLAY",
     "FALLBACK",
-    "SHED",
-    "DEADLINE",
     "SLO_ALERT",
     "REBALANCE",
     "CAMPAIGN_CELL",
@@ -108,8 +101,6 @@ BREAKER = "breaker"
 WATCHDOG = "watchdog"
 JOURNAL_REPLAY = "journal_replay"
 FALLBACK = "fallback"
-SHED = "shed"
-DEADLINE = "deadline"
 SLO_ALERT = "slo_alert"
 REBALANCE = "rebalance"
 CAMPAIGN_CELL = "campaign_cell"
@@ -126,8 +117,6 @@ EVENT_KINDS = frozenset(
         WATCHDOG,
         JOURNAL_REPLAY,
         FALLBACK,
-        SHED,
-        DEADLINE,
         SLO_ALERT,
         REBALANCE,
         CAMPAIGN_CELL,

@@ -496,13 +496,9 @@ def _make_fleet(
 ):
     from repro.pim.config import PimSystemConfig
     from repro.pim.fleet import FleetCoordinator
+    from repro.pim.health import HealthPolicy
     from repro.pim.kernel import KernelConfig
 
-    health_policy = None
-    if ablation.breaker:
-        from repro.pim.health import HealthPolicy
-
-        health_policy = HealthPolicy(**_HEALTH_KWARGS)
     return FleetCoordinator(
         PimSystemConfig(
             num_dpus=cfg.num_dpus,
@@ -517,7 +513,7 @@ def _make_fleet(
             engine=ablation.engine,
         ),
         shards=ablation.resolve_shards(cfg.baseline_shards),
-        health_policy=health_policy,
+        health_policy=ablation.health_policy(HealthPolicy(**_HEALTH_KWARGS)),
         fault_domain="uniform",
         net_plan=net_plan,
     )
@@ -614,16 +610,20 @@ def _serve_phase(
         config=ServiceConfig(
             max_batch_pairs=8,
             max_wait_s=1e-3,
-            cache_pairs=64,
+            cache_pairs=64 if ablation.cache else 0,
             pairs_per_round=cfg.pairs_per_round,
         ),
         clock=VirtualClock(),
         fault_plan=fault_plan,
         retry_policy=retry_policy,
-        health_policy=HealthPolicy(**_HEALTH_KWARGS),
-        fallback=FallbackPolicy(min_healthy_fraction=_FALLBACK_THRESHOLD),
-        shards=cfg.baseline_shards,
-        ablation=ablation,
+        health_policy=ablation.health_policy(HealthPolicy(**_HEALTH_KWARGS)),
+        fallback=(
+            FallbackPolicy(min_healthy_fraction=_FALLBACK_THRESHOLD)
+            if ablation.fallback
+            else None
+        ),
+        engine=ablation.engine,
+        shards=ablation.resolve_shards(cfg.baseline_shards),
     )
     report = run_load(
         service,

@@ -9,8 +9,7 @@ Layers (bottom up):
   modeled device timeline;
 * :mod:`repro.serve.resilience` — CPU-fallback policy and backend for
   graceful degradation under fleet-health pressure;
-* :mod:`repro.serve.service` — admission, ordering, futures, metrics,
-  deadlines, priority shedding;
+* :mod:`repro.serve.service` — admission, ordering, futures, metrics;
 * :mod:`repro.serve.loadgen` — deterministic traces, replay, reports.
 
 See ``docs/serving.md`` for the design and the virtual-clock testing
@@ -19,7 +18,7 @@ recipe.
 
 from repro.serve.batcher import Batch, BatchPolicy, BatcherStats, MicroBatcher, WorkItem
 from repro.serve.cache import CacheStats, ResultCache, kernel_fingerprint, result_key
-from repro.serve.clock import Clock, Timer, VirtualClock
+from repro.serve.clock import Timer, VirtualClock
 from repro.serve.dispatcher import BatchDispatcher, BatchOutcome
 from repro.serve.resilience import (
     BACKEND_CPU,
@@ -60,7 +59,6 @@ __all__ = [
     "BatchPolicy",
     "BatcherStats",
     "CacheStats",
-    "Clock",
     "CpuFallbackBackend",
     "FallbackPolicy",
     "LoadReport",

@@ -95,11 +95,10 @@ class BatcherStats:
     submitted_pairs: int = 0
     flushed_pairs: int = 0
     batches: int = 0
-    cancelled_pairs: int = 0
 
     @property
     def pending_pairs(self) -> int:
-        return self.submitted_pairs - self.flushed_pairs - self.cancelled_pairs
+        return self.submitted_pairs - self.flushed_pairs
 
 
 class MicroBatcher:
@@ -165,16 +164,3 @@ class MicroBatcher:
     def drain(self, now: float) -> List[Batch]:
         """Flush everything regardless of deadlines (shutdown / drain)."""
         return self._flush_all("drain", now)
-
-    def remove_request(self, request_seq: int) -> int:
-        """Drop every pending item of one request (cancellation).
-
-        Returns the number of pairs removed.  Items of the request that
-        already left in a batch are *not* recalled — the caller must
-        check dispatch state before offering cancellation.
-        """
-        kept = deque(i for i in self._pending if i.request_seq != request_seq)
-        removed = len(self._pending) - len(kept)
-        self._pending = kept
-        self.stats.cancelled_pairs += removed
-        return removed

@@ -1,40 +1,28 @@
-"""Injectable clocks for the alignment service.
+"""The alignment service's virtual clock.
 
-Every deadline in :mod:`repro.serve` is driven through one of these
-clock objects instead of ``time`` / ``asyncio.sleep``, for one reason:
-**tests never sleep**.  A :class:`VirtualClock` owns a manually-advanced
+The batcher's flush deadline in :mod:`repro.serve` is driven through a
+:class:`VirtualClock` instead of ``time`` / ``asyncio.sleep``, for one
+reason: **tests never sleep**.  The clock owns a manually-advanced
 timeline and a deterministic timer queue — advancing it fires due
 timers in ``(deadline, registration order)`` order, so a thousand-request
 soak test runs in milliseconds of wall time and produces bit-identical
 modeled latencies on every run.  Every command (``repro serve``,
 ``repro loadgen``) runs the service on one.
 
-The interface is intentionally tiny:
-
-* ``now() -> float`` — current time in seconds;
-* ``call_at(when, callback) -> handle`` — schedule ``callback()`` at
-  ``when`` (a handle with ``cancel()``);
-* handles expose ``cancel()`` and nothing else the service relies on.
+The service uses three calls: ``now()`` (current modeled seconds),
+``call_at(when, callback)`` (schedule ``callback()`` at ``when``) and
+the returned :class:`Timer`'s ``cancel()``.  Its driver moves time with
+``advance_to`` / ``advance``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, List, Optional
 
 from repro.errors import ServeError
 
-__all__ = ["Clock", "Timer", "VirtualClock"]
-
-
-class Clock(Protocol):
-    """Structural interface every service clock satisfies."""
-
-    def now(self) -> float:  # pragma: no cover - protocol
-        ...
-
-    def call_at(self, when: float, callback: Callable[[], None]):  # pragma: no cover
-        ...
+__all__ = ["Timer", "VirtualClock"]
 
 
 class Timer:
@@ -84,11 +72,6 @@ class VirtualClock:
         self._seq += 1
         heapq.heappush(self._timers, timer)
         return timer
-
-    def call_later(self, delay: float, callback: Callable[[], None]) -> Timer:
-        if delay < 0:
-            raise ServeError(f"timer delay must be >= 0, got {delay}")
-        return self.call_at(self._now + delay, callback)
 
     def advance_to(self, deadline: float) -> None:
         """Move time forward to ``deadline``, firing every due timer."""

@@ -303,9 +303,10 @@ def replay(
     Arrival order is trace order; the clock is advanced to each arrival
     (firing any deadline flushes due in between), the request submitted,
     and at the end the service is drained so every future resolves.
-    Requests that terminate exceptionally — admission rejections, shed
-    victims, deadline misses — become ``"rejected"`` records (stamped
-    with their actual arrival time) rather than exceptions.
+    Requests that terminate exceptionally — admission rejections and
+    requests with a pair abandoned by fault recovery — become
+    ``"rejected"`` records (stamped with their actual arrival time)
+    rather than exceptions.
 
     With an :class:`~repro.obs.slo.SloPolicy`, the finished record set
     is evaluated into the report's ``slo`` section and each burn-rate
@@ -328,7 +329,7 @@ def replay(
             try:
                 response = future.result()
             except ServeError:
-                # shed / deadline-exceeded / fault-abandoned: a terminal
+                # a pair abandoned by fault recovery: a terminal
                 # rejection decided after admission.
                 response = None
         if response is None:

@@ -1,31 +1,15 @@
-"""Graceful degradation for the alignment service.
+"""Graceful degradation for the alignment service: CPU fallback.
 
-Three cooperating mechanisms keep the service *useful* while the fleet
-is unhealthy, all on the modeled clock (nothing sleeps, everything is
-deterministic under a :class:`~repro.serve.clock.VirtualClock`):
-
-* **Deadlines** — a request may carry an absolute modeled
-  ``deadline_s``; the service arms a virtual-clock timer per request
-  and resolves the future with a typed
-  :class:`~repro.errors.DeadlineExceeded` either when the clock passes
-  the deadline with the request unresolved, or when the batch's
-  modeled completion lands past it (see
-  :class:`~repro.serve.service.AlignmentService`).
-* **Priority shedding** — when admission control would reject a
-  request, strictly-lower-priority requests that have not yet
-  dispatched are shed (resolved with
-  :class:`~repro.errors.Overloaded`) to make room, lowest priority and
-  youngest first.
-* **CPU fallback** — this module.  When the
-  :class:`~repro.pim.health.FleetHealth` ledger reports healthy
-  capacity below :attr:`FallbackPolicy.min_healthy_fraction`, the
-  dispatcher routes whole batches to a host CPU baseline instead of
-  the degraded PIM fleet.  Fallback results are flagged
-  ``backend="cpu-fallback"`` on the response and are *oracle-equal* to
-  PIM results: the Gotoh baseline computes the same optimal affine
-  score the WFA kernel does, and its CIGAR validates and rescores
-  against the pair (the same checks :mod:`repro.qa.oracle` applies to
-  kernel output).
+When the :class:`~repro.pim.health.FleetHealth` ledger reports healthy
+capacity below :attr:`FallbackPolicy.min_healthy_fraction`, the
+dispatcher routes whole batches to a host CPU baseline instead of the
+degraded PIM fleet, on the modeled clock (nothing sleeps, everything
+is deterministic under a :class:`~repro.serve.clock.VirtualClock`).
+Fallback results are flagged ``backend="cpu-fallback"`` on the
+response and are *oracle-equal* to PIM results: the Gotoh baseline
+computes the same optimal affine score the WFA kernel does, and its
+CIGAR validates and rescores against the pair (the same checks
+:mod:`repro.qa.oracle` applies to kernel output).
 
 The CPU path is *modeled* like every other timing source: a fallback
 batch costs ``num_pairs / cpu_pairs_per_s`` modeled seconds on the

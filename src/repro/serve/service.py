@@ -44,13 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.data.generator import ReadPair
-from repro.errors import (
-    ConfigError,
-    DeadlineExceeded,
-    Overloaded,
-    RequestCancelled,
-    ServeError,
-)
+from repro.errors import ConfigError, Overloaded, ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.pim.faults import FaultPlan, RetryPolicy
 from repro.pim.fleet import FleetCoordinator
@@ -81,14 +75,6 @@ class AlignRequest:
     client: str
     request_id: str
     pairs: Tuple[ReadPair, ...]
-    #: optional absolute modeled-time deadline: if the request has not
-    #: resolved when the clock reaches it (or its batch's modeled
-    #: completion lands past it), the future raises a typed
-    #: :class:`~repro.errors.DeadlineExceeded`.
-    deadline_s: Optional[float] = None
-    #: shedding priority: under overload, strictly-lower-priority
-    #: requests that have not yet dispatched are shed to admit this one.
-    priority: int = 0
 
     @property
     def num_pairs(self) -> int:
@@ -142,8 +128,8 @@ class ServeFuture:
     """Minimal synchronous future resolved by the service engine.
 
     Callbacks run synchronously at resolution (inside ``submit``, a
-    deadline firing, or ``drain``), which keeps the engine free of event
-    -loop dependencies.
+    flush-timer firing, or ``drain``), which keeps the engine free of
+    event-loop dependencies.
     """
 
     __slots__ = ("_result", "_exception", "_done", "_callbacks")
@@ -226,8 +212,8 @@ class ServiceStats:
     Invariant (held at every step, pinned by the stateful test):
     ``submitted == completed + rejected + in_flight`` where
     ``in_flight`` is the number of live, unresolved requests and
-    ``rejected`` counts admission rejections, cancellations, and
-    fault-abandoned requests.
+    ``rejected`` counts admission rejections and fault-abandoned
+    requests.
     """
 
     submitted: int = 0
@@ -257,17 +243,10 @@ class _Pending:
     remaining: int
     batches: List[int] = field(default_factory=list)
     completion_s: float = 0.0
-    dispatched_pairs: int = 0
     failure: Optional[BaseException] = None
     #: backends (in first-use order) that served this request's
     #: uncached pairs — drives :attr:`AlignResponse.backend`.
     backends: List[str] = field(default_factory=list)
-    #: armed per-request deadline timer (cancelled on resolution)
-    deadline_timer: Optional[object] = None
-    #: tombstone: the future already resolved (deadline / late cancel)
-    #: but batch results may still arrive; absorb them for the cache
-    #: without touching the dead request's response state.
-    dead: bool = False
 
 
 class AlignmentService:
@@ -345,13 +324,6 @@ class AlignmentService:
         self._m_evictions = reg.counter(
             "serve_cache_evictions_total", "result-cache evictions"
         )
-        self._m_deadline = reg.counter(
-            "serve_deadline_exceeded_total",
-            "requests that missed their modeled deadline",
-        )
-        self._m_shed = reg.counter(
-            "serve_shed_total", "lower-priority requests shed under overload"
-        )
         self._m_fallback_pairs = reg.counter(
             "serve_fallback_pairs_total",
             "pairs served by the CPU fallback backend",
@@ -380,47 +352,13 @@ class AlignmentService:
 
         Raises :class:`~repro.errors.Overloaded` when admitting the
         request would push the in-system pair count past
-        ``max_queue_pairs`` *and* shedding strictly-lower-priority
-        undispatched requests cannot make room; the rejected request is
-        still accounted in :attr:`stats` (``submitted`` and
-        ``rejected`` both increase).
-
-        A request whose ``deadline_s`` already passed is never admitted:
-        its future comes back resolved with
-        :class:`~repro.errors.DeadlineExceeded`.
+        ``max_queue_pairs``; the rejected request is still accounted in
+        :attr:`stats` (``submitted`` and ``rejected`` both increase).
         """
         now = self.clock.now()
         n = request.num_pairs
         self.stats.submitted += 1
-        if request.deadline_s is not None and request.deadline_s <= now:
-            self.stats.rejected += 1
-            self._m_requests.inc(outcome="deadline")
-            self._m_deadline.inc()
-            from repro.obs.events import DEADLINE
-
-            self._publish_event(
-                DEADLINE,
-                now,
-                request=request.request_id,
-                deadline_s=request.deadline_s,
-            )
-            future = ServeFuture()
-            future._resolve(
-                None,
-                DeadlineExceeded(
-                    f"request {request.request_id}: deadline "
-                    f"{request.deadline_s:.6f}s already passed at "
-                    f"submission (now={now:.6f}s)",
-                    deadline_s=request.deadline_s,
-                    completion_s=now,
-                ),
-            )
-            return future
         occupancy = self.queue_pairs
-        if occupancy + n > self.config.max_queue_pairs:
-            occupancy -= self._shed_lower_priority(
-                occupancy + n - self.config.max_queue_pairs, request.priority
-            )
         if occupancy + n > self.config.max_queue_pairs:
             self.stats.rejected += 1
             self._m_requests.inc(outcome="overloaded")
@@ -476,50 +414,9 @@ class AlignmentService:
         if items:
             self._dispatch(self.batcher.add(items, now))
         self._deliver()
-        if request.deadline_s is not None and not pending.future.done():
-            pending.deadline_timer = self.clock.call_at(
-                request.deadline_s,
-                lambda s=seq: self._on_request_deadline(s),
-            )
         self._rearm()
         self._update_queue_gauge()
         return pending.future
-
-    def cancel(self, future: ServeFuture) -> bool:
-        """Cancel a live request.
-
-        Returns ``True`` when the request was cancelled (its future
-        raises :class:`~repro.errors.RequestCancelled`); ``False`` when
-        it already resolved.  A request whose pairs already left in a
-        batch can still be cancelled: its computed results are absorbed
-        (and cached) but never delivered, and its deadline — if any —
-        is disarmed so the cancellation never *also* counts as a
-        deadline miss.
-        """
-        pending = next(
-            (p for p in self._requests.values() if p.future is future), None
-        )
-        if pending is None or pending.dead or pending.future.done():
-            return False
-        removed = self.batcher.remove_request(pending.seq)
-        pending.remaining -= removed
-        try:
-            self._delivery.remove(pending.seq)
-        except ValueError:  # pragma: no cover - defensive
-            pass
-        self._resolve_dead(
-            pending,
-            RequestCancelled(f"request {pending.request.request_id} cancelled"),
-            outcome="cancelled",
-        )
-        if pending.remaining <= 0:
-            del self._requests[pending.seq]
-        else:  # pragma: no cover - defensive (synchronous engine)
-            pending.dead = True
-        self._deliver()  # the gate may have been waiting on this seq
-        self._rearm()
-        self._update_queue_gauge()
-        return True
 
     def drain(self) -> None:
         """Flush and dispatch everything pending; resolve all futures."""
@@ -530,122 +427,6 @@ class AlignmentService:
         self._update_queue_gauge()
 
     # -- internals ---------------------------------------------------------
-
-    def _publish_event(self, kind: str, t_s: float, **attrs: object) -> None:
-        """Publish into the telemetry event log (no-op sans telemetry)."""
-        if self.telemetry is not None:
-            self.telemetry.events.publish(kind, t_s, **attrs)
-
-    def _resolve_dead(
-        self, pending: _Pending, exc: BaseException, outcome: str
-    ) -> None:
-        """Common bookkeeping for a request resolved exceptionally."""
-        if pending.deadline_timer is not None:
-            pending.deadline_timer.cancel()
-            pending.deadline_timer = None
-        self.stats.in_flight -= 1
-        self.stats.rejected += 1
-        self._m_requests.inc(outcome=outcome)
-        pending.future._resolve(None, exc)
-
-    def _shed_lower_priority(self, needed: int, priority: int) -> int:
-        """Shed undispatched lower-priority requests; returns pairs freed.
-
-        Victims are live requests none of whose pairs have left in a
-        batch and whose priority is *strictly* below the incoming
-        request's — lowest priority first, youngest first within a
-        priority.  Each victim's future resolves with
-        :class:`~repro.errors.Overloaded` (outcome ``"shed"``).
-        """
-        if needed <= 0:
-            return 0
-        victims = sorted(
-            (
-                p
-                for p in self._requests.values()
-                if not p.dead
-                and not p.future.done()
-                and p.dispatched_pairs == 0
-                and p.remaining > 0
-                and p.request.priority < priority
-            ),
-            key=lambda p: (p.request.priority, -p.seq),
-        )
-        freed = 0
-        for victim in victims:
-            if freed >= needed:
-                break
-            freed += self.batcher.remove_request(victim.seq)
-            try:
-                self._delivery.remove(victim.seq)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            self._m_shed.inc()
-            from repro.obs.events import SHED
-
-            self._publish_event(
-                SHED,
-                self.clock.now(),
-                request=victim.request.request_id,
-                priority=victim.request.priority,
-                pairs=victim.request.num_pairs,
-            )
-            self._resolve_dead(
-                victim,
-                Overloaded(
-                    f"request {victim.request.request_id} shed for a "
-                    f"priority-{priority} request",
-                    queued_pairs=self.queue_pairs,
-                    limit=self.config.max_queue_pairs,
-                ),
-                outcome="shed",
-            )
-            del self._requests[victim.seq]
-        return freed
-
-    def _on_request_deadline(self, seq: int) -> None:
-        """Clock timer: the deadline passed with the request unresolved.
-
-        Cancellation and completion both disarm the timer, and a timer
-        racing a just-resolved future is a no-op — a request never
-        counts as both cancelled and deadline-exceeded.
-        """
-        pending = self._requests.get(seq)
-        if pending is None or pending.dead or pending.future.done():
-            return
-        pending.deadline_timer = None
-        removed = self.batcher.remove_request(seq)
-        pending.remaining -= removed
-        try:
-            self._delivery.remove(seq)
-        except ValueError:  # pragma: no cover - defensive
-            pass
-        self._m_deadline.inc()
-        from repro.obs.events import DEADLINE
-
-        self._publish_event(
-            DEADLINE,
-            self.clock.now(),
-            request=pending.request.request_id,
-            deadline_s=pending.request.deadline_s,
-        )
-        self._resolve_dead(
-            pending,
-            DeadlineExceeded(
-                f"request {pending.request.request_id}: deadline "
-                f"{pending.request.deadline_s:.6f}s passed unresolved",
-                deadline_s=pending.request.deadline_s,
-                completion_s=self.clock.now(),
-            ),
-            outcome="deadline",
-        )
-        if pending.remaining <= 0:
-            del self._requests[seq]
-        else:  # pragma: no cover - defensive (synchronous engine)
-            pending.dead = True
-        self._deliver()
-        self._rearm()
-        self._update_queue_gauge()
 
     def _update_queue_gauge(self) -> None:
         self._m_queue.set(self.queue_pairs)
@@ -675,8 +456,6 @@ class AlignmentService:
             self._m_batches.inc(reason=batch.reason)
             self._m_batch_pairs.observe(batch.num_pairs)
             self._m_batch_wait.observe(batch.wait_s)
-            for item in batch.items:
-                self._requests[item.request_seq].dispatched_pairs += 1
             outcome = self.dispatcher.dispatch(
                 [item.pair for item in batch.items], batch.formed_s
             )
@@ -687,8 +466,6 @@ class AlignmentService:
                 pending.remaining -= 1
                 if res is not None and self.cache is not None and item.key is not None:
                     self.cache.put(item.key, res)
-                if pending.dead:  # tombstoned: absorb, never deliver
-                    continue
                 pending.completion_s = max(
                     pending.completion_s, outcome.completed_s
                 )
@@ -708,11 +485,6 @@ class AlignmentService:
                 if new_evictions:
                     self._m_evictions.inc(new_evictions)
                     self._evictions_seen = self.cache.stats.evictions
-        done_dead = [
-            s for s, p in self._requests.items() if p.dead and p.remaining <= 0
-        ]
-        for s in done_dead:  # pragma: no cover - defensive (sync engine)
-            del self._requests[s]
 
     def _deliver(self) -> None:
         """Resolve every head-of-line request that is fully complete.
@@ -723,48 +495,11 @@ class AlignmentService:
         reordered within (or across) clients.
         """
         while self._delivery:
-            seq = self._delivery[0]
-            pending = self._requests.get(seq)
-            if pending is None:  # cancelled out-of-band
-                self._delivery.popleft()
-                continue
+            pending = self._requests[self._delivery[0]]
             if pending.remaining > 0:
                 return
             self._delivery.popleft()
-            del self._requests[seq]
-            if pending.deadline_timer is not None:
-                pending.deadline_timer.cancel()
-                pending.deadline_timer = None
-            deadline = pending.request.deadline_s
-            if (
-                pending.failure is None
-                and deadline is not None
-                and pending.completion_s > deadline
-            ):
-                # The modeled completion landed past the deadline: the
-                # clock has not necessarily reached it yet, but the
-                # outcome is already decided — resolve now, typed.
-                self._m_deadline.inc()
-                from repro.obs.events import DEADLINE
-
-                self._publish_event(
-                    DEADLINE,
-                    self.clock.now(),
-                    request=pending.request.request_id,
-                    deadline_s=deadline,
-                )
-                self._resolve_dead(
-                    pending,
-                    DeadlineExceeded(
-                        f"request {pending.request.request_id}: modeled "
-                        f"completion {pending.completion_s:.6f}s past "
-                        f"deadline {deadline:.6f}s",
-                        deadline_s=deadline,
-                        completion_s=pending.completion_s,
-                    ),
-                    outcome="deadline",
-                )
-                continue
+            del self._requests[pending.seq]
             self.stats.in_flight -= 1
             if pending.failure is not None:
                 self.stats.rejected += 1
@@ -821,7 +556,6 @@ def build_service(
     fallback: Optional[FallbackPolicy] = None,
     engine: str = "vector",
     shards: int = 1,
-    ablation=None,
     net_plan=None,
     transport_policy=None,
 ) -> AlignmentService:
@@ -861,29 +595,10 @@ def build_service(
     decision folds the *link* healthy fraction in — a partitioned shard
     degrades the service exactly like dead DPUs do.  A plan that names
     a link the fleet does not have is refused.
-
-    ``ablation`` (an :class:`~repro.pim.ablation.AblationConfig`)
-    overrides the individual knobs from one switchboard: it selects the
-    engine and shard count, strips ``health_policy`` when the breaker is
-    off, strips ``fallback`` when CPU fallback is off, and zeroes the
-    result cache when caching is off — so the campaign runner builds
-    every serve-stack variant from the same call site.
     """
-    from dataclasses import replace as _replace
-
     from repro.core.penalties import AffinePenalties
     from repro.pim.config import PimSystemConfig
     from repro.pim.kernel import KernelConfig
-
-    if ablation is not None:
-        ablation.validate()
-        engine = ablation.engine
-        shards = ablation.resolve_shards(shards)
-        health_policy = ablation.health_policy(health_policy)
-        if not ablation.fallback:
-            fallback = None
-        if not ablation.cache and config is not None and config.cache_pairs:
-            config = _replace(config, cache_pairs=0)
 
     telemetry = None
     if with_telemetry:

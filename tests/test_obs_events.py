@@ -8,7 +8,6 @@ from repro.obs.events import (
     BREAKER,
     CAMPAIGN_CELL,
     CAMPAIGN_DONE,
-    DEADLINE,
     EVENT_KINDS,
     EVENTS_SCHEMA,
     FALLBACK,
@@ -17,7 +16,6 @@ from repro.obs.events import (
     NET_PARTITION,
     NET_REDELIVER,
     REBALANCE,
-    SHED,
     SLO_ALERT,
     STEAL,
     WATCHDOG,
@@ -54,7 +52,7 @@ class TestPublish:
 
     def test_vocabulary_is_closed(self):
         assert EVENT_KINDS == {
-            BREAKER, WATCHDOG, JOURNAL_REPLAY, FALLBACK, SHED, DEADLINE,
+            BREAKER, WATCHDOG, JOURNAL_REPLAY, FALLBACK,
             SLO_ALERT, REBALANCE, CAMPAIGN_CELL, CAMPAIGN_DONE,
             NET_DROP, NET_REDELIVER, NET_PARTITION, STEAL,
         }
@@ -64,7 +62,7 @@ class TestBounds:
     def test_capacity_drops_oldest_and_counts(self):
         log = EventLog(capacity=3)
         for i in range(5):
-            log.publish(SHED, float(i), request=f"r{i}")
+            log.publish(STEAL, float(i), round=i, from_shard=0, to_shard=1)
         assert len(log) == 3
         assert log.dropped == 2
         assert [e.seq for e in log.events()] == [2, 3, 4]  # seqs keep rising
@@ -86,7 +84,7 @@ class TestQueries:
     def test_filter_by_kind(self):
         log = self._populated()
         assert [e.t_s for e in log.events(BREAKER)] == [0.1, 0.3]
-        assert log.events(SHED) == []
+        assert log.events(STEAL) == []
         with pytest.raises(TelemetryError):
             log.events("bogus")
 
@@ -98,7 +96,7 @@ class TestDocuments:
     def test_roundtrip_validates(self, tmp_path):
         log = EventLog()
         log.publish(JOURNAL_REPLAY, 0.0, round=0, pairs=24)
-        log.publish(DEADLINE, 1.5, request="r1", deadline_s=1.0)
+        log.publish(NET_DROP, 1.5, round=1, shard=0, direction="out", attempt=0)
         path = tmp_path / "events.jsonl"
         log.write(path)
         header = validate_event_log(str(path))
@@ -128,17 +126,17 @@ class TestDocuments:
                "attrs": {}}],
              "unknown kind"),
             ([{"record": "header", "schema": EVENTS_SCHEMA, "events": 2},
-              {"record": "event", "kind": "shed", "seq": 1, "t_s": 0.0,
+              {"record": "event", "kind": "steal", "seq": 1, "t_s": 0.0,
                "attrs": {}},
-              {"record": "event", "kind": "shed", "seq": 1, "t_s": 0.0,
+              {"record": "event", "kind": "steal", "seq": 1, "t_s": 0.0,
                "attrs": {}}],
              "does not increase"),
             ([{"record": "header", "schema": EVENTS_SCHEMA, "events": 1},
-              {"record": "event", "kind": "shed", "seq": 0, "t_s": -1.0,
+              {"record": "event", "kind": "steal", "seq": 0, "t_s": -1.0,
                "attrs": {}}],
              "t_s"),
             ([{"record": "header", "schema": EVENTS_SCHEMA, "events": 1},
-              {"record": "event", "kind": "shed", "seq": 0, "t_s": 0.0,
+              {"record": "event", "kind": "steal", "seq": 0, "t_s": 0.0,
                "attrs": []}],
              "attrs"),
         ],
@@ -215,32 +213,6 @@ class TestLayerPublishers:
         assert run.rounds_replayed == 2
         replays = tel2.events.events(JOURNAL_REPLAY)
         assert [dict(e.attrs)["round"] for e in replays] == [0, 1]
-
-    def test_service_publishes_shed_and_deadline(self):
-        from repro.data.generator import ReadPair
-        from repro.serve import AlignRequest, ServiceConfig, build_service
-        from repro.serve.clock import VirtualClock
-
-        service = build_service(
-            num_dpus=2,
-            tasklets=2,
-            max_read_len=16,
-            clock=VirtualClock(),
-            config=ServiceConfig(max_batch_pairs=4, max_wait_s=1e-3),
-        )
-        pair = ReadPair(pattern="ACGTACGT", text="ACGTACGT")
-        # a deadline strictly in the past is decided at submit time
-        service.clock.advance_to(1.0)
-        future = service.submit(
-            AlignRequest(
-                client="c", request_id="late", pairs=(pair,), deadline_s=0.5
-            )
-        )
-        service.drain()
-        with pytest.raises(Exception):
-            future.result()
-        (ev,) = service.telemetry.events.events(DEADLINE)
-        assert dict(ev.attrs)["request"] == "late"
 
     def test_dispatcher_publishes_fallback_edges(self):
         """Covered end-to-end in test_obs_slo.py's chaos drill; here just

@@ -103,6 +103,36 @@ class TestServeCommand:
                                    "cached", "latency_s", "batches"}
         assert "served 2 request(s)" in capsys.readouterr().err
 
+    def test_abandoned_pairs_are_reported_per_request(self, tmp_path, capsys):
+        """Shard 0's only DPU is dead: every round striped onto it is
+        abandoned, and each affected request gets a ``failed`` line while
+        the others are still served."""
+        requests = tmp_path / "req.jsonl"
+        responses = tmp_path / "resp.jsonl"
+        requests.write_text(
+            "".join(
+                json.dumps({"id": f"r{i}",
+                            "pairs": [["ACGTACGTAC", "ACGTTCGTAC"]]}) + "\n"
+                for i in range(6)
+            )
+        )
+        code = main(
+            ["serve", "-i", str(requests), "-o", str(responses),
+             "--dpus", "1", "--tasklets", "1", "--shards", "2",
+             "--kill-dpu", "0", "--max-read-len", "16",
+             "--max-batch-pairs", "2", "--pairs-per-round", "1"]
+        )
+        assert code == 0
+        lines = [json.loads(l) for l in responses.read_text().splitlines()]
+        assert [r["id"] for r in lines] == [f"r{i}" for i in range(6)]
+        failed = [r for r in lines if "error" in r]
+        assert [r["id"] for r in failed] == ["r0", "r2", "r4"]
+        for record in failed:
+            assert record["error"] == "failed"
+            assert "abandoned after fault recovery" in record["detail"]
+        assert all(r["scores"] == [4] for r in lines if "error" not in r)
+        assert "served 3 request(s), rejected 3" in capsys.readouterr().err
+
     def test_malformed_request_line_fails_cleanly(self, tmp_path, capsys):
         requests = tmp_path / "req.jsonl"
         requests.write_text('{"client": "a", "no_pairs_key": []}\n')
