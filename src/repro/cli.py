@@ -90,8 +90,9 @@ def _add_fleet_args(
     group.add_argument("--engine", choices=("scalar", "vector"),
                        default="vector",
                        help="host alignment engine (default: 'vector', "
-                            "which batches each DPU's pairs through the "
-                            "NumPy engine for simulation speed; 'scalar' "
+                            "which batches the simulated DPUs' pairs "
+                            "through the NumPy engine for simulation "
+                            "speed; 'scalar' "
                             "is the per-pair escape hatch; results, "
                             "counters and traces are identical)")
     group.add_argument("--max-edits", type=int, default=max_edits,
@@ -980,7 +981,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if service.dispatcher.recovery is not None:
         rec = service.dispatcher.recovery
         print(f"recovery: {rec.faults_seen} fault(s), "
-              f"{len(rec.rerun_pairs)} pair(s) re-run", file=sys.stderr)
+              f"{len(rec.rerun_pairs)} pair(s) re-run, "
+              f"{len(rec.abandoned_pairs)} abandoned", file=sys.stderr)
     if args.metrics_out:
         _write_serve_metrics(args.metrics_out, service)
     return 0

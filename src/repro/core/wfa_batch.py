@@ -36,6 +36,7 @@ sequence end compares unequal, ending the run exactly at the boundary.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Optional, Union
 
 import numpy as np
@@ -54,7 +55,6 @@ from repro.core.span import AlignmentSpan
 from repro.core.wavefront import (
     NULL_THRESHOLD,
     OFFSET_NULL,
-    Wavefront,
     WavefrontSet,
     WfaCounters,
 )
@@ -103,14 +103,80 @@ def _codepoint_matrix(
     return mat
 
 
+#: engine component name -> :class:`WavefrontSet` field
+_FIELDS = {"M": "m", "I": "i", "D": "d", "I2": "i2", "D2": "d2"}
+
+
+class _RowWavefront:
+    """One pair's row of a batch wavefront array, read a cell at a time.
+
+    Indexes like :class:`~repro.core.wavefront.Wavefront`: a diagonal
+    outside ``[lo, hi]`` reads :data:`OFFSET_NULL`.  ``ndarray.item``
+    returns a Python ``int``, so traceback arithmetic (and the CIGAR run
+    lengths it emits) never sees a NumPy scalar.
+    """
+
+    __slots__ = ("lo", "hi", "_array", "_row")
+
+    def __init__(self, array: np.ndarray, row: int, lo: int, hi: int) -> None:
+        self.lo = lo
+        self.hi = hi
+        self._array = array
+        self._row = row
+
+    def __getitem__(self, k: int) -> int:
+        if k < self.lo or k > self.hi:
+            return OFFSET_NULL
+        return self._array.item(self._row, k - self.lo)
+
+
+class _RowWavefronts(Mapping):
+    """Read-only ``score -> WavefrontSet`` view of one pair's batch rows.
+
+    Mirrors the scalar engine's ``wavefronts`` dict after a full-memory
+    run (keys ``0..final_score``, ``None`` for skipped scores) without
+    copying any row: each lookup wraps the batch arrays in place, so a
+    traceback reads only the O(path) cells it visits.
+    """
+
+    __slots__ = ("_engine", "_row", "_end")
+
+    def __init__(
+        self, engine: "BatchWfaEngine", row: int, final_score: Optional[int]
+    ) -> None:
+        self._engine = engine
+        self._row = row
+        self._end = -1 if final_score is None else final_score
+
+    def __len__(self) -> int:
+        return self._end + 1
+
+    def __iter__(self):
+        return iter(range(self._end + 1))
+
+    def __getitem__(self, score: int) -> Optional[WavefrontSet]:
+        if not 0 <= score <= self._end:
+            raise KeyError(score)
+        entry = self._engine._scores[score]
+        if entry is None:
+            return None
+        lo, hi, row, comps = entry["lo"], entry["hi"], self._row, entry["comps"]
+        return WavefrontSet(**{
+            _FIELDS[name]: _RowWavefront(array, row, lo, hi)
+            for name, array in comps.items()
+        })
+
+
 class BatchPairView:
     """One pair's results, duck-typing :class:`WfaEngine` for traceback.
 
     Exposes exactly the attributes :func:`repro.core.backtrace.backtrace`
     reads — ``final_score``, ``memory_mode``, ``penalties``, ``n``/``m``,
     ``end_k``/``end_offset``, ``span``, ``counters`` and a ``wavefronts``
-    dict.  The wavefronts are materialized lazily from the batch arrays
-    (one row slice per score), so score-only callers never pay for them.
+    mapping.  The mapping reads the batch arrays in place, one cell per
+    lookup, so score-only callers never pay for it and a traceback pays
+    only for the cells it visits.  A view keeps its engine (and so the
+    whole batch's arrays) alive; nothing refers back to the view.
 
     ``error`` is the scalar engine's :class:`AlignmentError` message when
     this pair exceeded its score cap; ``final_score`` is ``None`` then.
@@ -124,8 +190,6 @@ class BatchPairView:
         counters: WfaCounters,
         error: Optional[str],
     ) -> None:
-        self._engine = engine
-        self._row = row
         self.pattern = engine.patterns[row]
         self.text = engine.texts[row]
         self.n = len(self.pattern)
@@ -139,18 +203,7 @@ class BatchPairView:
         # Global span: the end point is always (m - n, m).
         self.end_k = self.m - self.n if final_score is not None else None
         self.end_offset = self.m if final_score is not None else None
-        self._wavefronts: Optional[dict[int, Optional[WavefrontSet]]] = None
-
-    @property
-    def wavefronts(self) -> dict[int, Optional[WavefrontSet]]:
-        if self._wavefronts is None:
-            if self.final_score is None:
-                self._wavefronts = {}
-            else:
-                self._wavefronts = self._engine._materialize_row(
-                    self._row, self.final_score
-                )
-        return self._wavefronts
+        self.wavefronts = _RowWavefronts(engine, row, final_score)
 
 
 class BatchWfaEngine:
@@ -580,31 +633,6 @@ class BatchWfaEngine:
         )
         final = None if error is not None else end_score
         return BatchPairView(self, i, final, counters, error)
-
-    def _materialize_row(
-        self, row: int, final_score: int
-    ) -> dict[int, Optional[WavefrontSet]]:
-        """Scalar-equivalent ``wavefronts`` dict for one pair's traceback."""
-        out: dict[int, Optional[WavefrontSet]] = {}
-        for s in range(final_score + 1):
-            entry = self._scores.get(s)
-            if entry is None:
-                out[s] = None
-                continue
-            lo, hi = entry["lo"], entry["hi"]
-            comps: dict[str, Wavefront] = {}
-            for name, arr in entry["comps"].items():
-                wf = Wavefront(lo, hi)
-                wf.offsets = arr[row].tolist()
-                comps[name] = wf
-            out[s] = WavefrontSet(
-                m=comps.get("M"),
-                i=comps.get("I"),
-                d=comps.get("D"),
-                i2=comps.get("I2"),
-                d2=comps.get("D2"),
-            )
-        return out
 
 
 def align_batch(

@@ -157,9 +157,10 @@ def counters_from_diff(diff_doc: Mapping) -> dict:
 
 
 def _git_rev() -> str:
+    """Short commit hash, with ``-dirty`` when tracked files differ from it."""
     try:
         rev = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--exclude=*"],
             cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,

@@ -36,9 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.core.aligner import AlignmentResult
 from repro.core.backtrace import backtrace
@@ -53,6 +53,7 @@ from repro.core.penalties import (
 )
 from repro.core.wfa import WfaEngine
 from repro.core.wfa_batch import BatchPairView, BatchWfaEngine
+from repro.data.generator import ReadPair
 from repro.errors import AllocationError, AlignmentError, KernelError
 from repro.pim.allocator import TaskletAllocator
 from repro.pim.config import DpuConfig
@@ -64,6 +65,12 @@ from repro.pim.trace import KernelTrace, TraceEvent
 from repro.perf.costs import DpuCostModel
 
 __all__ = ["KernelConfig", "WramPlan", "WfaDpuKernel", "max_supported_tasklets"]
+
+#: host bytes one vector-engine run may hold: :meth:`WfaDpuKernel.batch_views`
+#: puts at most ``BATCH_BUDGET_BYTES // metadata_peak_bytes()`` pairs in a
+#: run (1176 at 100 bp / 4 edits, 52 at 1000 bp / 20 edits, affine), so
+#: host memory follows read length, not the input size.
+BATCH_BUDGET_BYTES = 16 << 20
 
 
 def per_edit_cost(penalties: Penalties) -> int:
@@ -135,8 +142,9 @@ class KernelConfig:
     span: AlignmentSpan = field(default_factory=AlignmentSpan)
     #: host-side alignment engine.  ``"scalar"`` runs the per-pair
     #: :class:`~repro.core.wfa.WfaEngine` (the differential oracle);
-    #: ``"vector"`` batches a whole DPU's pairs through the NumPy
-    #: :class:`~repro.core.wfa_batch.BatchWfaEngine`.  Purely a host
+    #: ``"vector"`` batches pairs through the NumPy
+    #: :class:`~repro.core.wfa_batch.BatchWfaEngine`
+    #: (:meth:`WfaDpuKernel.batch_views`).  Purely a host
     #: simulation-speed knob: scores, CIGARs, counters, the wavefront
     #: log (hence DMA charging and the timing model), traces and fault
     #: behaviour are identical.  Configurations the batch engine cannot
@@ -333,6 +341,43 @@ class WfaDpuKernel:
             )
         return plan
 
+    # -- host engine ------------------------------------------------------
+
+    def batch_views(
+        self, pairs: Iterable[ReadPair]
+    ) -> Optional[Iterator[BatchPairView]]:
+        """Views of ``pairs`` aligned on the vector engine, lazily, in order.
+
+        The one place that decides whether the vector engine applies:
+        ``engine="vector"`` with a global span and no adaptive heuristic.
+        Otherwise returns ``None`` without consuming ``pairs``, and every
+        pair aligns on the scalar engine.  The iterator runs the engine
+        over ``BATCH_BUDGET_BYTES // metadata_peak_bytes()`` pairs at a
+        time, each run only once the previous one's views are all handed
+        out, and keeps no view it has handed out: host memory holds at
+        most the runs whose views are still alive.  A pair's results do
+        not depend on which run it shares.
+        """
+        cfg = self.config
+        if cfg.engine != "vector" or not cfg.span.is_global or cfg.adaptive:
+            return None
+        return self._chunked_views(iter(pairs))
+
+    def _chunked_views(self, pairs: Iterator[ReadPair]) -> Iterator[BatchPairView]:
+        cfg = self.config
+        cap = max(1, BATCH_BUDGET_BYTES // cfg.metadata_peak_bytes())
+        while chunk := [(p.pattern, p.text) for p in islice(pairs, cap)]:
+            views = BatchWfaEngine(
+                chunk,
+                cfg.penalties,
+                memory_mode="full" if cfg.traceback else "low",
+                max_score=cfg.max_score,
+                span=cfg.span,
+            ).run()
+            views.reverse()
+            while views:
+                yield views.pop()
+
     # -- execution ------------------------------------------------------
 
     def run(
@@ -343,6 +388,7 @@ class WfaDpuKernel:
         metadata_policy: str = "mram",
         collect_results: bool = False,
         trace: Optional[KernelTrace] = None,
+        views: Optional[dict[int, BatchPairView]] = None,
     ) -> tuple[list[TaskletStats], list[tuple[int, AlignmentResult]]]:
         """Run the kernel on one DPU.
 
@@ -358,6 +404,11 @@ class WfaDpuKernel:
             trace: optional :class:`~repro.pim.trace.KernelTrace` that
                 receives per-pair phase events (fetch/align/metadata/
                 writeback) with their cycle and byte costs.
+            views: vector-engine results by input-record index, from
+                :meth:`batch_views` over the host's copy of the pairs.
+                The kernel takes each view out of the dict as it aligns
+                that pair, so the view dies with its pair.  ``None``
+                runs :meth:`batch_views` over the records in MRAM.
 
         Returns:
             ``(tasklet_stats, results)`` where ``results`` is empty unless
@@ -400,59 +451,27 @@ class WfaDpuKernel:
             ctx.staging_chunk = plan.staging_chunk
             contexts.append(ctx)
 
-        precomputed: Optional[dict[int, BatchPairView]] = None
-        if (
-            self.config.engine == "vector"
-            and self.config.span.is_global
-            and not self.config.adaptive
-        ):
-            precomputed = self._prepare_vector(dpu, layout, assignments)
+        if views is None:
+            # Align the records in MRAM, read past the DMA engine so that
+            # transfer charging and trace events stay with each pair's fetch.
+            indices = [index for tasklet in assignments for index in tasklet]
+            records = (
+                dpu.mram.read(layout.input_addr(index), layout.input_record_size)
+                for index in indices
+            )
+            views = dict(
+                zip(indices, self.batch_views(map(layout.unpack_pair, records)) or ())
+            )
 
         results: list[tuple[int, AlignmentResult]] = []
         for ctx, indices in zip(contexts, assignments):
             for index in indices:
                 result = self._align_one(
-                    dpu, layout, ctx, index, metadata_policy, trace, precomputed
+                    dpu, layout, ctx, index, metadata_policy, trace, views
                 )
                 if collect_results:
                     results.append((index, result))
         return [ctx.stats for ctx in contexts], results
-
-    def _prepare_vector(
-        self,
-        dpu: Dpu,
-        layout: MramLayout,
-        assignments: list[list[int]],
-    ) -> dict[int, BatchPairView]:
-        """Batch-align the whole DPU's pairs with the vectorized engine.
-
-        Reads the input records directly out of MRAM — the same bytes the
-        per-tasklet DMA will fetch (fault injection corrupts MRAM before
-        the kernel runs), without touching the DMA engine, so transfer
-        charging and trace events stay exactly where the scalar path puts
-        them.  ``_align_one`` still parses each pair out of WRAM after
-        its charged fetch and only uses the precomputed result when the
-        sequences match byte-for-byte; any divergence (e.g. a corrupting
-        DMA fault hook) falls back to the scalar engine.
-        """
-        cfg = self.config
-        indices = [index for tasklet in assignments for index in tasklet]
-        if not indices:
-            return {}
-        pairs = []
-        for index in indices:
-            record = dpu.mram.read(
-                layout.input_addr(index), layout.input_record_size
-            )
-            pairs.append(layout.unpack_pair(record))
-        engine = BatchWfaEngine(
-            [(p.pattern, p.text) for p in pairs],
-            cfg.penalties,
-            memory_mode="full" if cfg.traceback else "low",
-            max_score=cfg.max_score,
-            span=cfg.span,
-        )
-        return dict(zip(indices, engine.run()))
 
     # -- one pair ------------------------------------------------------
 
@@ -464,7 +483,7 @@ class WfaDpuKernel:
         index: int,
         metadata_policy: str,
         trace: Optional[KernelTrace] = None,
-        precomputed: Optional[dict[int, BatchPairView]] = None,
+        views: Optional[dict[int, BatchPairView]] = None,
     ) -> AlignmentResult:
         cfg = self.config
         stats = ctx.stats
@@ -487,12 +506,11 @@ class WfaDpuKernel:
         pair = layout.unpack_pair(record)
 
         # 2. Align (functional engine; counters drive the cost replay).
-        # A precomputed batch view is used only when its sequences match
-        # what the charged DMA actually delivered (fault hooks may have
-        # corrupted the WRAM copy since the batch ran over MRAM).  It is
-        # taken out of ``precomputed`` so that it, and the traceback rows
-        # it materializes, die with this pair.
-        view = precomputed.pop(index, None) if precomputed is not None else None
+        # A batch view is used only when its sequences match what the
+        # charged DMA actually delivered (fault hooks may have corrupted
+        # MRAM or the WRAM copy).  It is taken out of ``views`` so that it
+        # dies with this pair, and the batch arrays with the last view.
+        view = views.pop(index, None) if views is not None else None
         if view is not None and (view.pattern, view.text) != (
             pair.pattern,
             pair.text,

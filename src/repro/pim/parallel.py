@@ -18,6 +18,15 @@ parallel run is result-identical to a sequential run, including the
 modeled timings and the :class:`~repro.pim.transfer.TransferStats`
 accounting.
 
+The unit of host work is a *group* of jobs (:func:`run_job_group`): all
+jobs in-process, or one contiguous slice of them per pool worker.  A
+group aligns all its jobs' pairs on the vector engine together
+(:meth:`~repro.pim.kernel.WfaDpuKernel.batch_views`, one run unless the
+group exceeds the kernel's byte budget) and then runs each job's kernel
+over its share of the views.  Which group a pair lands in changes no
+result: the vector engine reproduces the scalar engine bit for bit
+whatever the batch composition.
+
 The sequential path is the fallback, engaged when
 
 * ``workers`` resolves to one, or there is at most one job; or
@@ -36,9 +45,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.core.cigar import Cigar
+from repro.core.wfa_batch import BatchPairView
 from repro.data.generator import ReadPair, ReadPairGenerator
 from repro.errors import (
     ConfigError,
@@ -70,6 +81,8 @@ __all__ = [
     "ResilientOutcome",
     "run_dpu_job",
     "run_dpu_job_resilient",
+    "run_job_group",
+    "run_job_group_resilient",
     "execute_jobs",
     "execute_jobs_resilient",
     "resolve_workers",
@@ -157,6 +170,15 @@ class DpuJob:
             return self.generator.pairs()
         raise ConfigError("DpuJob needs either pairs or a generator spec")
 
+    @property
+    def num_pairs(self) -> int:
+        """Pairs in the job's batch, counted without generating them."""
+        if self.pairs is not None:
+            return len(self.pairs)
+        if self.generator is not None:
+            return self.generator.count
+        raise ConfigError("DpuJob needs either pairs or a generator spec")
+
 
 @dataclass
 class DpuJobResult:
@@ -185,8 +207,17 @@ class DpuJobResult:
     metrics: Optional[dict] = None
 
 
-def run_dpu_job(job: DpuJob) -> DpuJobResult:
+def run_dpu_job(
+    job: DpuJob,
+    batch: Optional[list[ReadPair]] = None,
+    views: Optional[dict[int, BatchPairView]] = None,
+) -> DpuJobResult:
     """Run one DPU's push -> kernel -> pull cycle; picklable in and out.
+
+    ``batch`` is ``job.batch()`` and ``views`` its vector-engine results
+    by local index, both handed over by the job's group
+    (:func:`run_job_group`); the kernel takes each view out as it aligns
+    that pair.  Called with the job alone, it runs as a group of one.
 
     With ``collect_metrics`` the worker counts its own activity into a
     private :class:`~repro.obs.metrics.MetricsRegistry` (transfer bytes
@@ -195,7 +226,8 @@ def run_dpu_job(job: DpuJob) -> DpuJobResult:
     events ride along.  Both are pure functions of the job description,
     preserving the parallel ≡ sequential guarantee.
     """
-    batch = job.batch()
+    if batch is None:
+        return run_job_group([job])[0]
     registry = MetricsRegistry() if job.collect_metrics else None
     transfer = HostTransferEngine(job.transfer_config, registry=registry)
     kernel = WfaDpuKernel(job.kernel_config)
@@ -213,7 +245,7 @@ def run_dpu_job(job: DpuJob) -> DpuJobResult:
     ]
     try:
         tasklet_stats, _ = kernel.run(
-            dpu, job.layout, assignments, job.metadata_policy, trace=trace
+            dpu, job.layout, assignments, job.metadata_policy, trace=trace, views=views
         )
     except (KernelError, LayoutError) as exc:
         if injector is None:
@@ -297,9 +329,17 @@ def _verify_pulled(
 
 
 def run_dpu_job_resilient(
-    job: DpuJob, policy: RetryPolicy
+    job: DpuJob,
+    policy: RetryPolicy,
+    batch: Optional[list[ReadPair]] = None,
+    views: Optional[dict[int, BatchPairView]] = None,
 ) -> "ResilientOutcome":
     """Run one job under a recovery policy; picklable in and out.
+
+    ``batch`` and ``views`` are as in :func:`run_dpu_job`.  Every attempt
+    reuses the batch; an attempt after one that consumed views first
+    realigns the batch on the vector engine, so retries never fall back
+    to the scalar engine.
 
     Attempts the job up to ``policy.max_attempts`` times on its primary
     placement, then on each of up to ``policy.max_requeues`` spare
@@ -318,7 +358,9 @@ def run_dpu_job_resilient(
     watchdog deadline expiring, so its detection latency is paid on
     every stall, including a terminal one.
     """
-    record = JobRecoveryRecord(dpu_id=job.dpu_id, num_pairs=len(job.batch()))
+    if batch is None:
+        return run_job_group_resilient([job], policy)[0]
+    record = JobRecoveryRecord(dpu_id=job.dpu_id, num_pairs=job.num_pairs)
     placements = [job.placement]
     placements += [
         p for p in job.requeue_placements[: policy.max_requeues]
@@ -335,9 +377,15 @@ def run_dpu_job_resilient(
     for placement in placements:
         tried.append(placement)
         for _ in range(policy.max_attempts):
+            if views is not None and len(views) < len(batch):
+                views = dict(
+                    enumerate(WfaDpuKernel(job.kernel_config).batch_views(batch) or ())
+                )
             try:
                 result = run_dpu_job(
-                    replace(job, physical_dpu_id=placement, attempt=attempt)
+                    replace(job, physical_dpu_id=placement, attempt=attempt),
+                    batch,
+                    views,
                 )
             except FaultError as exc:
                 errors.append(type(exc).__name__)
@@ -376,6 +424,56 @@ class ResilientOutcome:
     result: Optional[DpuJobResult] = None
 
 
+def _prepare_group(
+    jobs: list[DpuJob],
+) -> Iterator[tuple[DpuJob, list[ReadPair], Optional[dict[int, BatchPairView]]]]:
+    """``(job, batch, views)`` per job, in ``dpu_id`` order.
+
+    Each job's batch is generated once, up front.  Consecutive jobs that
+    share a kernel configuration draw their views from one
+    :meth:`~repro.pim.kernel.WfaDpuKernel.batch_views` stream over all
+    their pairs, taken job by job as the jobs run; ``views`` is ``None``
+    where the vector engine does not apply.  Only the per-job dict holds
+    a view once taken, so it dies as the kernel aligns its pair.
+    """
+    jobs = sorted(jobs, key=lambda job: job.dpu_id)
+    batches = [job.batch() for job in jobs]
+    for config, members in groupby(
+        zip(jobs, batches), key=lambda member: member[0].kernel_config
+    ):
+        members = list(members)
+        views = WfaDpuKernel(config).batch_views(
+            pair for _, batch in members for pair in batch
+        )
+        for job, batch in members:
+            if views is None:
+                yield job, batch, None
+            else:
+                yield job, batch, dict(zip(range(len(batch)), views))
+
+
+def run_job_group(jobs: list[DpuJob]) -> list[DpuJobResult]:
+    """Run a group of jobs in-process, their pairs batched together.
+
+    One vector-engine stream covers the group (see :func:`_prepare_group`),
+    and :func:`run_dpu_job` runs each job in ``dpu_id`` order.  This is
+    what one pool worker runs; picklable in and out.
+    """
+    return [
+        run_dpu_job(job, batch, views) for job, batch, views in _prepare_group(jobs)
+    ]
+
+
+def run_job_group_resilient(
+    jobs: list[DpuJob], policy: RetryPolicy
+) -> list["ResilientOutcome"]:
+    """:func:`run_job_group` with each job under the recovery policy."""
+    return [
+        run_dpu_job_resilient(job, policy, batch, views)
+        for job, batch, views in _prepare_group(jobs)
+    ]
+
+
 def resolve_workers(workers: int, num_jobs: int) -> int:
     """Effective worker count: ``0`` means all cores, capped at the jobs."""
     if workers < 0:
@@ -385,24 +483,36 @@ def resolve_workers(workers: int, num_jobs: int) -> int:
     return max(1, min(workers, num_jobs))
 
 
-def execute_jobs(jobs: Iterable[DpuJob], workers: int = 1) -> list[DpuJobResult]:
-    """Execute DPU jobs, in-process or over a process pool.
-
-    Returns records sorted by ``dpu_id`` regardless of completion order,
-    so callers can merge without re-deriving the schedule.
-    """
-    jobs = list(jobs)
+def _run_groups(
+    runner: Callable[..., list], jobs: list[DpuJob], workers: int, *args: object
+) -> list:
+    """``runner(group, *args)`` over ``workers`` contiguous groups of the
+    ``dpu_id``-ordered jobs, one per pool worker; all jobs as one group
+    in-process when ``workers`` resolves to one or the pool fails."""
     n = resolve_workers(workers, len(jobs))
-    if n <= 1 or len(jobs) <= 1:
-        records = [run_dpu_job(job) for job in jobs]
-    else:
+    if n > 1:
+        jobs = sorted(jobs, key=lambda job: job.dpu_id)
+        groups = [jobs[w * len(jobs) // n : (w + 1) * len(jobs) // n] for w in range(n)]
         try:
             with ProcessPoolExecutor(max_workers=n) as pool:
-                records = list(pool.map(run_dpu_job, jobs))
+                done = pool.map(runner, groups, *([arg] * n for arg in args))
+                return [item for group in done for item in group]
         except (OSError, BrokenProcessPool):
             # Pool infrastructure failure (fork forbidden, worker killed):
             # fall back to the sequential path, which is result-identical.
-            records = [run_dpu_job(job) for job in jobs]
+            pass
+    return runner(jobs, *args)
+
+
+def execute_jobs(jobs: Iterable[DpuJob], workers: int = 1) -> list[DpuJobResult]:
+    """Execute DPU jobs, in-process or over a process pool.
+
+    In-process, all jobs form one group; over a pool, each worker runs
+    one contiguous group (:func:`run_job_group`).  Returns records sorted
+    by ``dpu_id`` regardless of completion order, so callers can merge
+    without re-deriving the schedule.
+    """
+    records = _run_groups(run_job_group, list(jobs), workers)
     records.sort(key=lambda r: r.dpu_id)
     return records
 
@@ -422,20 +532,9 @@ def execute_jobs_resilient(
     in the same order (pair-index attribution is the caller's job — see
     :func:`repro.pim.faults.assign_pairs`).
     """
-    jobs = list(jobs)
     if policy is None:
         policy = RetryPolicy()
-    n = resolve_workers(workers, len(jobs))
-    if n <= 1 or len(jobs) <= 1:
-        outcomes = [run_dpu_job_resilient(job, policy) for job in jobs]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                outcomes = list(
-                    pool.map(run_dpu_job_resilient, jobs, [policy] * len(jobs))
-                )
-        except (OSError, BrokenProcessPool):
-            outcomes = [run_dpu_job_resilient(job, policy) for job in jobs]
+    outcomes = _run_groups(run_job_group_resilient, list(jobs), workers, policy)
     outcomes.sort(key=lambda o: o.record.dpu_id)
     report = RecoveryReport(records=[o.record for o in outcomes])
     records = [o.result for o in outcomes if o.result is not None]

@@ -313,7 +313,7 @@ class PimSystem:
         assign_pairs(
             report,
             num_slots if num_slots is not None else self.config.num_dpus,
-            {job.dpu_id: len(job.batch()) for job in jobs},
+            {job.dpu_id: job.num_pairs for job in jobs},
         )
         if self.telemetry is not None:
             report.count_into(self.telemetry.registry)

@@ -16,7 +16,7 @@ See ``docs/serving.md`` for the design and the virtual-clock testing
 recipe.
 """
 
-from repro.serve.batcher import Batch, BatchPolicy, BatcherStats, MicroBatcher, WorkItem
+from repro.serve.batcher import Batch, BatchPolicy, MicroBatcher, WorkItem
 from repro.serve.cache import CacheStats, ResultCache, kernel_fingerprint, result_key
 from repro.serve.clock import Timer, VirtualClock
 from repro.serve.dispatcher import BatchDispatcher, BatchOutcome
@@ -57,7 +57,6 @@ __all__ = [
     "BatchDispatcher",
     "BatchOutcome",
     "BatchPolicy",
-    "BatcherStats",
     "CacheStats",
     "CpuFallbackBackend",
     "FallbackPolicy",

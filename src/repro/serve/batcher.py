@@ -24,7 +24,7 @@ timer at :meth:`MicroBatcher.next_deadline` and calls
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Iterable, List, Optional
 
 from repro.data.generator import ReadPair
@@ -88,19 +88,6 @@ class Batch:
         return self.formed_s - self.oldest_arrival_s
 
 
-@dataclass
-class BatcherStats:
-    """Pair-level accounting (request accounting lives in the service)."""
-
-    submitted_pairs: int = 0
-    flushed_pairs: int = 0
-    batches: int = 0
-
-    @property
-    def pending_pairs(self) -> int:
-        return self.submitted_pairs - self.flushed_pairs
-
-
 class MicroBatcher:
     """FIFO pair queue with size- and deadline-triggered batch formation."""
 
@@ -108,7 +95,6 @@ class MicroBatcher:
         self.policy = policy if policy is not None else BatchPolicy()
         self._pending: Deque[WorkItem] = deque()
         self._next_index = 0
-        self.stats = BatcherStats()
 
     # -- queries ----------------------------------------------------------
 
@@ -130,17 +116,11 @@ class MicroBatcher:
             index=self._next_index, items=items, reason=reason, formed_s=now
         )
         self._next_index += 1
-        self.stats.flushed_pairs += len(items)
-        self.stats.batches += 1
         return batch
 
     def add(self, items: Iterable[WorkItem], now: float) -> List[Batch]:
         """Enqueue items; return any size-triggered full batches."""
-        added = 0
-        for item in items:
-            self._pending.append(item)
-            added += 1
-        self.stats.submitted_pairs += added
+        self._pending.extend(items)
         out: List[Batch] = []
         cap = self.policy.max_batch_pairs
         while len(self._pending) >= cap:

@@ -15,9 +15,10 @@ from repro.core.penalties import (
     LinearPenalties,
     TwoPieceAffinePenalties,
 )
+from repro.core.wfa_batch import BatchWfaEngine
 from repro.data.generator import ReadPairGenerator
 from repro.errors import KernelError
-from repro.pim.config import DpuConfig
+from repro.pim.config import DpuConfig, PimSystemConfig
 from repro.pim.dpu import Dpu
 from repro.pim.kernel import (
     KernelConfig,
@@ -27,6 +28,7 @@ from repro.pim.kernel import (
     per_edit_cost,
 )
 from repro.pim.layout import MramLayout
+from repro.pim.system import PimSystem
 from repro.pim.trace import KernelTrace
 from repro.pim.transfer import HostTransferEngine
 from repro.pim.config import HostTransferConfig
@@ -373,33 +375,37 @@ class TestStagingPlanner:
         assert runs[0] == runs[1]
         assert sum(s.pairs_done for s in runs[0][0]) == 6
 
-    def test_pair_view_dies_before_the_next_pair(self):
-        """The kernel holds no vector-engine view past its own pair."""
-        pairs = ReadPairGenerator(length=100, error_rate=0.04, seed=13).pairs(6)
+    def test_pair_view_dies_before_the_next_pair(self, monkeypatch):
+        """No vector-engine view outlives its pair, and the group's batch
+        arrays are freed with its last view, without the cycle collector."""
+        pairs = ReadPairGenerator(length=100, error_rate=0.04, seed=13).pairs(12)
         kc = KernelConfig(penalties=PEN, max_read_len=100, max_edits=4, engine="vector")
-        kernel, dpu, layout, assignments = setup_dpu(pairs, kc, tasklets=2)
-        views, done = {}, []
-        prepare, align_one = kernel._prepare_vector, kernel._align_one
+        system = PimSystem(
+            PimSystemConfig(num_dpus=3, num_ranks=1, tasklets=2, num_simulated_dpus=3),
+            kc,
+        )
+        engines, views, done = [], [], []
+        engine_run, align_one = BatchWfaEngine.run, WfaDpuKernel._align_one
 
-        def spy_prepare(*args):
-            precomputed = prepare(*args)
-            views.update((i, weakref.ref(v)) for i, v in precomputed.items())
-            return precomputed
+        def spy_run(engine):
+            found = engine_run(engine)
+            engines.append(weakref.ref(engine))
+            views.extend(weakref.ref(v) for v in found)
+            return found
 
-        def spy_align_one(dpu, layout, ctx, index, *rest):
-            assert [i for i in done if views[i]() is not None] == []
-            result = align_one(dpu, layout, ctx, index, *rest)
-            done.append(index)
+        def spy_align_one(kernel, *args):
+            assert sum(ref() is not None for ref in views) == len(views) - len(done)
+            result = align_one(kernel, *args)
+            done.append(args[3])
             return result
 
-        kernel._prepare_vector = spy_prepare
-        kernel._align_one = spy_align_one
+        monkeypatch.setattr(BatchWfaEngine, "run", spy_run)
+        monkeypatch.setattr(WfaDpuKernel, "_align_one", spy_align_one)
         gc.disable()
         try:
-            _, results = kernel.run(
-                dpu, layout, assignments, "mram", collect_results=True
-            )
+            run = system.align(pairs)
+            assert len(engines) == 1 and engines[0]() is None
         finally:
             gc.enable()
-        assert sorted(done) == sorted(views) == list(range(6))
-        assert len(results) == 6
+        assert len(done) == len(views) == 12
+        assert len(run.results) == 12

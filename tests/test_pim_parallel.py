@@ -6,19 +6,23 @@ stats, modeled timings, and transfer accounting all match exactly.
 """
 
 import pickle
+import weakref
 from dataclasses import astuple, replace
 
 import pytest
 
 from repro.baselines.gotoh import gotoh_score
 from repro.core.penalties import AffinePenalties
+from repro.core.wfa_batch import BatchWfaEngine
 from repro.data.datasets import DatasetSpec
 from repro.data.generator import ReadPairGenerator
 from repro.errors import ConfigError
+from repro.pim import kernel as kernel_mod
 from repro.pim import parallel as parallel_mod
 from repro.pim.config import PimSystemConfig
+from repro.pim.faults import DpuDeath, FaultPlan, MramCorruption
 from repro.pim.fleet import FleetCoordinator
-from repro.pim.kernel import KernelConfig
+from repro.pim.kernel import KernelConfig, WfaDpuKernel
 from repro.pim.parallel import (
     DpuJob,
     GeneratorSpec,
@@ -30,6 +34,7 @@ from repro.pim.system import PimSystem
 
 PEN = AffinePenalties(4, 6, 2)
 KERNEL = KernelConfig(penalties=PEN, max_read_len=50, max_edits=2)
+VECTOR = replace(KERNEL, engine="vector")
 
 
 def make_config(
@@ -101,6 +106,25 @@ class TestEquivalence:
             spec, sample_pairs_per_dpu=4, collect_results=True
         )
         assert run_signature(par) == run_signature(seq)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kind", ["align", "model_run"])
+    def test_vector_engine_matches_sequential(self, kind, workers):
+        """Pool workers batch other pairs together than the in-process
+        group does; every number still equals the sequential vector run,
+        and the scalar engine's."""
+
+        def run(kernel, w):
+            system = PimSystem(make_config(workers=w, num_dpus=8), kernel)
+            if kind == "align":
+                pairs = ReadPairGenerator(length=50, error_rate=0.04, seed=4).pairs(30)
+                return system.align(pairs)
+            spec = DatasetSpec(num_pairs=64, length=50, error_rate=0.04, seed=5)
+            return system.model_run(spec, sample_pairs_per_dpu=4, collect_results=True)
+
+        seq = run_signature(run(VECTOR, 1))
+        assert run_signature(run(VECTOR, workers)) == seq
+        assert run_signature(run(KERNEL, 1)) == seq
 
     def test_scheduler_matches_sequential(self):
         """Multi-round runs (a one-shard fleet's rounds) too."""
@@ -262,3 +286,136 @@ class TestEngine:
         records = execute_jobs(jobs, workers=3)
         assert [r.dpu_id for r in records] == [0, 1, 2]
         assert all(r.num_pairs == 4 for r in records)
+
+
+class InlinePool:
+    """Stands in for the process pool and runs each group in-process, so
+    a test can count the groups' engine runs."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+class TestJobGroups:
+    """The unit of host work is a group of DPU jobs: one vector-engine
+    run per group, split only by the kernel's byte budget."""
+
+    @pytest.fixture
+    def engine_runs(self, monkeypatch):
+        """Batch size of every vector-engine run, in call order."""
+        sizes = []
+        run = BatchWfaEngine.run
+
+        def counting(engine):
+            sizes.append(engine.size)
+            return run(engine)
+
+        monkeypatch.setattr(BatchWfaEngine, "run", counting)
+        return sizes
+
+    @staticmethod
+    def paper_system(workers):
+        kc = KernelConfig(
+            penalties=AffinePenalties(), max_read_len=100, max_edits=4, engine="vector"
+        )
+        return PimSystem(
+            make_config(workers=workers, tasklets=16, num_dpus=16), kc
+        )
+
+    def test_one_engine_run_per_group(self, engine_runs, monkeypatch):
+        pairs = ReadPairGenerator(length=100, error_rate=0.02, seed=21).pairs(256)
+        sequential = run_signature(self.paper_system(1).align(pairs))
+        assert engine_runs == [256]  # one run for all 16 DPUs' jobs
+        engine_runs.clear()
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", InlinePool)
+        pooled = run_signature(self.paper_system(2).align(pairs))
+        assert engine_runs == [128, 128]  # one run per worker's group
+        assert pooled == sequential
+
+    def test_budget_caps_the_pairs_per_run(self, engine_runs, monkeypatch):
+        """A group above the cap runs in budget-sized chunks, each only
+        when the kernels reach it, with byte-identical results: with
+        5-pair jobs and 7-pair runs, no more than two runs are alive."""
+        pairs = ReadPairGenerator(length=50, error_rate=0.04, seed=9).pairs(40)
+        config = make_config(num_dpus=8)
+        whole = run_signature(PimSystem(config, VECTOR).align(pairs))
+        assert engine_runs == [40]
+        engine_runs.clear()
+        budget = 7 * VECTOR.metadata_peak_bytes() + 5
+        monkeypatch.setattr(kernel_mod, "BATCH_BUDGET_BYTES", budget)
+        engines, alive = [], []
+        engine_init, align_one = BatchWfaEngine.__init__, WfaDpuKernel._align_one
+
+        def tracking_init(engine, *args, **kwargs):
+            engine_init(engine, *args, **kwargs)
+            engines.append(weakref.ref(engine))
+
+        def counting_align_one(kernel, *args):
+            alive.append(sum(ref() is not None for ref in engines))
+            return align_one(kernel, *args)
+
+        monkeypatch.setattr(BatchWfaEngine, "__init__", tracking_init)
+        monkeypatch.setattr(WfaDpuKernel, "_align_one", counting_align_one)
+        split = run_signature(PimSystem(config, VECTOR).align(pairs))
+        assert engine_runs == [7, 7, 7, 7, 7, 5]
+        assert split == whole
+        assert len(alive) == 40 and max(alive) <= 2
+
+    def test_scalar_engine_makes_no_engine_run(self, engine_runs):
+        pairs = ReadPairGenerator(length=50, error_rate=0.04, seed=9).pairs(8)
+        make_system().align(pairs)
+        assert engine_runs == []
+
+    def test_retry_realigns_on_the_vector_engine(self, monkeypatch):
+        """Output bit rot fails DPU 0's first attempt after its kernel took
+        every view; the retry gets fresh views, not the scalar engine."""
+        scalar_runs = []
+        engine = kernel_mod.WfaEngine
+
+        class Counting(engine):
+            def run(self):
+                scalar_runs.append(1)
+                return super().run()
+
+        monkeypatch.setattr(kernel_mod, "WfaEngine", Counting)
+        pairs = ReadPairGenerator(length=50, error_rate=0.04, seed=3).pairs(32)
+        plan = FaultPlan(
+            corruptions=(MramCorruption(dpu_id=0, region="output", record=3),),
+        )
+        clean = run_signature(PimSystem(make_config(), VECTOR).align(pairs))
+        faulted = PimSystem(make_config(), VECTOR).align(pairs, fault_plan=plan)
+        assert faulted.recovery.rerun_pairs
+        assert run_signature(faulted) == clean
+        assert scalar_runs == []
+
+    def test_faulted_model_run_generates_each_batch_once(self, monkeypatch):
+        """Retries, requeues and the recovery report count a generator
+        job's pairs without synthesizing them again."""
+        seeds = []
+        generate = GeneratorSpec.pairs
+
+        def counting(spec):
+            seeds.append(spec.seed)
+            return generate(spec)
+
+        monkeypatch.setattr(GeneratorSpec, "pairs", counting)
+        plan = FaultPlan(
+            deaths=(DpuDeath(dpu_id=1),),
+            corruptions=(MramCorruption(dpu_id=2, region="output"),),
+        )
+        spec = DatasetSpec(num_pairs=64, length=50, error_rate=0.04, seed=5)
+        run = make_system(num_dpus=4).model_run(
+            spec, sample_pairs_per_dpu=4, fault_plan=plan
+        )
+        assert run.recovery.faults_seen >= 2
+        assert run.recovery.rerun_pairs and not run.recovery.abandoned_pairs
+        assert len(seeds) == len(set(seeds)) == 4

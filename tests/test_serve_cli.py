@@ -131,7 +131,10 @@ class TestServeCommand:
             assert record["error"] == "failed"
             assert "abandoned after fault recovery" in record["detail"]
         assert all(r["scores"] == [4] for r in lines if "error" not in r)
-        assert "served 3 request(s), rejected 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "served 3 request(s), rejected 3" in err
+        recovery = [l for l in err.splitlines() if l.startswith("recovery:")]
+        assert len(recovery) == 1 and recovery[0].endswith(", 3 abandoned")
 
     def test_malformed_request_line_fails_cleanly(self, tmp_path, capsys):
         requests = tmp_path / "req.jsonl"

@@ -29,7 +29,9 @@ from repro.core import (
     TwoPieceAffinePenalties,
     WavefrontAligner,
 )
+from repro.core.backtrace import backtrace
 from repro.core.span import AlignmentSpan
+from repro.core.wfa import WfaEngine
 from repro.core.wfa_batch import BatchWfaEngine, align_batch
 from repro.data.generator import ReadPairGenerator
 from repro.errors import AlignmentError
@@ -145,30 +147,76 @@ class TestFailureParity:
             )
 
 
+METRICS = pytest.mark.parametrize(
+    "penalties",
+    [
+        EditPenalties(),
+        LinearPenalties(),
+        AffinePenalties(),
+        TwoPieceAffinePenalties(),
+    ],
+    ids=["edit", "linear", "affine", "affine2p"],
+)
+
+
 class TestRelease:
-    @pytest.mark.parametrize(
-        "penalties",
-        [
-            EditPenalties(),
-            LinearPenalties(),
-            AffinePenalties(),
-            TwoPieceAffinePenalties(),
-        ],
-        ids=["edit", "linear", "affine", "affine2p"],
-    )
+    @METRICS
     def test_engine_is_freed_when_released(self, penalties):
-        """No reference cycle: the batch arrays go as soon as the engine does."""
+        """No reference cycle: the batch arrays go as soon as the engine
+        and its views do, tracebacks through the views included."""
         generated = ReadPairGenerator(length=40, seed=3).pairs(4)
         pairs = [(p.pattern, p.text) for p in generated]
         gc.disable()
         try:
             engine = BatchWfaEngine(pairs, penalties)
             views = engine.run()
+            cigars = [backtrace(view) for view in views]
             ref = weakref.ref(engine)
             del engine, views
             assert ref() is None
         finally:
             gc.enable()
+        assert len(cigars) == 4
+
+
+class TestRowBackedTraceback:
+    """A view's ``wavefronts`` reads the batch arrays in place."""
+
+    @staticmethod
+    def run_both(penalties):
+        generated = ReadPairGenerator(length=60, error_rate=0.06, seed=7).pairs(5)
+        pairs = [(p.pattern, p.text) for p in generated]
+        views = BatchWfaEngine(pairs, penalties).run()
+        for pair, view in zip(generated, views):
+            scalar = WfaEngine(pair.pattern, pair.text, penalties)
+            scalar.run()
+            yield scalar, view
+
+    @METRICS
+    def test_wavefronts_read_the_scalar_cells(self, penalties):
+        for scalar, view in self.run_both(penalties):
+            assert list(view.wavefronts) == sorted(scalar.wavefronts)
+            assert view.wavefronts.get(view.final_score + 1) is None
+            for score, want in scalar.wavefronts.items():
+                have = view.wavefronts[score]
+                assert (have is None) == (want is None)
+                if want is None:
+                    continue
+                for name in ("m", "i", "d", "i2", "d2"):
+                    a, b = getattr(want, name), getattr(have, name)
+                    assert (a is None) == (b is None)
+                    if a is None:
+                        continue
+                    assert (b.lo, b.hi) == (a.lo, a.hi)
+                    diagonals = range(a.lo - 2, a.hi + 3)  # NULL off the ends
+                    assert [b[k] for k in diagonals] == [a[k] for k in diagonals]
+
+    @METRICS
+    def test_cigar_run_lengths_are_exact_ints(self, penalties):
+        for scalar, view in self.run_both(penalties):
+            cigar = backtrace(view)
+            assert str(cigar) == str(backtrace(scalar))
+            assert all(type(op.length) is int for op in cigar.ops)
 
 
 def run_system(engine: str):
