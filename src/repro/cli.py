@@ -619,7 +619,7 @@ def _cmd_pim_align(args: argparse.Namespace) -> int:
     federated fleet."""
     import warnings
 
-    from repro.errors import DegradedCapacity
+    from repro.errors import DegradedCapacity, LayoutError
     from repro.pim.config import PimSystemConfig
     from repro.pim.fleet import FleetCoordinator
     from repro.pim.kernel import KernelConfig
@@ -641,6 +641,12 @@ def _cmd_pim_align(args: argparse.Namespace) -> int:
 
         telemetry = RunTelemetry()
     net_plan, transport_policy = _parse_net_plan(args)
+    kernel_config = KernelConfig(
+        penalties=_penalties_from_args(args),
+        max_read_len=max_len,
+        max_edits=max_edits,
+        engine=args.engine,
+    )
     fleet = FleetCoordinator(
         PimSystemConfig(
             num_dpus=args.dpus,
@@ -650,12 +656,7 @@ def _cmd_pim_align(args: argparse.Namespace) -> int:
             metadata_policy=args.policy,
             workers=args.workers,
         ),
-        KernelConfig(
-            penalties=_penalties_from_args(args),
-            max_read_len=max_len,
-            max_edits=max_edits,
-            engine=args.engine,
-        ),
+        kernel_config,
         shards=args.shards,
         shard_workers=args.shard_workers,
         health_policy=_health_policy(args),
@@ -670,10 +671,22 @@ def _cmd_pim_align(args: argparse.Namespace) -> int:
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegradedCapacity)
-        if args.resume:
-            run = fleet.resume_run(args.journal, pairs, **run_args)
-        else:
-            run = fleet.run(pairs, journal=args.journal, **run_args)
+        try:
+            if args.resume:
+                run = fleet.resume_run(args.journal, pairs, **run_args)
+            else:
+                run = fleet.run(pairs, journal=args.journal, **run_args)
+        except LayoutError as exc:
+            if args.max_edits is not None:
+                raise
+            # The inferred budget sizes every tasklet's metadata arena.
+            raise LayoutError(
+                f"{exc}; --max-edits was inferred as {max_edits} (a tenth of "
+                f"the longest read), which reserves "
+                f"{kernel_config.metadata_peak_bytes():,} B of wavefront metadata "
+                f"for each of the {args.tasklets} --tasklets: pass a smaller "
+                f"--max-edits or fewer --tasklets"
+            ) from exc
     if args.output:
         _write_pim_tsv(args.output, run.results())
     rows = [

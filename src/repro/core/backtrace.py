@@ -5,7 +5,10 @@ WFA's traceback walks backwards from the final furthest-reaching point
 recurrence candidate produced the stored offset.  The gap between the
 stored (post-extension) offset and the best candidate is a run of free
 matches.  Requires the engine to have run in ``"full"`` memory mode so
-every wavefront is still available.
+every wavefront is still available.  Cells are read one at a time
+through the engine's ``offset(score, component, k)`` accessor, which
+both :class:`~repro.core.wfa.WfaEngine` and the batch engine's pair
+views provide.
 
 The candidate re-derivation applies exactly the same boundary pruning as
 the forward pass (see :mod:`repro.core.wfa`), so stored values always
@@ -54,24 +57,6 @@ def backtrace(engine: WfaEngine) -> Cigar:
     return cigar
 
 
-def _component(engine: WfaEngine, score: int, comp: str):
-    """Wavefront for ``(score, component)`` or ``None``."""
-    ws = engine.wavefronts.get(score)
-    if ws is None:
-        return None
-    return {"M": ws.m, "I": ws.i, "D": ws.d, "I2": ws.i2, "D2": ws.d2}[comp]
-
-
-def _value(engine: WfaEngine, score: int, comp: str, k: int) -> int:
-    """Stored offset or :data:`OFFSET_NULL` when absent."""
-    if score < 0:
-        return OFFSET_NULL
-    wf = _component(engine, score, comp)
-    if wf is None:
-        return OFFSET_NULL
-    return wf[k]
-
-
 def _emit(ops: list[CigarOp], op: str, length: int) -> None:
     """Append ``length`` columns of ``op`` (reverse order; merged later)."""
     if length <= 0:
@@ -103,6 +88,7 @@ def _finish_at_origin(engine: WfaEngine, ops: list[CigarOp], k: int, off: int) -
 def _backtrace_affine(engine: WfaEngine, pen: AffinePenalties) -> list[CigarOp]:
     x, o, e = pen.mismatch, pen.gap_open, pen.gap_extend
     n, m = engine.n, engine.m
+    offset = engine.offset
     s = engine.final_score
     k = engine.end_k if engine.end_k is not None else m - n
     off = engine.end_offset if engine.end_offset is not None else m
@@ -115,11 +101,11 @@ def _backtrace_affine(engine: WfaEngine, pen: AffinePenalties) -> list[CigarOp]:
             if s == 0:
                 _finish_at_origin(engine, ops, k, off)
                 return ops
-            sub = _value(engine, s - x, "M", k) + 1
+            sub = offset(s - x, "M", k) + 1
             if sub < 1 or sub > m or sub - k > n:
                 sub = OFFSET_NULL
-            ins = _value(engine, s, "I", k)
-            dele = _value(engine, s, "D", k)
+            ins = offset(s, "I", k)
+            dele = offset(s, "D", k)
             best = max(sub, ins, dele)
             if best <= NULL_THRESHOLD:
                 raise AlignmentError(
@@ -135,8 +121,8 @@ def _backtrace_affine(engine: WfaEngine, pen: AffinePenalties) -> list[CigarOp]:
                 s -= x
                 off = best - 1
         elif comp == "I":
-            ext = _value(engine, s - e, "I", k - 1)
-            opn = _value(engine, s - o - e, "M", k - 1)
+            ext = offset(s - e, "I", k - 1)
+            opn = offset(s - o - e, "M", k - 1)
             _emit(ops, "I", 1)
             if ext > NULL_THRESHOLD and ext + 1 == off:
                 s -= e
@@ -152,8 +138,8 @@ def _backtrace_affine(engine: WfaEngine, pen: AffinePenalties) -> list[CigarOp]:
                     f"traceback dead end at (s={s}, I, k={k}, offset={off})"
                 )
         else:  # comp == "D"
-            ext = _value(engine, s - e, "D", k + 1)
-            opn = _value(engine, s - o - e, "M", k + 1)
+            ext = offset(s - e, "D", k + 1)
+            opn = offset(s - o - e, "M", k + 1)
             _emit(ops, "D", 1)
             if ext > NULL_THRESHOLD and ext == off:
                 s -= e
@@ -177,6 +163,7 @@ def _backtrace_affine2p(
     o1, e1 = pen.gap_open1, pen.gap_extend1
     o2, e2 = pen.gap_open2, pen.gap_extend2
     n, m = engine.n, engine.m
+    offset = engine.offset
     s = engine.final_score
     k = engine.end_k if engine.end_k is not None else m - n
     off = engine.end_offset if engine.end_offset is not None else m
@@ -187,13 +174,13 @@ def _backtrace_affine2p(
             if s == 0:
                 _finish_at_origin(engine, ops, k, off)
                 return ops
-            sub = _value(engine, s - x, "M", k) + 1
+            sub = offset(s - x, "M", k) + 1
             if sub < 1 or sub > m or sub - k > n:
                 sub = OFFSET_NULL
-            ins1 = _value(engine, s, "I", k)
-            ins2 = _value(engine, s, "I2", k)
-            dele1 = _value(engine, s, "D", k)
-            dele2 = _value(engine, s, "D2", k)
+            ins1 = offset(s, "I", k)
+            ins2 = offset(s, "I2", k)
+            dele1 = offset(s, "D", k)
+            dele2 = offset(s, "D2", k)
             best = max(sub, ins1, ins2, dele1, dele2)
             if best <= NULL_THRESHOLD:
                 raise AlignmentError(
@@ -214,8 +201,8 @@ def _backtrace_affine2p(
                 off = best - 1
         elif comp in ("I", "I2"):
             o, e = (o1, e1) if comp == "I" else (o2, e2)
-            ext = _value(engine, s - e, comp, k - 1)
-            opn = _value(engine, s - o - e, "M", k - 1)
+            ext = offset(s - e, comp, k - 1)
+            opn = offset(s - o - e, "M", k - 1)
             _emit(ops, "I", 1)
             if ext > NULL_THRESHOLD and ext + 1 == off:
                 s -= e
@@ -232,8 +219,8 @@ def _backtrace_affine2p(
                 )
         else:  # comp in ("D", "D2")
             o, e = (o1, e1) if comp == "D" else (o2, e2)
-            ext = _value(engine, s - e, comp, k + 1)
-            opn = _value(engine, s - o - e, "M", k + 1)
+            ext = offset(s - e, comp, k + 1)
+            opn = offset(s - o - e, "M", k + 1)
             _emit(ops, "D", 1)
             if ext > NULL_THRESHOLD and ext == off:
                 s -= e
@@ -252,6 +239,7 @@ def _backtrace_affine2p(
 def _backtrace_unified(engine: WfaEngine, x: int, ind: int) -> list[CigarOp]:
     """Traceback shared by the edit (x = ind = 1) and gap-linear metrics."""
     n, m = engine.n, engine.m
+    offset = engine.offset
     s = engine.final_score
     k = engine.end_k if engine.end_k is not None else m - n
     off = engine.end_offset if engine.end_offset is not None else m
@@ -260,13 +248,13 @@ def _backtrace_unified(engine: WfaEngine, x: int, ind: int) -> list[CigarOp]:
         if s == 0:
             _finish_at_origin(engine, ops, k, off)
             return ops
-        sub = _value(engine, s - x, "M", k) + 1
+        sub = offset(s - x, "M", k) + 1
         if sub < 1 or sub > m or sub - k > n:
             sub = OFFSET_NULL
-        ins = _value(engine, s - ind, "M", k - 1) + 1
+        ins = offset(s - ind, "M", k - 1) + 1
         if ins < 1 or ins > m or ins - k > n:
             ins = OFFSET_NULL
-        dele = _value(engine, s - ind, "M", k + 1)
+        dele = offset(s - ind, "M", k + 1)
         if dele < 0 or dele - k > n:
             dele = OFFSET_NULL
         best = max(sub, ins, dele)

@@ -56,6 +56,9 @@ from repro.errors import AlignmentError
 # extension and recurrence code share one sentinel contract.
 __all__ = ["WfaEngine", "NULL_THRESHOLD"]
 
+#: engine component name -> :class:`WavefrontSet` field
+_FIELDS = {"M": "m", "I": "i", "D": "d", "I2": "i2", "D2": "d2"}
+
 
 class WfaEngine:
     """Runs the WFA main loop for one pattern/text pair.
@@ -244,6 +247,21 @@ class WfaEngine:
         self.end_k = best[1]
         self.end_offset = best[2]
         return True
+
+    def offset(self, score: int, component: str, k: int) -> int:
+        """Stored offset of ``component`` (``"M"``, ``"I"``, ``"D"``,
+        ``"I2"`` or ``"D2"``) at ``score`` on diagonal ``k``.
+
+        :data:`OFFSET_NULL` when the score has no wavefront set (never
+        computed, skipped, or dropped in low-memory mode), the component
+        is absent, or ``k`` lies outside its range.  The one cell reader
+        traceback uses.
+        """
+        ws = self.wavefronts.get(score)
+        if ws is None:
+            return OFFSET_NULL
+        wf = getattr(ws, _FIELDS[component])
+        return OFFSET_NULL if wf is None else wf[k]
 
     # -- storage helpers ------------------------------------------------------
 

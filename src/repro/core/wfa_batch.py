@@ -36,7 +36,6 @@ sequence end compares unequal, ending the run exactly at the boundary.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Optional, Union
 
 import numpy as np
@@ -52,12 +51,7 @@ from repro.core.penalties import (
     TwoPieceAffinePenalties,
 )
 from repro.core.span import AlignmentSpan
-from repro.core.wavefront import (
-    NULL_THRESHOLD,
-    OFFSET_NULL,
-    WavefrontSet,
-    WfaCounters,
-)
+from repro.core.wavefront import NULL_THRESHOLD, OFFSET_NULL, WfaCounters
 from repro.core.wfa import WfaEngine
 from repro.errors import AlignmentError
 
@@ -103,80 +97,16 @@ def _codepoint_matrix(
     return mat
 
 
-#: engine component name -> :class:`WavefrontSet` field
-_FIELDS = {"M": "m", "I": "i", "D": "d", "I2": "i2", "D2": "d2"}
-
-
-class _RowWavefront:
-    """One pair's row of a batch wavefront array, read a cell at a time.
-
-    Indexes like :class:`~repro.core.wavefront.Wavefront`: a diagonal
-    outside ``[lo, hi]`` reads :data:`OFFSET_NULL`.  ``ndarray.item``
-    returns a Python ``int``, so traceback arithmetic (and the CIGAR run
-    lengths it emits) never sees a NumPy scalar.
-    """
-
-    __slots__ = ("lo", "hi", "_array", "_row")
-
-    def __init__(self, array: np.ndarray, row: int, lo: int, hi: int) -> None:
-        self.lo = lo
-        self.hi = hi
-        self._array = array
-        self._row = row
-
-    def __getitem__(self, k: int) -> int:
-        if k < self.lo or k > self.hi:
-            return OFFSET_NULL
-        return self._array.item(self._row, k - self.lo)
-
-
-class _RowWavefronts(Mapping):
-    """Read-only ``score -> WavefrontSet`` view of one pair's batch rows.
-
-    Mirrors the scalar engine's ``wavefronts`` dict after a full-memory
-    run (keys ``0..final_score``, ``None`` for skipped scores) without
-    copying any row: each lookup wraps the batch arrays in place, so a
-    traceback reads only the O(path) cells it visits.
-    """
-
-    __slots__ = ("_engine", "_row", "_end")
-
-    def __init__(
-        self, engine: "BatchWfaEngine", row: int, final_score: Optional[int]
-    ) -> None:
-        self._engine = engine
-        self._row = row
-        self._end = -1 if final_score is None else final_score
-
-    def __len__(self) -> int:
-        return self._end + 1
-
-    def __iter__(self):
-        return iter(range(self._end + 1))
-
-    def __getitem__(self, score: int) -> Optional[WavefrontSet]:
-        if not 0 <= score <= self._end:
-            raise KeyError(score)
-        entry = self._engine._scores[score]
-        if entry is None:
-            return None
-        lo, hi, row, comps = entry["lo"], entry["hi"], self._row, entry["comps"]
-        return WavefrontSet(**{
-            _FIELDS[name]: _RowWavefront(array, row, lo, hi)
-            for name, array in comps.items()
-        })
-
-
 class BatchPairView:
     """One pair's results, duck-typing :class:`WfaEngine` for traceback.
 
-    Exposes exactly the attributes :func:`repro.core.backtrace.backtrace`
-    reads — ``final_score``, ``memory_mode``, ``penalties``, ``n``/``m``,
-    ``end_k``/``end_offset``, ``span``, ``counters`` and a ``wavefronts``
-    mapping.  The mapping reads the batch arrays in place, one cell per
-    lookup, so score-only callers never pay for it and a traceback pays
-    only for the cells it visits.  A view keeps its engine (and so the
-    whole batch's arrays) alive; nothing refers back to the view.
+    Exposes exactly what :func:`repro.core.backtrace.backtrace` reads —
+    ``final_score``, ``memory_mode``, ``penalties``, ``n``/``m``,
+    ``end_k``/``end_offset``, ``span``, ``counters`` and
+    :meth:`offset`, which reads the batch arrays in place, one cell per
+    call, so score-only callers never pay for it and a traceback pays
+    only for the cells it visits.  A view keeps the whole batch's arrays
+    alive; nothing refers back to the view.
 
     ``error`` is the scalar engine's :class:`AlignmentError` message when
     this pair exceeded its score cap; ``final_score`` is ``None`` then.
@@ -203,7 +133,30 @@ class BatchPairView:
         # Global span: the end point is always (m - n, m).
         self.end_k = self.m - self.n if final_score is not None else None
         self.end_offset = self.m if final_score is not None else None
-        self.wavefronts = _RowWavefronts(engine, row, final_score)
+        self._scores = engine._scores
+        self._row = row
+        self._end = -1 if final_score is None else final_score
+
+    def offset(self, score: int, component: str, k: int) -> int:
+        """This pair's cell of ``component`` at ``score`` on diagonal ``k``.
+
+        Reads as :meth:`WfaEngine.offset` does after a full-memory run:
+        :data:`OFFSET_NULL` for a score outside ``0..final_score`` or
+        skipped, a missing component, or ``k`` outside ``[lo, hi]``.
+        ``ndarray.item`` returns a Python ``int``, so traceback
+        arithmetic (and the CIGAR run lengths it emits) never sees a
+        NumPy scalar.
+        """
+        if not 0 <= score <= self._end:
+            return OFFSET_NULL
+        entry = self._scores[score]
+        if entry is None:
+            return OFFSET_NULL
+        array = entry["comps"].get(component)
+        lo = entry["lo"]
+        if array is None or k < lo or k > entry["hi"]:
+            return OFFSET_NULL
+        return array.item(self._row, k - lo)
 
 
 class BatchWfaEngine:

@@ -20,13 +20,18 @@ are accumulated globally per DPU (and per tasklet for occupancy
 accounting); the DPU timing model treats total DMA cycles as one of its
 bounding terms.
 
-:meth:`DmaEngine.stage` charges the kernel's metadata staging in closed
-form: the same counters, checks and fault-hook ticks as issuing every
-transfer, without copying the scratch bytes no code reads.
+The kernel's metadata staging is charged in closed form, in two steps:
+:func:`plan_staging` derives everything that follows from the block
+sizes, use counts, chunk and timing (an immutable :class:`StagingPlan`
+that any number of launches may share), and
+:meth:`DmaEngine.charge_staging` applies a plan at an address with the
+same counters, checks and fault-hook ticks as issuing every transfer,
+without copying the scratch bytes no code reads.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add, mul
@@ -41,8 +46,10 @@ __all__ = [
     "DMA_MAX",
     "DMA_ALIGN",
     "DmaEngine",
+    "StagingPlan",
     "aligned_size",
     "dma_pieces",
+    "plan_staging",
 ]
 
 DMA_ALIGN = 8
@@ -65,6 +72,83 @@ def dma_pieces(nbytes: int, chunk: Optional[int] = None) -> list[int]:
     step = DMA_MAX if chunk is None else chunk
     whole, rest = divmod(nbytes, step)
     return [step] * whole + [rest] if rest else [step] * whole
+
+
+@dataclass(frozen=True)
+class StagingPlan:
+    """The closed-form charge of blocks staged through one WRAM buffer.
+
+    Block ``i`` holds ``sizes[i]`` bytes (a positive multiple of 8) and
+    is moved whole ``uses[i]`` times: one stage-out (WRAM -> MRAM), then
+    reads back, each move split by :func:`dma_pieces` with ``chunk`` (a
+    multiple of 8 in [8, 2048], as
+    :class:`~repro.pim.kernel.KernelConfig` ensures, or ``None``).  No
+    field depends on an address, so one plan serves every launch that
+    stages the same blocks; :meth:`DmaEngine.charge_staging` applies it.
+    """
+
+    sizes: tuple[int, ...]
+    uses: tuple[int, ...]
+    chunk: Optional[int]
+    #: cycles of every transfer, in issue order
+    transfer_cycles: tuple[float, ...]
+    #: cycles of every move of a block, in issue order
+    move_cycles: tuple[float, ...]
+    transfers: int
+    bytes_moved: int
+    #: size of the first transfer, which stands for all in validation
+    first: int
+    #: MRAM bytes the blocks span, and WRAM bytes one move reaches
+    extent: int
+    reach: int
+
+    def pieces(self) -> list[list[int]]:
+        """Transfer sizes of one move of each block."""
+        return [dma_pieces(nbytes, self.chunk) for nbytes in self.sizes]
+
+
+def plan_staging(
+    sizes: Sequence[int],
+    uses: Sequence[int],
+    chunk: Optional[int],
+    timing: DpuTimingConfig,
+) -> StagingPlan:
+    """Plan the staging of blocks ``sizes`` moved ``uses`` times each.
+
+    The cycles are those :meth:`DmaEngine.read`/:meth:`DmaEngine.write`
+    charge, and a move's cycles the sum of its pieces' added from 0.0 in
+    order, so summing a plan's tuples in order gives exactly the floats
+    of transfer-by-transfer charging.  The tuples hold one float object
+    per distinct piece (and block) size.
+    """
+    step = DMA_MAX if chunk is None else chunk
+    per_piece: dict[int, float] = {}
+    per_move: dict[int, tuple[tuple[float, ...], float]] = {}
+    transfer_cycles: list[float] = []
+    move_cycles: list[float] = []
+    for nbytes, count in zip(sizes, uses):
+        if nbytes not in per_move:
+            cycles = tuple(
+                per_piece.setdefault(piece, timing.dma_cycles(piece))
+                for piece in dma_pieces(nbytes, chunk)
+            )
+            per_move[nbytes] = cycles, reduce(add, cycles, 0.0)
+        cycles, move = per_move[nbytes]
+        transfer_cycles.extend(cycles * count)
+        move_cycles.extend((move,) * count)
+    widest = max(sizes, default=0)
+    return StagingPlan(
+        sizes=tuple(sizes),
+        uses=tuple(uses),
+        chunk=chunk,
+        transfer_cycles=tuple(transfer_cycles),
+        move_cycles=tuple(move_cycles),
+        transfers=len(transfer_cycles),
+        bytes_moved=sum(map(mul, sizes, uses)),
+        first=min(sizes[0], step) if sizes else 0,
+        extent=sum(sizes),
+        reach=widest if chunk is None else min(widest, step),
+    )
 
 
 class DmaEngine:
@@ -148,65 +232,47 @@ class DmaEngine:
             done += piece
         return cycles
 
-    def stage(
-        self,
-        mram_addr: int,
-        wram_addr: int,
-        sizes: Sequence[int],
-        uses: Sequence[int],
-        chunk: Optional[int] = None,
-    ) -> list[float]:
-        """Charge blocks staged through one WRAM buffer, in closed form.
+    def charge_staging(self, plan: StagingPlan, mram_addr: int, wram_addr: int) -> None:
+        """Charge ``plan``'s blocks staged at ``mram_addr`` through ``wram_addr``.
 
-        Block ``i`` holds ``sizes[i]`` bytes (a positive multiple of 8) at
-        ``mram_addr + sum(sizes[:i])`` and is moved whole ``uses[i]``
-        times: one stage-out (WRAM -> MRAM), then reads back.  A move is
-        split by :func:`dma_pieces`; with ``chunk=None`` the WRAM address
-        advances with the MRAM one, as in :meth:`write_large` and
-        :meth:`read_large`, otherwise every piece goes through the same
-        ``chunk``-byte buffer at ``wram_addr`` (``chunk`` a multiple of 8
-        in [8, 2048], as :class:`~repro.pim.kernel.KernelConfig` ensures).
+        Block ``i`` lies at ``mram_addr + sum(plan.sizes[:i])``; with
+        ``chunk=None`` the WRAM address advances with the MRAM one, as in
+        :meth:`write_large` and :meth:`read_large`, otherwise every piece
+        goes through the same ``chunk``-byte buffer at ``wram_addr``.
 
-        The counters, the per-transfer cycle sums (added one transfer at
-        a time, in issue order) and the fault hook (one call per transfer
-        with its size, in issue order) are exactly those of issuing every
-        transfer through :meth:`write` and :meth:`read`, but no bytes are
-        copied.  The checks are done once: every address is the first
-        transfer's plus multiples of 8 and every piece a multiple of 8 in
-        [8, 2048], so validating the first transfer validates them all;
-        the addresses grow with the block, so the bounds hold everywhere
-        when they hold at the ends.  Only when a bound fails is the first
-        offending transfer located and issued, and it fails as before.
-        On an error the counters are left undefined, as is the launch.
-
-        Returns the cycles of one move of each block.
+        The counters, the cycle sum (added one transfer at a time, in
+        issue order, from the live value) and the fault hook (one call
+        per transfer with its size, in issue order) are exactly those of
+        issuing every transfer through :meth:`write` and :meth:`read`,
+        but no bytes are copied.  The checks are done once: every address
+        is the first transfer's plus multiples of 8 and every piece a
+        multiple of 8 in [8, 2048], so validating the first transfer
+        validates them all; the addresses grow with the block, so the
+        bounds hold everywhere when they hold at the ends.  Only when a
+        bound fails is the first offending transfer located and issued,
+        and it fails as before.  On an error the counters are left
+        undefined, as is the launch.
         """
-        if not sizes:
-            return []
-        step = DMA_MAX if chunk is None else chunk
-        widest = max(sizes)
-        self._validate(mram_addr, wram_addr, min(sizes[0], step))
-        reach = widest if chunk is None else min(widest, step)
-        pieces = [dma_pieces(nbytes, chunk) for nbytes in sizes]
+        if not plan.sizes:
+            return
+        self._validate(mram_addr, wram_addr, plan.first)
         if (
             mram_addr < 0
-            or mram_addr + sum(sizes) > self.mram.capacity
+            or mram_addr + plan.extent > self.mram.capacity
             or wram_addr < 0
-            or wram_addr + reach > self.wram.capacity
+            or wram_addr + plan.reach > self.wram.capacity
         ):
+            pieces = plan.pieces()
             index, mram_at, wram_at, size = self._first_out_of_bounds(
-                mram_addr, wram_addr, pieces, uses, chunk is None
+                mram_addr, wram_addr, pieces, plan.uses, plan.chunk is None
             )
-            self._tick(pieces, uses, index)
+            self._tick(pieces, plan.uses, index)
             self.write(wram_at, mram_at, size)  # fails its bounds check
-        self._tick(pieces, uses, None)
-        cycles_of = self.timing.dma_cycles
-        per_piece = [[cycles_of(p) for p in block] for block in pieces]
-        self.transfers += sum(map(mul, map(len, pieces), uses))
-        self.bytes_moved += sum(map(mul, sizes, uses))
-        issued = chain.from_iterable(map(mul, per_piece, uses))
-        self.cycles = reduce(add, issued, self.cycles)
-        return [reduce(add, cycles, 0.0) for cycles in per_piece]
+        if self.fault_hook is not None:
+            self._tick(plan.pieces(), plan.uses, None)
+        self.transfers += plan.transfers
+        self.bytes_moved += plan.bytes_moved
+        self.cycles = reduce(add, plan.transfer_cycles, self.cycles)
 
     def _tick(
         self, pieces: list[list[int]], uses: Sequence[int], limit: Optional[int]

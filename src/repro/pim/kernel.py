@@ -23,10 +23,16 @@ Fidelity notes (see DESIGN.md §2):
 * The WFA arithmetic itself runs on the host Python engine for speed;
   its *wavefront log* then drives the metadata accounting.  Each pair's
   wavefronts are reserved in the metadata arena in one step and their
-  staging is validated and charged in closed form (sizes, uses, DMA
-  pieces, cycles per use), so capacity, alignment, bounds, traffic
-  volumes, cycle sums and fault-hook ticks are exactly those of the
-  transfer-by-transfer DPU code.  The staged bytes themselves are not
+  staging is validated and charged in closed form, so capacity,
+  alignment, bounds, traffic volumes, cycle sums and fault-hook ticks
+  are exactly those of the transfer-by-transfer DPU code.  Everything
+  the charge derives from the log (sizes, uses, DMA pieces, per-transfer
+  and per-use cycles) is one immutable plan, memoized per kernel
+  configuration, policy, staging chunk, DPU timing and log content by
+  :func:`metadata_plan`: a global alignment's log depends only on its
+  final score, so a workload's pairs share a few dozen plans, and each
+  pair pays only its address and bounds checks, fault-hook ticks and
+  in-order float additions.  The staged bytes themselves are not
   copied: metadata buffer contents are scratch that no code reads.
 * Instruction counts come from the operation counters via
   :class:`~repro.perf.costs.DpuCostModel`.
@@ -35,8 +41,8 @@ Fidelity notes (see DESIGN.md §2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import chain, islice, repeat
+from functools import lru_cache, reduce
+from itertools import islice
 from operator import add
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -56,8 +62,16 @@ from repro.core.wfa_batch import BatchPairView, BatchWfaEngine
 from repro.data.generator import ReadPair
 from repro.errors import AllocationError, AlignmentError, KernelError
 from repro.pim.allocator import TaskletAllocator
-from repro.pim.config import DpuConfig
-from repro.pim.dma import DMA_ALIGN, DMA_MAX, DMA_MIN, aligned_size, dma_pieces
+from repro.pim.config import DpuConfig, DpuTimingConfig
+from repro.pim.dma import (
+    DMA_ALIGN,
+    DMA_MAX,
+    DMA_MIN,
+    StagingPlan,
+    aligned_size,
+    dma_pieces,
+    plan_staging,
+)
 from repro.pim.dpu import Dpu
 from repro.pim.layout import MramLayout
 from repro.pim.tasklet import TaskletContext, TaskletStats
@@ -71,6 +85,12 @@ __all__ = ["KernelConfig", "WramPlan", "WfaDpuKernel", "max_supported_tasklets"]
 #: run (1176 at 100 bp / 4 edits, 52 at 1000 bp / 20 edits, affine), so
 #: host memory follows read length, not the input size.
 BATCH_BUDGET_BYTES = 16 << 20
+
+#: metadata charges :func:`metadata_plan` keeps, least recently used out.
+#: Workloads repeat a few dozen wavefront logs (7 to 23 distinct in the
+#: perfbench workloads, 125 in 576 pairs under the adaptive heuristic),
+#: and a plan with its key takes about 2.7 KB at 100 bp, 15 KB at 1000 bp.
+METADATA_PLAN_CACHE = 256
 
 
 def per_edit_cost(penalties: Penalties) -> int:
@@ -268,7 +288,6 @@ class WfaDpuKernel:
     ) -> None:
         self.config = config
         self.cost_model = cost_model if cost_model is not None else DpuCostModel()
-        self._sources = source_distances(config.penalties)
 
     # -- static planning ------------------------------------------------------
 
@@ -645,42 +664,68 @@ class WfaDpuKernel:
         at creation (stage-out) and DMA-read back once per later score
         that uses it as a recurrence source — M wavefronts twice under
         affine penalties (mismatch source and gap-open source), I/D
-        once — plus once more during traceback.  The charge is computed
-        from the log (:meth:`~repro.pim.dma.DmaEngine.stage`); a block
-        that overflows the arena fails after the blocks before it were
-        staged, as it would on the DPU.
+        once — plus once more during traceback.  The charge is the log's
+        :func:`metadata_plan` applied at the arena's cursor
+        (:meth:`~repro.pim.dma.DmaEngine.charge_staging`); a block that
+        overflows the arena fails after the blocks before it were
+        staged, as it would on the DPU, with the prefix planned on its own.
         """
         log = counters.wavefront_log
         if not log:
             return
-        sizes = [aligned_size(4 * (hi - lo + 1)) for _s, _c, lo, hi in log]
+        sizes, staging = metadata_plan(
+            self.config, metadata_policy, ctx.staging_chunk, dpu.dma.timing, tuple(log)
+        )
         arena = ctx.allocator.metadata_arena
         base = arena.base + arena.cursor
         fit = arena.reserve(sizes)
-        if metadata_policy == "mram" and fit:
-            computed = {score for score, _c, _l, _h in log}
-            fixed = 2 if self.config.traceback else 1  # stage-out, traceback
-            sources = self._sources
-            uses = []
-            for score, comp, _l, _h in log[:fit]:
-                n = fixed
-                for distance in sources[comp]:
-                    if score + distance in computed:
-                        n += 1
-                uses.append(n)
+        if staging is not None and fit:
+            if fit < len(sizes):
+                staging = plan_staging(
+                    sizes[:fit], staging.uses[:fit], staging.chunk, dpu.dma.timing
+                )
             stage = ctx.staging_buffers[0] if ctx.staging_buffers else ctx.input_buffer
-            transfers, moved = dpu.dma.transfers, dpu.dma.bytes_moved
-            per_use = dpu.dma.stage(base, stage, sizes[:fit], uses, ctx.staging_chunk)
+            dpu.dma.charge_staging(staging, base, stage)
             stats = ctx.stats
             # One addition per use, in use order, so the float total is
             # the one per-use charging produces.
-            stats.dma_cycles = reduce(
-                add, chain.from_iterable(map(repeat, per_use, uses)), stats.dma_cycles
-            )
-            stats.dma_bytes += dpu.dma.bytes_moved - moved
-            stats.dma_transfers += dpu.dma.transfers - transfers
+            stats.dma_cycles = reduce(add, staging.move_cycles, stats.dma_cycles)
+            stats.dma_bytes += staging.bytes_moved
+            stats.dma_transfers += staging.transfers
         if fit < len(sizes):
             raise arena.exhausted(sizes[fit])
+
+
+@lru_cache(maxsize=METADATA_PLAN_CACHE)
+def metadata_plan(
+    config: KernelConfig,
+    metadata_policy: str,
+    chunk: Optional[int],
+    timing: DpuTimingConfig,
+    log: tuple[tuple[int, str, int, int], ...],
+) -> tuple[tuple[int, ...], Optional[StagingPlan]]:
+    """``(sizes, staging)``: the metadata charge of one wavefront log.
+
+    ``sizes`` are the log's 8-byte-aligned arena blocks; ``staging`` is
+    their :class:`~repro.pim.dma.StagingPlan` under the ``"mram"`` policy
+    (``chunk`` is the WRAM plan's staging chunk), ``None`` under
+    ``"wram"``.  A pure function of its arguments, all immutable and
+    compared whole, so a plan is reused only where it is the same charge;
+    at most :data:`METADATA_PLAN_CACHE` are kept.  The memo is per
+    process rather than per kernel because every simulated DPU builds
+    its own :class:`WfaDpuKernel`; purity makes sharing it safe.
+    """
+    sizes = tuple(aligned_size(4 * (hi - lo + 1)) for _s, _c, lo, hi in log)
+    if metadata_policy != "mram":
+        return sizes, None
+    computed = {score for score, _c, _l, _h in log}
+    fixed = 2 if config.traceback else 1  # stage-out, traceback
+    sources = source_distances(config.penalties)
+    uses = [
+        fixed + sum(score + distance in computed for distance in sources[comp])
+        for score, comp, _l, _h in log
+    ]
+    return sizes, plan_staging(sizes, uses, chunk, timing)
 
 
 def max_supported_tasklets(

@@ -233,7 +233,13 @@ class MramLayout:
         return record
 
     def unpack_result(self, record: bytes) -> tuple[int, Cigar | None]:
-        """Deserialize a result record (the host-side gather view)."""
+        """Deserialize a result record (the host-side gather view).
+
+        Every malformed field raises :class:`LayoutError`, a CIGAR word
+        whose op byte is not one of ``M``, ``X``, ``I``, ``D`` or whose
+        run length is zero included, so rot anywhere in a record fails
+        as one typed parse error.
+        """
         if len(record) != self.result_record_size:
             raise LayoutError(
                 f"result record of {len(record)} bytes, expected "
@@ -250,7 +256,10 @@ class MramLayout:
         ops = []
         for i in range(n_ops):
             word = int.from_bytes(record[16 + 4 * i : 20 + 4 * i], "little")
-            ops.append(CigarOp(word >> 8, chr(word & 0xFF)))
+            length, op = word >> 8, chr(word & 0xFF)
+            if op not in "MXID" or not length:
+                raise LayoutError(f"CIGAR word {i} ({word:#010x}) is no valid run")
+            ops.append(CigarOp(length, op))
         return score, Cigar(ops)
 
     def unpack_result_region(self, record: bytes) -> tuple[int, int]:

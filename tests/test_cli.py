@@ -178,6 +178,22 @@ class TestPimAlign:
         rc = main(["pim-align", "-i", str(empty)])
         assert rc == 1
 
+    def test_inferred_budget_overflow_names_the_flags(self, tmp_path, capsys):
+        reads = tmp_path / "long.seq"
+        assert main(["generate", "--pairs", "2", "--length", "1000",
+                     "--error-rate", "0.02", "-o", str(reads)]) == 0
+        capsys.readouterr()
+        argv = ["pim-align", "-i", str(reads), "--dpus", "4", "--tasklets", "16"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "MRAM bank holds" in err
+        assert "--max-edits was inferred as 100" in err
+        assert "16 --tasklets" in err
+        # an explicit budget is the caller's own: the plain error
+        assert main([*argv, "--max-edits", "100"]) == 1
+        err = capsys.readouterr().err
+        assert "MRAM bank holds" in err and "inferred" not in err
+
 
 class TestPimAlignTelemetry:
     def _run(self, workload, tmp_path, *extra):

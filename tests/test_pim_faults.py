@@ -316,6 +316,31 @@ class TestRecovery:
         assert run.recovery.all_ok
         assert run.recovery.faults_seen == 3
 
+    @pytest.mark.parametrize("seed", [8, 11])
+    def test_cigar_op_rot_is_recovered(self, seed):
+        """A bit flip on a result's CIGAR op byte is a typed, retryable
+        parse failure: recovery re-runs the DPU and returns every pair."""
+
+        def system():
+            return PimSystem(
+                PimSystemConfig(num_dpus=4, num_ranks=1, tasklets=4, num_simulated_dpus=4),
+                KernelConfig(max_read_len=50, max_edits=4),
+            )
+
+        pairs = ReadPairGenerator(length=50, error_rate=0.04, seed=3).pairs(32)
+        baseline = result_key(system().align(pairs, collect_results=True))
+        plan = FaultPlan(
+            seed=seed,
+            corruptions=(
+                MramCorruption(dpu_id=0, region="output", record=3, num_bits=1),
+            ),
+        )
+        run = system().align(pairs, collect_results=True, fault_plan=plan)
+        assert result_key(run) == baseline
+        assert run.recovery.all_ok
+        assert run.recovery.faults_seen == 1
+        assert run.recovery.records[0].attempts == 2
+
     def test_all_dead_abandons_everything(self):
         plan = FaultPlan(deaths=tuple(DpuDeath(dpu_id=d) for d in range(4)))
         run = small_system().align(workload(20), fault_plan=plan)

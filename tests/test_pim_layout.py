@@ -146,3 +146,17 @@ class TestResultRecords:
         layout = make_layout()
         with pytest.raises(LayoutError):
             layout.unpack_result(b"\x00" * 4)
+
+    @pytest.mark.parametrize(
+        "word",
+        [(3 << 8) | ord("Q"), (3 << 8) | 0xCD, ord("M")],
+        ids=["op-Q", "op-0xCD", "zero-run"],
+    )
+    def test_invalid_cigar_word_is_a_layout_error(self, word):
+        """An op byte outside MXID, or a zero-length run, fails the parse
+        as a :class:`LayoutError`, not an untyped ``CigarError``."""
+        layout = make_layout()
+        rec = bytearray(layout.pack_result(5, Cigar.from_string("4M1X4M")))
+        rec[20:24] = word.to_bytes(4, "little")  # the second run's word
+        with pytest.raises(LayoutError, match="CIGAR word 1"):
+            layout.unpack_result(bytes(rec))

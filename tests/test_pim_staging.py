@@ -3,10 +3,12 @@
 The reference below is the kernel's former metadata replay: every
 wavefront allocated with one ``alloc`` call and every staging transfer
 issued through ``DmaEngine.read``/``write``, scratch bytes and all.  The
-closed-form charge (``BumpAllocator.reserve`` + ``DmaEngine.stage``) must
-match it counter for counter and float for float, and fail the same way
-on the same pair: arena overflow, the stall watchdog (one hook tick per
-transfer, in order) and memory bounds.
+closed-form charge (``BumpAllocator.reserve`` + a memoized
+``metadata_plan`` applied by ``DmaEngine.charge_staging``) must match it
+counter for counter and float for float, and fail the same way on the
+same pair: arena overflow, the stall watchdog (one hook tick per
+transfer, in order) and memory bounds.  Every comparison runs the
+closed form twice, cold (memo cleared) and warm (every plan a memo hit).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.errors import (
 from repro.pim import kernel as kernel_module
 from repro.pim.allocator import BumpAllocator, TaskletAllocator
 from repro.pim.config import DpuConfig, DpuTimingConfig, HostTransferConfig
-from repro.pim.dma import DmaEngine, aligned_size
+from repro.pim.dma import DmaEngine, aligned_size, plan_staging
 from repro.pim.dpu import Dpu
 from repro.pim.faults import FaultPlan, TaskletStall
 from repro.pim.kernel import KernelConfig, WfaDpuKernel
@@ -152,16 +154,23 @@ class ReferenceKernel(TracksPair, WfaDpuKernel):
 
 
 def reference_dma_stage(dma, mram_addr, wram_addr, sizes, uses, chunk):
-    """``DmaEngine.stage`` spelled out transfer by transfer."""
-    per_use = []
+    """A staging plan's charge spelled out transfer by transfer; returns
+    the cycles of every move, in issue order."""
+    per_move = []
     for nbytes, count in zip(sizes, uses):
         for use in range(count):
-            cycles = reference_stage(
-                dma, wram_addr, mram_addr, nbytes, chunk, write=use == 0
+            per_move.append(
+                reference_stage(dma, wram_addr, mram_addr, nbytes, chunk, write=use == 0)
             )
-        per_use.append(cycles)
         mram_addr += nbytes
-    return per_use
+    return per_move
+
+
+def two_step_stage(dma, mram_addr, wram_addr, sizes, uses, chunk):
+    """The closed form: plan the blocks, then charge the plan."""
+    plan = plan_staging(sizes, uses, chunk, dma.timing)
+    dma.charge_staging(plan, mram_addr, wram_addr)
+    return list(plan.move_cycles)
 
 
 # -- running both kernels ------------------------------------------------------
@@ -190,9 +199,11 @@ def launch(
     metadata_bytes=None,
     dma_budget=None,
     mram_bytes=DpuConfig().mram_bytes,
+    wram_bytes=DpuConfig().wram_bytes,
+    timing=DpuTimingConfig(),
 ):
     layout = plan_layout(kc, pairs, policy, tasklets, metadata_bytes)
-    dpu = Dpu(DpuConfig(mram_bytes=mram_bytes))
+    dpu = Dpu(DpuConfig(mram_bytes=mram_bytes, wram_bytes=wram_bytes, timing=timing))
     HostTransferEngine(HostTransferConfig()).push_batch(dpu, layout, pairs)
     if dma_budget is not None:
         plan = FaultPlan(stalls=(TaskletStall(dpu_id=0, dma_budget=dma_budget),))
@@ -249,9 +260,19 @@ def plan_layout(kc, pairs, policy, tasklets=2, metadata_bytes=None):
 
 
 def both(kc, pairs, policy, monkeypatch, **kwargs):
+    """The reference launch, then the closed form twice: cold (the plan
+    memo cleared, every charge planned afresh) and warm (the same launch
+    again, every charge the cold run planned a memo hit)."""
+    memo = kernel_module.metadata_plan
     ref = launch(ReferenceKernel, kc, pairs, policy, monkeypatch, **kwargs)
-    new = launch(ClosedFormKernel, kc, pairs, policy, monkeypatch, **kwargs)
-    return ref, new
+    memo.cache_clear()
+    cold = launch(ClosedFormKernel, kc, pairs, policy, monkeypatch, **kwargs)
+    before = memo.cache_info()
+    warm = launch(ClosedFormKernel, kc, pairs, policy, monkeypatch, **kwargs)
+    if cold.error is None:
+        after = memo.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+    return ref, cold, warm
 
 
 def workload(n=6, length=24, error_rate=0.1, seed=3):
@@ -277,10 +298,11 @@ def test_closed_form_matches_per_transfer_replay(
         staging_chunk_bytes=chunk,
         engine=engine,
     )
-    ref, new = both(kc, workload(), policy, monkeypatch)
-    assert ref.error is None and new.error is None
-    assert new == ref
-    assert sum(s.dma_transfers for s in new.stats) == new.dma[0]
+    ref, cold, warm = both(kc, workload(), policy, monkeypatch)
+    assert ref.error is None
+    for new in (cold, warm):
+        assert new == ref
+        assert sum(s.dma_transfers for s in new.stats) == new.dma[0]
 
 
 def test_multi_piece_whole_wavefronts(monkeypatch):
@@ -294,10 +316,63 @@ def test_multi_piece_whole_wavefronts(monkeypatch):
     assert 4 * widest > 2048
     kc = KernelConfig(penalties=EditPenalties(), max_read_len=300, max_edits=280)
     pairs = [ReadPair(pattern=pattern, text=text)]
-    ref, new = both(kc, pairs, "mram", monkeypatch, tasklets=1)
+    ref, cold, warm = both(kc, pairs, "mram", monkeypatch, tasklets=1)
     assert ref.error is None
-    assert new == ref
-    assert sum(s.dma_transfers for s in new.stats) == new.dma[0]
+    for new in (cold, warm):
+        assert new == ref
+        assert sum(s.dma_transfers for s in new.stats) == new.dma[0]
+
+
+# -- the plan memo ------------------------------------------------------------------
+
+
+def test_plans_are_never_shared_across_configurations(monkeypatch):
+    """Kernels that differ only in the traceback flag, the penalties, the
+    staging chunk (set, or picked because WRAM is short) or the DPU
+    timing each get their own plans, even for equal wavefront logs: edit
+    and gap-linear (1, 1) penalties log the same wavefronts but read
+    each one back a different number of times."""
+    base = KernelConfig(penalties=EditPenalties(), max_read_len=24, max_edits=4)
+    slow = DpuTimingConfig(dma_setup_cycles=2 * DpuTimingConfig().dma_setup_cycles)
+    # 200 B slices hold the fixed buffers but not three whole wavefronts
+    short = {"wram_bytes": 400}
+    assert WfaDpuKernel(base).plan_wram(DpuConfig(**short), 2, "mram").staging_chunk
+    variants = [
+        (base, {}),
+        (dataclasses.replace(base, traceback=False), {}),
+        (dataclasses.replace(base, penalties=LinearPenalties(1, 1)), {}),
+        (dataclasses.replace(base, staging_chunk_bytes=16), {}),
+        (base, short),
+        (base, {"timing": slow}),
+    ]
+    pairs = workload()
+    logs = set()
+    for pair in pairs:
+        engine = WfaEngine(pair.pattern, pair.text, base.penalties)
+        engine.run()
+        logs.add(tuple(engine.counters.wavefront_log))
+    memo = kernel_module.metadata_plan
+    memo.cache_clear()
+    for kc, dpu in variants:
+        launch(ClosedFormKernel, kc, pairs, "mram", monkeypatch, **dpu)
+    assert memo.cache_info().currsize == len(variants) * len(logs)
+    for kc, dpu in variants:  # every variant's plans are in the memo
+        ref = launch(ReferenceKernel, kc, pairs, "mram", monkeypatch, **dpu)
+        warm = launch(ClosedFormKernel, kc, pairs, "mram", monkeypatch, **dpu)
+        assert ref.error is None and warm == ref
+    assert memo.cache_info().currsize == len(variants) * len(logs)
+
+
+def test_memo_holds_at_most_its_bound():
+    memo = kernel_module.metadata_plan
+    bound = kernel_module.METADATA_PLAN_CACHE
+    assert memo.cache_info().maxsize == bound
+    memo.cache_clear()
+    kc, timing = KernelConfig(penalties=EditPenalties()), DpuTimingConfig()
+    for final in range(bound + 8):
+        log = tuple((s, "M", -s, s) for s in range(final + 1))
+        memo(kc, "mram", None, timing, log)
+        assert memo.cache_info().currsize == min(final + 1, bound)
 
 
 # -- the error paths ---------------------------------------------------------------
@@ -320,13 +395,14 @@ def test_stall_budget_sweep_fails_on_the_same_transfer(chunk, monkeypatch):
     pairs = workload(n=2, length=12, error_rate=0.15, seed=5)
     total = total_transfers(kc, pairs, monkeypatch)
     for budget in range(total):
-        ref, new = both(kc, pairs, "mram", monkeypatch, dma_budget=budget)
+        ref, *news = both(kc, pairs, "mram", monkeypatch, dma_budget=budget)
         assert ref.error[0] is TaskletStallError
         assert f"DMA transfer {budget + 1} exceeds" in ref.error[1]
-        assert new.error == ref.error, budget
-        assert new.events == ref.events, budget
-    ref, new = both(kc, pairs, "mram", monkeypatch, dma_budget=total)
-    assert ref.error is None and new == ref
+        for new in news:
+            assert new.error == ref.error, budget
+            assert new.events == ref.events, budget
+    ref, *news = both(kc, pairs, "mram", monkeypatch, dma_budget=total)
+    assert ref.error is None and news == [ref, ref]
 
 
 def arena_bytes(kc, pairs):
@@ -349,14 +425,15 @@ def test_arena_overflow_raises_the_same_kernel_error(monkeypatch):
     kc = KernelConfig(penalties=AffinePenalties(4, 6, 2), max_read_len=24, max_edits=4)
     pairs = workload()
     need, short = arena_bytes(kc, pairs)
-    ref, new = both(kc, pairs, "mram", monkeypatch, metadata_bytes=short)
+    ref, *news = both(kc, pairs, "mram", monkeypatch, metadata_bytes=short)
     assert ref.error[0] is KernelError
     assert f"metadata arena overflow on pair {ref.error[2]}" in ref.error[1]
     assert "mram arena exhausted" in ref.error[1]
-    assert new.error == ref.error
-    assert new.events == ref.events
-    ref, new = both(kc, pairs, "mram", monkeypatch, metadata_bytes=need)
-    assert ref.error is None and new == ref  # an exact fit is no overflow
+    for new in news:
+        assert new.error == ref.error
+        assert new.events == ref.events
+    ref, *news = both(kc, pairs, "mram", monkeypatch, metadata_bytes=need)
+    assert ref.error is None and news == [ref, ref]  # an exact fit is no overflow
 
 
 @pytest.mark.parametrize("chunk", [None, 8])
@@ -373,17 +450,17 @@ def test_overflow_and_stall_first_in_transfer_order_wins(chunk, monkeypatch):
         ReferenceKernel, kc, pairs, "mram", monkeypatch, metadata_bytes=short
     )
     before = overflow.dma[0]  # transfers issued before the overflowing alloc
-    ref, new = both(
+    ref, *news = both(
         kc, pairs, "mram", monkeypatch, metadata_bytes=short, dma_budget=before - 1
     )
     assert ref.error[0] is TaskletStallError
     assert ref.error[2] == overflow.error[2]
-    assert new.error == ref.error
-    ref, new = both(
+    assert [new.error for new in news] == [ref.error, ref.error]
+    ref, *news = both(
         kc, pairs, "mram", monkeypatch, metadata_bytes=short, dma_budget=before
     )
     assert ref.error == overflow.error
-    assert new.error == ref.error
+    assert [new.error for new in news] == [ref.error, ref.error]
 
 
 @pytest.mark.parametrize("chunk", [None, 8])
@@ -397,13 +474,14 @@ def test_mram_bound_fails_on_the_same_transfer(chunk, monkeypatch):
     )
     pairs = workload()
     end = plan_layout(kc, pairs, "mram").metadata_addr(1) + 40
-    ref, new = both(
+    ref, *news = both(
         kc, pairs, "mram", monkeypatch, mram_bytes=end, dma_budget=10**6
     )
     assert ref.error[0] is MemoryFault and ref.error[1].startswith("MRAM")
     assert ref.error[2] == 1  # tasklet 1's first pair
-    assert new.error == ref.error
-    assert new.events == ref.events
+    for new in news:
+        assert new.error == ref.error
+        assert new.events == ref.events
 
 
 # -- the building blocks against their one-at-a-time forms -------------------------
@@ -485,7 +563,7 @@ def test_dma_stage_matches_transfer_by_transfer():
             new.fault_hook = stall_after(limit, new_ticks)
         args = (mram_addr, wram_addr, sizes, uses, chunk)
         outcomes = []
-        for dma, run in ((ref, reference_dma_stage), (new, DmaEngine.stage)):
+        for dma, run in ((ref, reference_dma_stage), (new, two_step_stage)):
             try:
                 per_use = run(dma, *args)
             except (AlignmentFault, MemoryFault, TaskletStallError) as exc:

@@ -31,6 +31,7 @@ from repro.core import (
 )
 from repro.core.backtrace import backtrace
 from repro.core.span import AlignmentSpan
+from repro.core.wavefront import OFFSET_NULL
 from repro.core.wfa import WfaEngine
 from repro.core.wfa_batch import BatchWfaEngine, align_batch
 from repro.data.generator import ReadPairGenerator
@@ -180,7 +181,7 @@ class TestRelease:
 
 
 class TestRowBackedTraceback:
-    """A view's ``wavefronts`` reads the batch arrays in place."""
+    """A view's ``offset`` reads the batch arrays in place."""
 
     @staticmethod
     def run_both(penalties):
@@ -194,22 +195,25 @@ class TestRowBackedTraceback:
 
     @METRICS
     def test_wavefronts_read_the_scalar_cells(self, penalties):
+        """Every cell of every score ``0..final+1`` and component, on
+        every diagonal from two below the lowest ``lo`` to two above the
+        highest ``hi``, reads as the scalar engine's, ``OFFSET_NULL``
+        included."""
         for scalar, view in self.run_both(penalties):
-            assert list(view.wavefronts) == sorted(scalar.wavefronts)
-            assert view.wavefronts.get(view.final_score + 1) is None
-            for score, want in scalar.wavefronts.items():
-                have = view.wavefronts[score]
-                assert (have is None) == (want is None)
-                if want is None:
-                    continue
-                for name in ("m", "i", "d", "i2", "d2"):
-                    a, b = getattr(want, name), getattr(have, name)
-                    assert (a is None) == (b is None)
-                    if a is None:
-                        continue
-                    assert (b.lo, b.hi) == (a.lo, a.hi)
-                    diagonals = range(a.lo - 2, a.hi + 3)  # NULL off the ends
-                    assert [b[k] for k in diagonals] == [a[k] for k in diagonals]
+            log = scalar.counters.wavefront_log
+            lo = min(entry[2] for entry in log)
+            hi = max(entry[3] for entry in log)
+            diagonals = range(lo - 2, hi + 3)
+            reached = 0
+            for score in range(view.final_score + 2):
+                for comp in ("M", "I", "D", "I2", "D2"):
+                    have = [view.offset(score, comp, k) for k in diagonals]
+                    want = [scalar.offset(score, comp, k) for k in diagonals]
+                    assert have == want, (score, comp)
+                    assert all(type(v) is int for v in have)
+                    reached += sum(v != OFFSET_NULL for v in want)
+            assert view.offset(-1, "M", 0) == OFFSET_NULL
+            assert reached > view.final_score  # not a table of NULLs
 
     @METRICS
     def test_cigar_run_lengths_are_exact_ints(self, penalties):
