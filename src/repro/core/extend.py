@@ -19,8 +19,8 @@ Both return the new offset and the number of character comparisons
 performed, so callers can charge instruction costs faithfully.
 
 The batched NumPy engine (:mod:`repro.core.wfa_batch`) replaces the
-per-cell loop of :func:`extend_wavefront` with chunked whole-batch
-codepoint comparisons but reproduces its comparison counts exactly.
+per-cell loop of :func:`extend_wavefront` with whole-batch comparisons
+of packed 64-bit words but reproduces its comparison counts exactly.
 """
 
 from __future__ import annotations

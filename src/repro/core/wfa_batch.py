@@ -23,14 +23,16 @@ so every pair in the batch shares the same array layout at every score.
 The engine therefore refuses non-global spans and has no heuristic hook;
 callers fall back to the scalar engine for those configurations.
 
-Vectorized extension compares characters directly, in chunks: every
-reached ``(pair, diagonal)`` lane gathers a small window of pattern and
-text codepoints, finds the first mismatch with an ``argmin``, and lanes
-that matched their whole window go another round with a doubled window.
-Lanes are compacted between rounds, so total work is proportional to
-the characters actually matched — the same work the scalar engine does,
-at NumPy speed.  Distinct out-of-range sentinel pads on the two
-codepoint matrices make every boundary check implicit: any read past a
+Vectorized extension compares characters a word at a time, the way
+WFA2-lib's packed extend does.  Each side of the batch is one flat
+``uint64`` array with ``max_len + 1`` words per row; word ``i`` packs the
+row's character codes ``[i, i + per)``, low bits first (an all-ASCII
+batch uses its bytes as codes; any other batch gets dense codes from its
+sorted alphabet, 8, 16 or 32 bits wide).  Every reached lane of a live
+pair takes one word per side at its offset, XORs them, and finds its
+first mismatch with a popcount; lanes that matched a whole word read on
+in bounded multi-word gathers.  Distinct pattern and text pads past
+every row's end make each boundary check implicit: any read past a
 sequence end compares unequal, ending the run exactly at the boundary.
 """
 
@@ -71,30 +73,49 @@ def _as_str(seq: Sequence_, name: str) -> str:
     raise AlignmentError(f"{name} must be str or bytes, got {type(seq).__name__}")
 
 
-# Sentinel codepoints above the Unicode range (max 0x10FFFF).  Pattern
-# and text pads differ, so a pad never equals a real character *or* the
-# other matrix's pad: reads past either sequence end compare unequal and
-# extension stops at the boundary without explicit bounds masks.
-_PAD_PATTERN = np.uint32(0xFFFFFFFE)
-_PAD_TEXT = np.uint32(0xFFFFFFFF)
+#: Cap on the lanes x words of one continuation gather in
+#: ``BatchWfaEngine._extend_words``, so that low-complexity input cannot
+#: make one gather hold every lane's whole row; lanes that match a whole
+#: capped window read on in another gather.
+GATHER_WORDS = 1 << 15
+
+_ENCODINGS = {8: "latin-1", 16: "utf-16-le", 32: "utf-32-le"}
 
 
-def _codepoint_matrix(
-    seqs: list[str], lengths: np.ndarray, width: int, pad: np.uint32
+def _words(
+    seqs: list[str], max_len: int, pad: str, table: Optional[dict], width: int
 ) -> np.ndarray:
-    """Sentinel-padded uint32 codepoint matrix, one row per sequence.
+    """Flat ``uint64`` words of ``width``-bit codes, ``max_len + 1`` per row.
 
-    The matrix is one column wider than ``width`` so a clipped gather
-    index always lands on at least one pad column.  Built with one
-    scatter: the row-major order of the in-bounds mask matches the
-    concatenation order of the sequences.
+    Word ``i`` of a row packs its codes ``[i, i + 64 // width)``, low
+    bits first; every position past the row's end holds ``pad``, so the
+    last word of every row is all pad.  The codes are laid out once as
+    padded rows, and the words are one copy of an overlapping view that
+    starts a word at every code.
     """
-    mat = np.full((len(seqs), width + 1), pad, dtype=np.uint32)
-    if not seqs or not width:
-        return mat
-    flat = np.frombuffer("".join(seqs).encode("utf-32-le"), dtype=np.uint32)
-    mat[np.arange(width + 1)[None, :] < lengths[:, None]] = flat
-    return mat
+    per = 64 // width
+    size = width // 8
+    row = max_len + per
+    if table is not None:
+        seqs = [s.translate(table) for s in seqs]
+    buf = "".join([s.ljust(row, pad) for s in seqs]).encode(
+        _ENCODINGS[width], "surrogatepass"
+    )
+    view = np.ndarray(
+        (len(seqs), max_len + 1), dtype="<u8", buffer=buf, strides=(row * size, size)
+    )
+    return view.astype(np.uint64).ravel()
+
+
+def _first_mismatch(x: np.ndarray, shift: int) -> np.ndarray:
+    """Index of the first unequal code in each XOR word, ``per`` if none.
+
+    ``(x & -x) - 1`` sets exactly the bits below the lowest set bit (all
+    64 when ``x`` is zero), and a code is ``1 << shift`` bits wide.
+    """
+    low = x & -x
+    low -= np.uint64(1)
+    return np.right_shift(np.bitwise_count(low), shift, dtype=np.int32)
 
 
 class BatchPairView:
@@ -204,8 +225,21 @@ class BatchWfaEngine:
         self._ms = np.array([len(t) for t in self.texts], dtype=np.int32)
         self._ln = int(self._ns.max()) if b else 0
         self._lm = int(self._ms.max()) if b else 0
-        self._pmat = _codepoint_matrix(self.patterns, self._ns, self._ln, _PAD_PATTERN)
-        self._tmat = _codepoint_matrix(self.texts, self._ms, self._lm, _PAD_TEXT)
+        # Codes: an all-ASCII batch's bytes, or else dense codes of its
+        # sorted alphabet.  The two pads follow the last code, so a pad
+        # equals no character and not the other side's pad.
+        joined = "".join(self.patterns) + "".join(self.texts)
+        if joined.isascii():
+            codes, table = 128, None
+        else:
+            alphabet = sorted(set(joined))
+            codes, table = len(alphabet), {ord(c): i for i, c in enumerate(alphabet)}
+        width = next(w for w in (8, 16, 32) if codes + 2 <= 1 << w)
+        self._per = 64 // width
+        self._shift = width.bit_length() - 1
+        # Word row 0 is all pad, so that a negative index clips onto a pad.
+        self._pwords = _words([""] + self.patterns, self._ln, chr(codes), table, width)
+        self._twords = _words([""] + self.texts, self._lm, chr(codes + 1), table, width)
         caps = [
             penalties.worst_case_score(len(p), len(t))
             for p, t in zip(self.patterns, self.texts)
@@ -231,6 +265,7 @@ class BatchWfaEngine:
         self._by_score: list[tuple[int, int, int, int, int]] = []
         # Per-pair state.
         self._live = np.ones(b, dtype=bool)
+        self._retire(np.zeros(b, dtype=bool))
         self._final = np.full(b, -1, dtype=np.int64)
         self._extend_acc = np.zeros(b, dtype=np.int64)
         self._errors: list[Optional[str]] = [None] * b
@@ -313,69 +348,108 @@ class BatchWfaEngine:
 
     # -- extension + termination --------------------------------------------
 
-    def _extend(self, entry: dict) -> np.ndarray:
-        """Greedy-extend the M wavefront of every pair; per-pair comparisons.
+    def _retire(self, done: np.ndarray) -> None:
+        """Drop ``done`` pairs from the live set; extension probes live rows only.
+
+        Caches the live rows with their word bases and lengths as
+        columns, since the live set changes far less often than the
+        score.  Word row 0 is the all-pad row, so pair ``r`` is word row
+        ``r + 1``.
+        """
+        self._live &= ~done
+        rows = np.flatnonzero(self._live)
+        self._rows = rows
+        self._row_cols = (
+            ((rows + 1) * (self._ln + 1))[:, None],
+            ((rows + 1) * (self._lm + 1))[:, None],
+            self._ns[rows, None].astype(np.uint32),
+            self._ms[rows, None].astype(np.uint32),
+        )
+
+    def _extend(self, entry: dict) -> None:
+        """Greedy-extend the M wavefront of every live pair, word by word.
 
         Comparison counts follow :func:`repro.core.extend.extend_diagonal`
         exactly: matched characters plus the final failing probe when both
-        next positions are in bounds.  Rows of finished pairs are extended
-        too (the work is masked out of the counters, and their values are
-        never read), which keeps the kernel branch-free.
+        next positions are in bounds, added to each live pair's
+        ``extend_steps``.  Rows of finished pairs are not probed: their
+        later wavefronts are never read (a view answers ``OFFSET_NULL``
+        past its final score), so their M cells stay unextended.
 
-        Every reached lane gathers a window of codepoints from both
-        sequences and locates its first mismatch; lanes that matched the
-        whole window survive into the next round with a doubled window,
-        everything else retires.  The sentinel pads guarantee a gather
-        clipped to the pad column compares unequal, so sequence
-        boundaries terminate runs without explicit masks.
+        Every cell of a live row takes one word per side at its offset
+        and XORs them; the lowest set bit locates the first mismatch.  An
+        unreached cell holds :data:`OFFSET_NULL` (``-2**30``), so its
+        index is negative (for any word array under ``2**30`` words) and
+        clips onto the all-pad row 0, which mismatches at once.  Lanes
+        that matched a whole word go on to :meth:`_extend_words`.
         """
         lo, hi = entry["lo"], entry["hi"]
         offs = entry["comps"]["M"]
-        karr = np.arange(lo, hi + 1, dtype=np.int32)
-        reached = offs > NULL_THRESHOLD
-        runs = np.zeros(offs.shape, dtype=np.int32)
-        act_p, act_k = np.nonzero(reached)
-        # Reached offsets are genuine matrix coordinates: 0 <= v <= n and
-        # 0 <= h <= m, so gather indices only ever need an upper clip.
-        h = offs[act_p, act_k]
-        v = h - karr[act_k]
-        # Round 0 probes a single character: most lanes sit right on a
-        # mismatch (they just stepped past one), so the cheapest possible
-        # round retires the bulk of the batch.
-        if act_p.size:
-            whole = (
-                self._pmat[act_p, np.minimum(v, self._ln)]
-                == self._tmat[act_p, np.minimum(h, self._lm)]
+        rows = self._rows
+        pbase, tbase, ns, ms = self._row_cols
+        every = rows.size == self.size
+        h = offs if every else offs.take(rows, axis=0)
+        v = h - np.arange(lo, hi + 1, dtype=np.int32)
+        pidx = v + pbase
+        tidx = h + tbase
+        x = self._pwords.take(pidx, mode="clip")
+        x ^= self._twords.take(tidx, mode="clip")
+        runs = _first_mismatch(x, self._shift)
+        lanes = np.flatnonzero(runs == self._per)
+        if lanes.size:
+            self._extend_words(
+                runs.ravel(),
+                lanes,
+                pidx.ravel()[lanes] + self._per,
+                tidx.ravel()[lanes] + self._per,
+                self._ln - self._per - int(v.ravel()[lanes].min()),
             )
-            runs[act_p, act_k] += whole
-            act_p, act_k = act_p[whole], act_k[whole]
-            v = v[whole] + 1
-            h = h[whole] + 1
-        chunk = 4
-        while act_p.size:
-            ci = np.arange(chunk, dtype=np.int32)
-            pv = self._pmat[act_p[:, None], np.minimum(v[:, None] + ci, self._ln)]
-            tv = self._tmat[act_p[:, None], np.minimum(h[:, None] + ci, self._lm)]
-            ok = pv == tv
-            whole = ok.all(axis=1)
-            step = np.where(whole, np.int32(chunk),
-                            np.argmin(ok, axis=1).astype(np.int32))
-            runs[act_p, act_k] += step
-            if not whole.any():
-                break
-            act_p, act_k = act_p[whole], act_k[whole]
-            v = v[whole] + chunk
-            h = h[whole] + chunk
-            chunk *= 4
-        new_offs = offs + runs
-        probe = (
-            reached
-            & (new_offs - karr[None, :] < self._ns[:, None])
-            & (new_offs < self._ms[:, None])
-        )
-        entry["comps"]["M"] = new_offs
-        return (runs.sum(axis=1, dtype=np.int64)
-                + probe.sum(axis=1, dtype=np.int64))
+        v += runs
+        if every:
+            h += runs
+        else:
+            h = offs[rows] = h + runs
+        probe = v.view(np.uint32) < ns
+        probe &= h.view(np.uint32) < ms
+        runs += probe
+        self._extend_acc[rows] += runs.sum(axis=1, dtype=np.int64)
+
+    def _extend_words(
+        self,
+        runs: np.ndarray,
+        lanes: np.ndarray,
+        pidx: np.ndarray,
+        tidx: np.ndarray,
+        left: int,
+    ) -> None:
+        """Read on for ``lanes`` (flat indices into ``runs``) in multi-word gathers.
+
+        ``pidx``/``tidx`` are each lane's next word, and no lane's
+        pattern has more than ``left`` codes from there to its end.  A
+        gather spans enough words for every lane to reach a mismatch or a
+        pad, capped at :data:`GATHER_WORDS` lanes x words.  The first
+        nonzero XOR word of a lane's window holds its mismatch; the words
+        up to it lie inside the lane's rows, and what a window reads past
+        them (the next row, clipped at the array's end) is never used.
+        Only lanes that matched their whole window read on.
+        """
+        per = self._per
+        while True:
+            words = max(1, min(left // per + 1, GATHER_WORDS // lanes.size))
+            step = np.arange(0, words * per, per)
+            x = self._pwords.take(pidx[:, None] + step, mode="clip")
+            x ^= self._twords.take(tidx[:, None] + step, mode="clip")
+            first = (x != 0).argmax(axis=1)
+            last = x.ravel().take(first + np.arange(0, x.size, words))
+            run = first * per + _first_mismatch(last, self._shift)
+            open_ = last == 0
+            span = words * per
+            run[open_] = span
+            runs[lanes] += run
+            if not open_.any():
+                return
+            lanes, pidx, tidx = lanes[open_], pidx[open_] + span, tidx[open_] + span
+            left -= span
 
     def _check_end(self, entry: dict, score: int) -> None:
         if not self.size:
@@ -389,7 +463,7 @@ class BatchWfaEngine:
         done = self._live & valid & (at_end == self._ms)
         if done.any():
             self._final[done] = score
-            self._live &= ~done
+            self._retire(done)
 
     # -- recurrences ---------------------------------------------------------
 
@@ -536,8 +610,7 @@ class BatchWfaEngine:
         }
         self._scores[0] = entry0
         self._register(0, "M", 0, 0)
-        comps = self._extend(entry0)
-        self._extend_acc[self._live] += comps[self._live]
+        self._extend(entry0)
         self._snapshot()
         self._check_end(entry0, 0)
 
@@ -554,14 +627,13 @@ class BatchWfaEngine:
                         f"(n={int(self._ns[i])}, m={int(self._ms[i])}, "
                         f"penalties={self.penalties!r})"
                     )
-                self._live &= ~over
+                self._retire(over)
                 if not self._live.any():
                     break
             entry = self._compute(self, score)
             self._scores[score] = entry
             if entry is not None:
-                comps = self._extend(entry)
-                self._extend_acc[self._live] += comps[self._live]
+                self._extend(entry)
             self._expire(score)
             self._snapshot()
             if entry is not None:

@@ -1,10 +1,13 @@
 """Tests for the MRAM data layout and record packing."""
 
+import pickle
+
 import pytest
 
 from repro.core.cigar import Cigar
 from repro.data.generator import ReadPair
 from repro.errors import LayoutError
+from repro.pim import layout as layout_module
 from repro.pim.layout import HEADER_BYTES, MramLayout
 from repro.pim.memory import Mram
 
@@ -37,6 +40,19 @@ class TestGeometry:
             layout.output_base + 10 * layout.result_record_size
         )
         assert layout.total_bytes == layout.metadata_base + 4 * 1024
+
+    def test_cached_sizes_keep_equality_and_pickling(self):
+        """The record sizes are computed once per layout, and a layout that
+        cached them still equals, hashes and pickles as its fields say."""
+        layout = make_layout()
+        sizes = (layout.input_record_size, layout.result_record_size, layout.output_base)
+        assert sizes == (216, 64, HEADER_BYTES + 10 * 216)
+        fresh = make_layout()
+        assert layout == fresh and hash(layout) == hash(fresh)
+        assert layout != make_layout(num_pairs=11)
+        clone = pickle.loads(pickle.dumps(layout))
+        assert clone == layout
+        assert (clone.input_record_size, clone.result_record_size, clone.output_base) == sizes
 
     def test_addresses(self):
         layout = make_layout()
@@ -119,6 +135,38 @@ class TestResultRecords:
         score, out = layout.unpack_result(rec)
         assert score == 12
         assert out == cigar
+
+    def test_record_bytes_are_little_endian(self):
+        """A record is ``i32 score | u32 n_ops | u32 pattern_start |
+        u32 text_start | u32 words``, little-endian, zero-padded."""
+        layout = make_layout(max_cigar_ops=3)
+        rec = layout.pack_result(-2, Cigar.from_string("300M1I"), 5, 7)
+        words = ((300 << 8) | ord("M"), (1 << 8) | ord("I"))
+        want = (
+            (-2).to_bytes(4, "little", signed=True)
+            + (2 | 0x8000_0000).to_bytes(4, "little")
+            + (5).to_bytes(4, "little")
+            + (7).to_bytes(4, "little")
+            + b"".join(w.to_bytes(4, "little") for w in words)
+        )
+        assert rec == want.ljust(layout.result_record_size, b"\x00")
+        assert layout.unpack_result_region(rec) == (5, 7)
+        score, cigar = layout.unpack_result(rec)
+        assert (score, str(cigar)) == (-2, "300M1I")
+
+    def test_decoded_ops_are_shared_and_bounded(self):
+        """One immutable ``CigarOp`` per distinct word, from a memo of at
+        most :data:`CIGAR_OP_CACHE` words."""
+        layout = make_layout()
+        rec = layout.pack_result(9, Cigar.from_string("7M1X7M"))
+        first, again = layout.unpack_result(rec)[1], layout.unpack_result(rec)[1]
+        assert first.ops[0] is again.ops[0]
+        memo, bound = layout_module._cigar_op, layout_module.CIGAR_OP_CACHE
+        assert memo.cache_info().maxsize == bound
+        memo.cache_clear()
+        for run in range(1, bound + 9):
+            layout.unpack_result(layout.pack_result(0, Cigar.from_string(f"{run}M")))
+            assert memo.cache_info().currsize == min(run, bound)
 
     def test_score_only(self):
         layout = make_layout()

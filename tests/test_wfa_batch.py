@@ -14,6 +14,8 @@ from __future__ import annotations
 import gc
 import importlib.util
 import json
+import random
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from repro.core import (
 from repro.core.backtrace import backtrace
 from repro.core.span import AlignmentSpan
 from repro.core.wavefront import OFFSET_NULL
+from repro.core import wfa_batch
 from repro.core.wfa import WfaEngine
 from repro.core.wfa_batch import BatchWfaEngine, align_batch
 from repro.data.generator import ReadPairGenerator
@@ -221,6 +224,134 @@ class TestRowBackedTraceback:
             cigar = backtrace(view)
             assert str(cigar) == str(backtrace(scalar))
             assert all(type(op.length) is int for op in cigar.ops)
+
+
+def assert_matches_scalar(pairs, penalties):
+    """Scores, CIGARs and every counter equal the scalar engine's."""
+    aligner = WavefrontAligner(penalties=penalties)
+    vector = align_batch(pairs, penalties, validate=True)
+    for (p, t), v in zip(pairs, vector):
+        s = aligner.align(p, t)
+        assert (s.score, str(s.cigar), s.counters) == (
+            v.score,
+            str(v.cigar),
+            v.counters,
+        ), (len(p), len(t))
+
+
+def flip(seq: str, i: int) -> str:
+    """``seq`` with the character at ``i`` changed."""
+    i %= len(seq)
+    other = "C" if seq[i] == "A" else "A"
+    return seq[:i] + other + seq[i + 1 :]
+
+
+class TestWordExtension:
+    """Runs that cross word boundaries, outrun a gather window and stop
+    exactly at either end, in batches of up to 1,500 bp."""
+
+    LENGTHS = (7, 8, 9, 16, 17, 63, 64, 65, 255, 1000, 1024, 1500)
+
+    @METRICS
+    @pytest.mark.parametrize("gather", ["default", "3 words"])
+    def test_ends_and_boundaries_match_scalar(self, penalties, gather, monkeypatch):
+        if gather != "default":
+            # One lane's window then holds three words, so long runs
+            # take many gathers.
+            monkeypatch.setattr(wfa_batch, "GATHER_WORDS", 3)
+        rng = random.Random(11)
+        pairs = []
+        for n in self.LENGTHS:
+            p = "".join(rng.choices("ACGT", k=n))
+            pairs += [
+                (p, p),
+                (flip(p, 0), p),
+                (p, flip(p, -1)),
+                (p, p + rng.choice("ACGT")),
+            ]
+        assert_matches_scalar(pairs, penalties)
+
+    @METRICS
+    def test_ragged_batch_of_empty_and_long_sequences(self, penalties):
+        rng = random.Random(12)
+        long = "".join(rng.choices("ACGT", k=1200))
+        pairs = [
+            ("", ""),
+            (long, long),
+            ("", "G"),
+            (long[:-1], long),
+            ("T", ""),
+            (flip(long, 600), long),
+            ("ACGTACG", "ACGTACGT"),
+        ]
+        assert_matches_scalar(pairs, penalties)
+
+    @pytest.mark.parametrize(
+        "alphabet, per",
+        [
+            ("àáâãäåæçèéêëìíîïñòóôõöøùúûüýÿ", 8),
+            ("漢字仮名交混文書読", 8),
+            ("😀🎉🧬🔬🚀🌍🐍🦀", 8),
+            ("".join(chr(0x100 + i) for i in range(255)), 4),
+        ],
+        ids=["latin-1", "cjk", "emoji", "255-symbols"],
+    )
+    def test_non_ascii_alphabets_match_scalar(self, alphabet, per):
+        """Dense codes: 8 bits up to 254 distinct characters, 16 above."""
+        rng = random.Random(13)
+        every = "".join(rng.sample(alphabet, len(alphabet)))
+        pairs = [(every, every), (every, flip(every, len(every) // 2))]
+        for n in (5, 9, 40, 300):
+            p = "".join(rng.choices(alphabet, k=n))
+            t = list(p)
+            for _ in range(n // 10 + 1):
+                t[rng.randrange(n)] = rng.choice(alphabet)
+            pairs += [(p, "".join(t)), (p, p), (p, flip(p, -1))]
+        assert BatchWfaEngine(pairs, AffinePenalties())._per == per
+        for penalties in (EditPenalties(), AffinePenalties()):
+            assert_matches_scalar(pairs, penalties)
+
+    def test_32_bit_codes_match_scalar(self):
+        """More than 65,534 distinct characters take 32-bit codes."""
+        symbols = [chr(0x100 + i) for i in range(66_000)]
+        random.Random(14).shuffle(symbols)
+        p = "".join(symbols)
+        pairs = [(p, p), (p, p[:-1] + "A"), (p[:40], p[1:41])]
+        assert BatchWfaEngine(pairs, EditPenalties())._per == 2
+        assert_matches_scalar(pairs, EditPenalties())
+
+
+class TestLowComplexityMemory:
+    #: bound on the engine's tracemalloc peak on the poly-A batch; it reads
+    #: about 2.8 MB, and about 7 MB if one gather may span every lane's row
+    PEAK_BYTES = 4 << 20
+
+    def test_poly_a_batch_is_exact_and_bounded(self):
+        """52 poly-A pairs of 1000 bp, 20 random ``C`` substitutions per
+        text: every diagonal runs far, so every lane reads on."""
+        rng = random.Random(0)
+        pairs = []
+        for _ in range(52):
+            text = ["A"] * 1000
+            for pos in rng.sample(range(1000), 20):
+                text[pos] = "C"
+            pairs.append(("A" * 1000, "".join(text)))
+        penalties = AffinePenalties()
+        tracemalloc.start()
+        try:
+            views = BatchWfaEngine(pairs, penalties).run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BYTES
+        for (p, t), view in zip(pairs, views):
+            scalar = WfaEngine(p, t, penalties)
+            scalar.run()
+            assert (view.final_score, view.counters) == (
+                scalar.final_score,
+                scalar.counters,
+            )
+            assert str(backtrace(view)) == str(backtrace(scalar))
 
 
 def run_system(engine: str):
