@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Iterator
 
 from repro.core.penalties import Penalties
@@ -36,6 +37,18 @@ __all__ = ["CigarOp", "Cigar"]
 
 _VALID_OPS = frozenset("MXID")
 _TOKEN_RE = re.compile(r"(\d+)([MXID])")
+
+
+def _raise_first_bad_column(op: str, pattern, text, v: int, h: int, n: int) -> None:
+    """Raise :class:`CigarError` naming the first column of an ``op`` run of
+    ``n`` columns from ``(v, h)`` whose characters contradict ``op``."""
+    for v, h in zip(range(v, v + n), range(h, h + n)):
+        if (pattern[v] == text[h]) != (op == "M"):
+            pair = "unequal" if op == "M" else "equal"
+            raise CigarError(
+                f"{op} column pairs {pair} chars at pattern[{v}]={pattern[v]!r}, "
+                f"text[{h}]={text[h]!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -213,27 +226,22 @@ class Cigar:
                 f"CIGAR consumes {self.text_length()} text chars, "
                 f"sequence has {len(text)}"
             )
+        # A run is checked whole: an M run as one slice equality, an X run
+        # with one map; only a failing run is walked column by column, to
+        # name its first offending column.
         v = h = 0
         for op in self._ops:
-            if op.op in ("M", "X"):
-                for _ in range(op.length):
-                    equal = pattern[v] == text[h]
-                    if op.op == "M" and not equal:
-                        raise CigarError(
-                            f"M column pairs unequal chars at pattern[{v}]={pattern[v]!r}, "
-                            f"text[{h}]={text[h]!r}"
-                        )
-                    if op.op == "X" and equal:
-                        raise CigarError(
-                            f"X column pairs equal chars at pattern[{v}]={pattern[v]!r}, "
-                            f"text[{h}]={text[h]!r}"
-                        )
-                    v += 1
-                    h += 1
-            elif op.op == "I":
-                h += op.length
-            else:  # D
-                v += op.length
+            n = op.length
+            if op.op == "M":
+                if pattern[v : v + n] != text[h : h + n]:
+                    _raise_first_bad_column(op.op, pattern, text, v, h, n)
+            elif op.op == "X":
+                if any(map(eq, pattern[v : v + n], text[h : h + n])):
+                    _raise_first_bad_column(op.op, pattern, text, v, h, n)
+            if op.op != "I":
+                v += n
+            if op.op != "D":
+                h += n
 
     def apply_to_pattern(self, pattern: str, text: str) -> str:
         """Rebuild the text implied by aligning ``pattern`` with this CIGAR.

@@ -5,9 +5,11 @@ iteration; at the batch sizes the PIM simulator and the serve layer
 dispatch (hundreds to thousands of pairs per DPU round) the interpreter
 overhead of that per-cell loop dominates wall-clock time.  This module
 holds the M/I/D offsets of a *whole batch* of pairs in padded 2-D int32
-arrays — one row per pair, one column per diagonal — and advances every
-live pair per score step with vectorized recurrences and a vectorized
-greedy extension.
+arrays — one row per pair, one column per diagonal.  A score step folds
+its source wavefronts into one ``(planes, rows, width)`` buffer (the
+mismatch candidate, then one plane per gap component), applies the scalar
+engine's bounds checks to every plane in one unsigned comparison, and
+takes M as the planes' maximum; then it greedy-extends every live pair.
 
 The engine is an *accelerated replica*, not a new algorithm: for every
 pair it reproduces the scalar engine's score, CIGAR, and
@@ -53,7 +55,7 @@ from repro.core.penalties import (
     TwoPieceAffinePenalties,
 )
 from repro.core.span import AlignmentSpan
-from repro.core.wavefront import NULL_THRESHOLD, OFFSET_NULL, WfaCounters
+from repro.core.wavefront import OFFSET_NULL, WfaCounters
 from repro.core.wfa import WfaEngine
 from repro.errors import AlignmentError
 
@@ -116,6 +118,27 @@ def _first_mismatch(x: np.ndarray, shift: int) -> np.ndarray:
     low = x & -x
     low -= np.uint64(1)
     return np.right_shift(np.bitwise_count(low), shift, dtype=np.int32)
+
+
+def _span(*sources) -> Optional[tuple[int, int]]:
+    """A score's ``(lo, hi)``: its present sources' range widened by one."""
+    present = [src for src in sources if src is not None]
+    if not present:
+        return None
+    return min(src[0] for src in present) - 1, max(src[1] for src in present) + 1
+
+
+def _fold(plane: np.ndarray, src, base: int) -> None:
+    """Max source ``(lo, hi, offsets)`` into ``plane`` in place, if present.
+
+    Column ``j`` of ``plane`` reads source diagonal ``base + j``.  A
+    step's ``[lo, hi]`` widens every source's range by one, so the
+    source's whole range lands inside the plane.
+    """
+    if src is not None:
+        lo, hi, offsets = src
+        part = plane[:, lo - base : hi - base + 1]
+        np.maximum(part, offsets, out=part)
 
 
 class BatchPairView:
@@ -247,12 +270,15 @@ class BatchWfaEngine:
         if max_score is not None:
             caps = [min(max_score, c) for c in caps]
         self._caps = np.array(caps, dtype=np.int64)
+        # Columns for the recurrences' bounds.
+        self._n_col = self._ns[:, None]
+        self._n_min = int(self._ns.min()) if b else 0
+        self._m1_col = self._ms[:, None] + _ONE32
         self.lookback = WfaEngine._max_lookback(penalties)
         self._compute = self._select_compute(penalties)
 
         # Per-score shared state: score -> None | {"lo", "hi", "comps"}.
         self._scores: dict[int, Optional[dict]] = {}
-        self._rows_flat = np.arange(b, dtype=np.intp)
         # Shared counter replay (identical for every pair up to its final
         # score): cumulative snapshots indexed by score.
         self._log: list[tuple[int, str, int, int]] = []
@@ -264,11 +290,10 @@ class BatchWfaEngine:
         self._bytes_at: dict[int, int] = {}
         self._by_score: list[tuple[int, int, int, int, int]] = []
         # Per-pair state.
-        self._live = np.ones(b, dtype=bool)
-        self._retire(np.zeros(b, dtype=bool))
         self._final = np.full(b, -1, dtype=np.int64)
         self._extend_acc = np.zeros(b, dtype=np.int64)
         self._errors: list[Optional[str]] = [None] * b
+        self._retire(np.arange(b, dtype=np.intp))
 
     # -- metric dispatch ---------------------------------------------------
 
@@ -293,32 +318,15 @@ class BatchWfaEngine:
 
     # -- shared-layout helpers ---------------------------------------------
 
-    def _range(self, score: int, comp: str) -> Optional[tuple[int, int]]:
-        """Stored ``(lo, hi)`` of a source component, ``None`` if absent."""
-        if score < 0:
+    def _source(self, score: int, comp: str) -> Optional[tuple[int, int, np.ndarray]]:
+        """Stored ``(lo, hi, offsets)`` of a source component, ``None`` if absent."""
+        entry = self._scores.get(score) if score >= 0 else None
+        if entry is None:
             return None
-        entry = self._scores.get(score)
-        if entry is None or comp not in entry["comps"]:
+        offsets = entry["comps"].get(comp)
+        if offsets is None:
             return None
-        return entry["lo"], entry["hi"]
-
-    def _aligned(self, score: int, comp: str, a: int, b: int) -> np.ndarray:
-        """Source component re-based onto diagonals ``[a, b]``.
-
-        Diagonals outside the stored range (or a wholly absent source)
-        read as :data:`OFFSET_NULL`, mirroring ``Wavefront.__getitem__``.
-        """
-        out = np.full((self.size, b - a + 1), OFFSET_NULL, dtype=np.int32)
-        rng = self._range(score, comp)
-        if rng is None:
-            return out
-        lo, hi = rng
-        s0, s1 = max(a, lo), min(b, hi)
-        if s0 > s1:
-            return out
-        arr = self._scores[score]["comps"][comp]  # type: ignore[index]
-        out[:, s0 - a : s1 - a + 1] = arr[:, s0 - lo : s1 - lo + 1]
-        return out
+        return entry["lo"], entry["hi"], offsets
 
     def _register(self, score: int, comp: str, lo: int, hi: int) -> None:
         w = hi - lo + 1
@@ -348,26 +356,33 @@ class BatchWfaEngine:
 
     # -- extension + termination --------------------------------------------
 
-    def _retire(self, done: np.ndarray) -> None:
-        """Drop ``done`` pairs from the live set; extension probes live rows only.
+    def _retire(self, live: np.ndarray) -> None:
+        """Keep only rows ``live`` (ascending row indices) in the live set.
 
         Caches the live rows with their word bases and lengths as
-        columns, since the live set changes far less often than the
-        score.  Word row 0 is the all-pad row, so pair ``r`` is word row
+        columns for extension, each one's end diagonal ``m - n``, ``m``
+        and position for the end check, and the smallest score cap among
+        them, since the live set changes far less often than the score.
+        Word row 0 is the all-pad row, so pair ``r`` is word row
         ``r + 1``.
         """
-        self._live &= ~done
-        rows = np.flatnonzero(self._live)
-        self._rows = rows
+        self._rows = live
+        ns, ms = self._ns[live], self._ms[live]
         self._row_cols = (
-            ((rows + 1) * (self._ln + 1))[:, None],
-            ((rows + 1) * (self._lm + 1))[:, None],
-            self._ns[rows, None].astype(np.uint32),
-            self._ms[rows, None].astype(np.uint32),
+            ((live + 1) * (self._ln + 1))[:, None],
+            ((live + 1) * (self._lm + 1))[:, None],
+            ns[:, None].astype(np.uint32),
+            ms[:, None].astype(np.uint32),
         )
+        self._end_k = ms - ns
+        self._end_m = ms
+        self._pos = np.arange(live.size, dtype=np.intp)
+        self._cap_floor = int(self._caps[live].min()) if live.size else 0
 
-    def _extend(self, entry: dict) -> None:
+    def _extend(self, entry: dict) -> np.ndarray:
         """Greedy-extend the M wavefront of every live pair, word by word.
+
+        Returns the live rows' extended M cells, one row per live pair.
 
         Comparison counts follow :func:`repro.core.extend.extend_diagonal`
         exactly: matched characters plus the final failing probe when both
@@ -413,6 +428,7 @@ class BatchWfaEngine:
         probe &= h.view(np.uint32) < ms
         runs += probe
         self._extend_acc[rows] += runs.sum(axis=1, dtype=np.int64)
+        return h
 
     def _extend_words(
         self,
@@ -451,150 +467,129 @@ class BatchWfaEngine:
             lanes, pidx, tidx = lanes[open_], pidx[open_] + span, tidx[open_] + span
             left -= span
 
-    def _check_end(self, entry: dict, score: int) -> None:
-        if not self.size:
-            return
-        lo, hi = entry["lo"], entry["hi"]
-        offs = entry["comps"]["M"]
-        k_end = self._ms - self._ns
-        valid = (k_end >= lo) & (k_end <= hi)
-        col = np.clip(k_end - lo, 0, hi - lo)
-        at_end = offs[self._rows_flat, col]
-        done = self._live & valid & (at_end == self._ms)
-        if done.any():
-            self._final[done] = score
-            self._retire(done)
+    def _check_end(self, h: np.ndarray, lo: int, score: int) -> None:
+        """Finish the live pairs whose M cell on diagonal ``m - n`` is ``m``.
+
+        ``h`` holds the live rows' extended cells from :meth:`_extend`.
+        One flat gather reads each row's end column; a column outside
+        the row (an end diagonal outside ``[lo, hi]``) reads another
+        cell, which the in-range mask discards.
+        """
+        width = h.shape[1]
+        col = self._end_k - lo
+        at_end = h.take(self._pos * width + col, mode="clip") == self._end_m
+        at_end &= col.view(np.uint32) < width
+        if at_end.any():
+            self._final[self._rows[at_end]] = score
+            self._retire(self._rows[~at_end])
 
     # -- recurrences ---------------------------------------------------------
 
+    def _prune(self, buf: np.ndarray, lo: int, ins: int) -> None:
+        """Apply the scalar engine's bounds checks to every plane at once.
+
+        ``buf`` holds candidate planes over diagonals ``lo, lo + 1, ...``:
+        first ``ins`` planes (mismatch and insertion) that still take
+        their ``+1``, then deletion planes.  After the increment every
+        candidate must lie in ``[0, limit)``: ``min(m, n + k) + 1`` for
+        the first planes, ``n + k + 1`` for deletions, both clipped at 0
+        (needed only left of ``-min(n)``), so ``n + k < 0`` admits
+        nothing.  A candidate sourced from a NULL cell is negative, so it
+        fails the same unsigned comparison.  Failures become exact
+        :data:`OFFSET_NULL`, so the planes' maximum needs no threshold
+        pass.
+        """
+        lim = np.empty_like(buf)
+        k_plus_1 = np.arange(lo + 1, lo + 1 + buf.shape[2], dtype=np.int32)
+        np.add(self._n_col, k_plus_1, out=lim[ins])
+        np.minimum(lim[ins], self._m1_col, out=lim[0])
+        lim[1:ins] = lim[0]
+        lim[ins + 1 :] = lim[ins]
+        if lo < -self._n_min:
+            np.maximum(lim, 0, out=lim)
+        buf[:ins] += _ONE32
+        np.putmask(buf, buf.view(np.uint32) >= lim.view(np.uint32), _NULL32)
+
+    def _store(self, s: int, lo: int, hi: int, comps: dict) -> dict:
+        """Count and log score ``s``'s components; its per-score entry."""
+        self._cum_cells += len(comps) * (hi - lo + 1)
+        for comp in comps:
+            self._register(s, comp, lo, hi)
+        return {"lo": lo, "hi": hi, "comps": comps}
+
     def _compute_unified(self, s: int, x: int, ind: int) -> Optional[dict]:
-        """Edit (``x = ind = 1``) and gap-linear recurrences."""
-        present = [
-            r
-            for r in (self._range(s - x, "M"), self._range(s - ind, "M"))
-            if r is not None
-        ]
-        if not present:
+        """Edit (``x = ind = 1``) and gap-linear recurrences.
+
+        Planes: mismatch, insertion, deletion.  Only their maximum is
+        stored, as a fresh array, so the buffer dies with the step.
+        """
+        sub = self._source(s - x, "M")
+        gap = self._source(s - ind, "M")
+        if (span := _span(sub, gap)) is None:
             return None
-        lo = min(r[0] for r in present) - 1
-        hi = max(r[1] for r in present) + 1
-        # Upper-bound pruning only: a candidate sourced from a NULL cell
-        # sits near OFFSET_NULL, loses every maximum, and is normalized to
-        # exact NULL by the final threshold — so the scalar engine's
-        # lower-bound checks are implicit here.
-        m = self._ms[:, None]
-        nk = self._ns[:, None] + np.arange(lo, hi + 1, dtype=np.int32)[None, :]
-        gap = self._aligned(s - ind, "M", lo - 1, hi + 1)
-        if x == ind:
-            sub = gap[:, 1:-1] + _ONE32
-        else:
-            sub = self._aligned(s - x, "M", lo, hi) + _ONE32
-        ins = gap[:, :-2] + _ONE32
-        dele = gap[:, 2:]
-        ins = np.where((ins > m) | (ins > nk), _NULL32, ins)
-        dele = np.where(dele > nk, _NULL32, dele)
-        sub = np.where((sub > m) | (sub > nk), _NULL32, sub)
-        best = np.maximum(np.maximum(sub, ins), dele)
-        wf_m = np.where(best > NULL_THRESHOLD, best, _NULL32)
-        self._cum_cells += hi - lo + 1
-        self._register(s, "M", lo, hi)
-        return {"lo": lo, "hi": hi, "comps": {"M": wf_m}}
+        lo, hi = span
+        buf = np.full((3, self.size, hi - lo + 1), OFFSET_NULL, dtype=np.int32)
+        _fold(buf[0], sub, lo)
+        _fold(buf[1], gap, lo - 1)
+        _fold(buf[2], gap, lo + 1)
+        self._prune(buf, lo, 2)
+        return self._store(s, lo, hi, {"M": buf.max(axis=0)})
 
     def _compute_affine(self, s: int) -> Optional[dict]:
+        """Gap-affine; planes M (the mismatch candidate, then the best), I, D."""
         pen: AffinePenalties = self.penalties  # type: ignore[assignment]
         x, o, e = pen.mismatch, pen.gap_open, pen.gap_extend
-        present = [
-            r
-            for r in (
-                self._range(s - x, "M"),
-                self._range(s - o - e, "M"),
-                self._range(s - e, "I"),
-                self._range(s - e, "D"),
-            )
-            if r is not None
-        ]
-        if not present:
+        sub = self._source(s - x, "M")
+        opn = self._source(s - o - e, "M")
+        ins = self._source(s - e, "I")
+        dele = self._source(s - e, "D")
+        if (span := _span(sub, opn, ins, dele)) is None:
             return None
-        lo = min(r[0] for r in present) - 1
-        hi = max(r[1] for r in present) + 1
-        m = self._ms[:, None]
-        nk = self._ns[:, None] + np.arange(lo, hi + 1, dtype=np.int32)[None, :]
-        m_open = self._aligned(s - o - e, "M", lo - 1, hi + 1)
-        i_ext = self._aligned(s - e, "I", lo - 1, hi + 1)
-        d_ext = self._aligned(s - e, "D", lo - 1, hi + 1)
-        sub = self._aligned(s - x, "M", lo, hi) + _ONE32
-        ins = np.maximum(m_open[:, :-2], i_ext[:, :-2]) + _ONE32
-        dele = np.maximum(m_open[:, 2:], d_ext[:, 2:])
-        ins = np.where((ins < 1) | (ins > m) | (ins > nk), _NULL32, ins)
-        dele = np.where((dele < 0) | (dele > nk), _NULL32, dele)
-        sub = np.where((sub < 1) | (sub > m) | (sub > nk), _NULL32, sub)
-        best = np.maximum(np.maximum(sub, ins), dele)
-        wf_m = np.where(best > NULL_THRESHOLD, best, _NULL32)
-        self._cum_cells += 3 * (hi - lo + 1)
-        self._register(s, "M", lo, hi)
-        self._register(s, "I", lo, hi)
-        self._register(s, "D", lo, hi)
-        return {"lo": lo, "hi": hi, "comps": {"M": wf_m, "I": ins, "D": dele}}
+        lo, hi = span
+        buf = np.full((3, self.size, hi - lo + 1), OFFSET_NULL, dtype=np.int32)
+        _fold(buf[0], sub, lo)
+        _fold(buf[1], opn, lo - 1)
+        _fold(buf[1], ins, lo - 1)
+        _fold(buf[2], opn, lo + 1)
+        _fold(buf[2], dele, lo + 1)
+        self._prune(buf, lo, 2)
+        wf_m, wf_i, wf_d = buf
+        np.maximum(wf_m, wf_i, out=wf_m)
+        np.maximum(wf_m, wf_d, out=wf_m)
+        return self._store(s, lo, hi, {"M": wf_m, "I": wf_i, "D": wf_d})
 
     def _compute_affine2p(self, s: int) -> Optional[dict]:
+        """Two-piece affine; planes M (as in affine), I, I2, D, D2."""
         pen: TwoPieceAffinePenalties = self.penalties  # type: ignore[assignment]
         x = pen.mismatch
         o1, e1 = pen.gap_open1, pen.gap_extend1
         o2, e2 = pen.gap_open2, pen.gap_extend2
-        present = [
-            r
-            for r in (
-                self._range(s - x, "M"),
-                self._range(s - o1 - e1, "M"),
-                self._range(s - e1, "I"),
-                self._range(s - e1, "D"),
-                self._range(s - o2 - e2, "M"),
-                self._range(s - e2, "I2"),
-                self._range(s - e2, "D2"),
-            )
-            if r is not None
-        ]
-        if not present:
+        sub = self._source(s - x, "M")
+        opn1 = self._source(s - o1 - e1, "M")
+        ins1 = self._source(s - e1, "I")
+        dele1 = self._source(s - e1, "D")
+        opn2 = self._source(s - o2 - e2, "M")
+        ins2 = self._source(s - e2, "I2")
+        dele2 = self._source(s - e2, "D2")
+        if (span := _span(sub, opn1, ins1, dele1, opn2, ins2, dele2)) is None:
             return None
-        lo = min(r[0] for r in present) - 1
-        hi = max(r[1] for r in present) + 1
-        m = self._ms[:, None]
-        nk = self._ns[:, None] + np.arange(lo, hi + 1, dtype=np.int32)[None, :]
-        m_open1 = self._aligned(s - o1 - e1, "M", lo - 1, hi + 1)
-        i1_ext = self._aligned(s - e1, "I", lo - 1, hi + 1)
-        d1_ext = self._aligned(s - e1, "D", lo - 1, hi + 1)
-        m_open2 = self._aligned(s - o2 - e2, "M", lo - 1, hi + 1)
-        i2_ext = self._aligned(s - e2, "I2", lo - 1, hi + 1)
-        d2_ext = self._aligned(s - e2, "D2", lo - 1, hi + 1)
-        sub = self._aligned(s - x, "M", lo, hi) + _ONE32
-        ins1 = np.maximum(m_open1[:, :-2], i1_ext[:, :-2]) + _ONE32
-        ins2 = np.maximum(m_open2[:, :-2], i2_ext[:, :-2]) + _ONE32
-        dele1 = np.maximum(m_open1[:, 2:], d1_ext[:, 2:])
-        dele2 = np.maximum(m_open2[:, 2:], d2_ext[:, 2:])
-        ins1 = np.where((ins1 < 1) | (ins1 > m) | (ins1 > nk), _NULL32, ins1)
-        ins2 = np.where((ins2 < 1) | (ins2 > m) | (ins2 > nk), _NULL32, ins2)
-        dele1 = np.where((dele1 < 0) | (dele1 > nk), _NULL32, dele1)
-        dele2 = np.where((dele2 < 0) | (dele2 > nk), _NULL32, dele2)
-        sub = np.where((sub < 1) | (sub > m) | (sub > nk), _NULL32, sub)
-        best = np.maximum.reduce([sub, ins1, ins2, dele1, dele2])
-        wf_m = np.where(best > NULL_THRESHOLD, best, _NULL32)
-        self._cum_cells += 5 * (hi - lo + 1)
-        self._register(s, "M", lo, hi)
-        self._register(s, "I", lo, hi)
-        self._register(s, "D", lo, hi)
-        self._register(s, "I2", lo, hi)
-        self._register(s, "D2", lo, hi)
-        return {
-            "lo": lo,
-            "hi": hi,
-            "comps": {
-                "M": wf_m,
-                "I": ins1,
-                "D": dele1,
-                "I2": ins2,
-                "D2": dele2,
-            },
-        }
+        lo, hi = span
+        buf = np.full((5, self.size, hi - lo + 1), OFFSET_NULL, dtype=np.int32)
+        _fold(buf[0], sub, lo)
+        _fold(buf[1], opn1, lo - 1)
+        _fold(buf[1], ins1, lo - 1)
+        _fold(buf[2], opn2, lo - 1)
+        _fold(buf[2], ins2, lo - 1)
+        _fold(buf[3], opn1, lo + 1)
+        _fold(buf[3], dele1, lo + 1)
+        _fold(buf[4], opn2, lo + 1)
+        _fold(buf[4], dele2, lo + 1)
+        self._prune(buf, lo, 3)
+        wf_m, wf_i1, wf_i2, wf_d1, wf_d2 = buf
+        for plane in buf[1:]:
+            np.maximum(wf_m, plane, out=wf_m)
+        comps = {"M": wf_m, "I": wf_i1, "D": wf_d1, "I2": wf_i2, "D2": wf_d2}
+        return self._store(s, lo, hi, comps)
 
     # -- driver ---------------------------------------------------------------
 
@@ -610,34 +605,33 @@ class BatchWfaEngine:
         }
         self._scores[0] = entry0
         self._register(0, "M", 0, 0)
-        self._extend(entry0)
+        h = self._extend(entry0)
         self._snapshot()
-        self._check_end(entry0, 0)
+        self._check_end(h, 0, 0)
 
         score = 0
-        while self._live.any():
+        while self._rows.size:
             score += 1
             # The scalar engine raises *before* computing the wavefront of
             # a score past the cap; mirror that by failing those pairs now.
-            over = self._live & (score > self._caps)
-            if over.any():
-                for i in np.nonzero(over)[0]:
-                    self._errors[int(i)] = (
+            if score > self._cap_floor:
+                over = self._caps[self._rows] < score
+                for i in self._rows[over].tolist():
+                    self._errors[i] = (
                         f"score exceeded cap {int(self._caps[i])} "
                         f"(n={int(self._ns[i])}, m={int(self._ms[i])}, "
                         f"penalties={self.penalties!r})"
                     )
-                self._retire(over)
-                if not self._live.any():
+                self._retire(self._rows[~over])
+                if not self._rows.size:
                     break
             entry = self._compute(self, score)
             self._scores[score] = entry
-            if entry is not None:
-                self._extend(entry)
+            h = None if entry is None else self._extend(entry)
             self._expire(score)
             self._snapshot()
-            if entry is not None:
-                self._check_end(entry, score)
+            if h is not None:
+                self._check_end(h, entry["lo"], score)
         return [self._make_view(i) for i in range(self.size)]
 
     def _make_view(self, i: int) -> BatchPairView:

@@ -447,8 +447,13 @@ class WfaDpuKernel:
             aligned_size(self.result_record_bytes()),
             *[plan.staging_buffer_bytes] * plan.staging_buffers,
         ]
+        # Only tasklets with pairs get a context; an idle one reports
+        # empty stats.
+        stats = [TaskletStats(tasklet_id=t) for t in range(tasklets)]
         contexts = []
-        for t in range(tasklets):
+        for t, indices in enumerate(assignments):
+            if not indices:
+                continue
             base = t * plan.slice_bytes
             alloc = TaskletAllocator(
                 wram_base=base,
@@ -468,7 +473,8 @@ class WfaDpuKernel:
                 for i in range(plan.staging_buffers)
             )
             ctx.staging_chunk = plan.staging_chunk
-            contexts.append(ctx)
+            stats[t] = ctx.stats
+            contexts.append((ctx, indices))
 
         if views is None:
             # Align the records in MRAM, read past the DMA engine so that
@@ -483,14 +489,14 @@ class WfaDpuKernel:
             )
 
         results: list[tuple[int, AlignmentResult]] = []
-        for ctx, indices in zip(contexts, assignments):
+        for ctx, indices in contexts:
             for index in indices:
                 result = self._align_one(
                     dpu, layout, ctx, index, metadata_policy, trace, views
                 )
                 if collect_results:
                     results.append((index, result))
-        return [ctx.stats for ctx in contexts], results
+        return stats, results
 
     # -- one pair ------------------------------------------------------
 

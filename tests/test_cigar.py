@@ -124,6 +124,43 @@ class TestValidation:
         Cigar.from_string("2M2I2M").validate("ACGT", "ACTTGT")
         Cigar.from_string("2M2D2M").validate("ACTTGT", "ACGT")
 
+    @pytest.mark.parametrize(
+        "cigar,pattern,text,message",
+        [
+            (
+                "5M",
+                "ACGTA",
+                "ACCTA",
+                "M column pairs unequal chars at pattern[2]='G', text[2]='C'",
+            ),
+            (
+                "3X",
+                "ACG",
+                "TCA",
+                "X column pairs equal chars at pattern[1]='C', text[1]='C'",
+            ),
+            (
+                "1M2I1D4M",
+                "AGCATG",
+                "ATTCAAG",
+                "M column pairs unequal chars at pattern[4]='T', text[5]='A'",
+            ),
+            (
+                "1M1D2I3X",
+                "ACGTA",
+                "AGGCTG",
+                "X column pairs equal chars at pattern[3]='T', text[4]='T'",
+            ),
+        ],
+        ids=["M-middle", "X-middle", "M-after-indels", "X-after-indels"],
+    )
+    def test_message_names_the_first_offending_column(
+        self, cigar, pattern, text, message
+    ):
+        with pytest.raises(CigarError) as excinfo:
+            Cigar.from_string(cigar).validate(pattern, text)
+        assert str(excinfo.value) == message
+
     def test_apply_to_pattern_reconstructs_text(self):
         p, t = "ACGTACGT", "ACTTACG"
         c = Cigar.from_string("2M1X1M1M1M1M1D")

@@ -27,8 +27,10 @@ from repro.pim.kernel import (
     max_supported_tasklets,
     per_edit_cost,
 )
+from repro.pim import kernel as kernel_module
 from repro.pim.layout import MramLayout
 from repro.pim.system import PimSystem
+from repro.pim.tasklet import TaskletStats
 from repro.pim.trace import KernelTrace
 from repro.pim.transfer import HostTransferEngine
 from repro.pim.config import HostTransferConfig
@@ -199,6 +201,27 @@ class TestKernelExecution:
             assert s.dma_cycles > 0
             assert s.dma_bytes > 0
             assert s.cells_computed > 0
+
+    def test_only_busy_tasklets_get_a_context(self, monkeypatch):
+        """Two pairs on 16 tasklets: 14 idle tasklets report empty stats
+        and build no allocator."""
+        built = []
+
+        class CountingAllocator(kernel_module.TaskletAllocator):
+            def __init__(self, **kwargs):
+                built.append(kwargs["wram_base"])
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(kernel_module, "TaskletAllocator", CountingAllocator)
+        pairs = ReadPairGenerator(length=60, error_rate=0.03, seed=9).pairs(2)
+        kc = KernelConfig(penalties=PEN, max_read_len=60, max_edits=2)
+        kernel, dpu, layout, assignments = setup_dpu(pairs, kc, tasklets=16)
+        stats, _ = kernel.run(dpu, layout, assignments, "mram")
+        assert [s.tasklet_id for s in stats] == list(range(16))
+        idle = [s for s in stats if s == TaskletStats(tasklet_id=s.tasklet_id)]
+        assert [s.tasklet_id for s in idle] == list(range(2, 16))
+        assert [s.pairs_done for s in stats[:2]] == [1, 1]
+        assert len(built) == 2
 
     def test_mram_policy_moves_more_dma_bytes_than_wram(self):
         pairs = ReadPairGenerator(length=60, error_rate=0.05, seed=6).pairs(8)

@@ -246,6 +246,84 @@ def flip(seq: str, i: int) -> str:
     return seq[:i] + other + seq[i + 1 :]
 
 
+def ragged_batch() -> list[tuple[str, str]]:
+    """Pairs of 0-300 bp: empty sequences, a 1 bp pattern against 60 bp of
+    text (its end diagonal stays right of ``[lo, hi]`` for many scores),
+    identical pairs (done at score 0), edited pairs that finish at
+    different scores, and two unrelated pairs that reach any modest cap."""
+    rng = random.Random(24)
+
+    def seq(n: int) -> str:
+        return "".join(rng.choice("ACGT") for _ in range(n))
+
+    def edit(s: str, edits: int) -> str:
+        chars = list(s)
+        for _ in range(edits):
+            i = rng.randrange(len(chars))
+            op = rng.randrange(3)
+            if op == 0:
+                chars[i] = "A" if chars[i] != "A" else "C"
+            elif op == 1:
+                chars.insert(i, rng.choice("ACGT"))
+            else:
+                del chars[i]
+        return "".join(chars)
+
+    same = seq(300)
+    pairs = [("", ""), ("", "ACGTA"), ("GATTACA", ""), ("C", seq(60))]
+    pairs += [(same, same), (same[:77], same[:77])]
+    for n, edits in ((40, 1), (120, 3), (200, 6), (300, 2), (90, 9), (150, 30)):
+        p = seq(n)
+        pairs.append((p, edit(p, edits)))
+    pairs += [(seq(120), seq(110)), (seq(200), seq(200))]
+    return pairs
+
+
+class TestLiveSetAndBounds:
+    """The live set, the score-cap floor, the end check on extended live
+    rows and the stacked bounds, on one ragged batch per metric."""
+
+    @pytest.mark.parametrize(
+        "penalties,cap",
+        [
+            (EditPenalties(), 60),
+            (LinearPenalties(), 140),
+            (AffinePenalties(), 130),
+            (TwoPieceAffinePenalties(), 100),
+        ],
+        ids=["edit", "linear", "affine", "affine2p"],
+    )
+    def test_ragged_batch_under_a_cap_matches_scalar(self, penalties, cap):
+        pairs = ragged_batch()
+        views = BatchWfaEngine(pairs, penalties, max_score=cap).run()
+        finished, failed = set(), 0
+        for (p, t), view in zip(pairs, views):
+            scalar = WfaEngine(p, t, penalties, max_score=cap)
+            try:
+                scalar.run()
+                error = None
+            except AlignmentError as exc:
+                error = str(exc)
+            assert (view.final_score, view.error, view.counters) == (
+                scalar.final_score,
+                error,
+                scalar.counters,
+            ), (len(p), len(t))
+            if error is None:
+                assert str(backtrace(view)) == str(backtrace(scalar))
+                # Every stored cell, exact NULLs included: a candidate
+                # pruned on a diagonal with n + k < 0 must read NULL.
+                for score, comp, lo, hi in scalar.counters.wavefront_log:
+                    cells = range(lo, hi + 1)
+                    assert [view.offset(score, comp, k) for k in cells] == [
+                        scalar.offset(score, comp, k) for k in cells
+                    ], (len(p), len(t), score, comp)
+                finished.add(view.final_score)
+            else:
+                failed += 1
+        assert failed >= 2 and len(finished) >= 6 and 0 in finished
+
+
 class TestWordExtension:
     """Runs that cross word boundaries, outrun a gather window and stop
     exactly at either end, in batches of up to 1,500 bp."""
@@ -354,6 +432,28 @@ class TestLowComplexityMemory:
             assert str(backtrace(view)) == str(backtrace(scalar))
 
 
+class TestEditPlaneMemory:
+    #: bound on the engine's tracemalloc peak; it reads about 2.0 MB, and
+    #: about 4.4 MB if each score kept its whole three-plane buffer
+    #: alive instead of the maximum alone
+    PEAK_BYTES = 3 << 20
+
+    def test_edit_run_keeps_only_m(self):
+        """32 pairs of 1000 bp at E=10% under edit distance."""
+        pairs = [
+            (p.pattern, p.text)
+            for p in ReadPairGenerator(length=1000, error_rate=0.10, seed=3).pairs(32)
+        ]
+        tracemalloc.start()
+        try:
+            views = BatchWfaEngine(pairs, EditPenalties()).run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BYTES
+        assert all(view.error is None for view in views)
+
+
 def run_system(engine: str):
     cfg = PimSystemConfig(
         num_dpus=4, num_ranks=1, tasklets=2, num_simulated_dpus=4
@@ -419,6 +519,13 @@ class TestServeByteIdentity:
 
 class TestBenchSmoke:
     def test_bench_batch_engine_smoke(self, tmp_path):
+        # Under affine too, so that the bench's own identity check covers
+        # the stacked affine score step.
+        for metric in ("edit", "affine"):
+            self.check(tmp_path / f"bench-{metric}.json", metric)
+
+    @staticmethod
+    def check(out, metric):
         bench_path = (
             Path(__file__).resolve().parent.parent
             / "benchmarks"
@@ -429,7 +536,6 @@ class TestBenchSmoke:
         )
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
-        out = tmp_path / "bench.json"
         rc = mod.main(
             [
                 "--batch-sizes",
@@ -440,6 +546,8 @@ class TestBenchSmoke:
                 "0.05",
                 "--repeats",
                 "1",
+                "--metric",
+                metric,
                 "--out",
                 str(out),
             ]
@@ -449,6 +557,7 @@ class TestBenchSmoke:
         assert record["schema"] == "repro.bench.artifact/v1"
         assert record["benchmark"] == "BENCH_batch_engine"
         assert record["config"]["batch_sizes"] == [1, 4]
+        assert record["config"]["metric"] == metric
         assert record["seed"] == record["config"]["seed"]
         assert len(record["config_fingerprint"]) == 16
         assert {r["mode"] for r in record["runs"]} == {"score_only", "full"}
