@@ -12,9 +12,9 @@ sized for the simulator's needs:
   picklable data and :meth:`~MetricsRegistry.merge_snapshot` another
   registry's snapshot back in.  Merging is commutative and associative
   for counters and histograms (sums) and uses ``max`` for gauges, so
-  folding worker snapshots in *any* order yields the same registry —
-  the property the host-parallel engine's parallel ≡ sequential
-  guarantee rests on (workers are merged in ``dpu_id`` order anyway).
+  folding snapshots in *any* order yields the same registry — the
+  property a fleet's shard-pool workers and federated shard registries
+  rely on.
 
 Nothing here reads a clock; time belongs to
 :class:`repro.obs.profiler.Profiler`.

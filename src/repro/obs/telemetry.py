@@ -5,10 +5,11 @@ One :class:`RunTelemetry` accompanies a :class:`~repro.pim.system.PimSystem`
 (and the :class:`~repro.pim.scheduler.BatchScheduler` round step above
 it) for the lifetime of a workload.  The system calls back into it:
 
-* :meth:`absorb_worker` — after the deterministic ``dpu_id``-ordered
-  merge, each worker's picklable metrics snapshot is folded into the
-  host registry (parallel ≡ sequential: snapshots are produced by the
-  same per-DPU code on both paths and merged in the same order);
+* its :attr:`~RunTelemetry.registry` — the system's deterministic
+  ``dpu_id``-ordered merge counts each DPU job's kernel and transfer
+  metrics from the job's record (parallel ≡ sequential: records are
+  produced by the same per-DPU code on both paths and counted in the
+  same order);
 * :meth:`on_run` — after each ``align``/``model_run``, the run's
   sections are laid out on the **model timeline** (transfer_in →
   launch → kernel (per-DPU children) → transfer_out), counters and
@@ -16,7 +17,7 @@ it) for the lifetime of a workload.  The system calls back into it:
   :class:`~repro.pim.trace.KernelTrace` is kept as a
   :class:`RunSegment` for the Chrome-trace exporter
   (:meth:`place_run` is the timeline half alone, for runs whose
-  counters arrive in a pool worker's snapshot).
+  counters arrive in a shard-pool worker's snapshot).
 
 Successive runs (e.g. a fleet shard's rounds) stack serially on the model
 timeline, so a multi-round workload opens in Perfetto as one
@@ -167,11 +168,6 @@ class RunTelemetry:
 
     # -- ingest --------------------------------------------------------------
 
-    def absorb_worker(self, snapshot: Optional[dict]) -> None:
-        """Merge one worker's picklable metrics snapshot (may be None)."""
-        if snapshot is not None:
-            self.registry.merge_snapshot(snapshot)
-
     def on_run(
         self,
         kind: str,
@@ -202,7 +198,8 @@ class RunTelemetry:
         seconds_per_cycle: float = 0.0,
     ) -> RunSegment:
         """:meth:`on_run` without the counters: model spans, segment and
-        cursor only (a pool worker's counters arrive in its snapshot)."""
+        cursor only (a shard-pool worker's counters arrive in its
+        snapshot)."""
         index = len(self.segments)
         start = self._cursor
         prof = self.profiler

@@ -15,10 +15,11 @@ MRAM.  :meth:`DmaEngine.read`/:meth:`DmaEngine.write` raise
 :class:`AlignmentFault` on any violation — the simulator fails the same
 way the hardware (or its simulator) would.
 
-Each DPU has a single DMA engine shared by all tasklets, so DMA cycles
-are accumulated globally per DPU (and per tasklet for occupancy
-accounting); the DPU timing model treats total DMA cycles as one of its
-bounding terms.
+Each DPU has a single DMA engine shared by all tasklets.  The engine
+counts transfers and bytes per DPU and returns each transfer's cycles;
+the kernel accumulates cycles per tasklet
+(:attr:`~repro.pim.tasklet.TaskletStats.dma_cycles`), and the DPU
+timing model treats their sum as one of its bounding terms.
 
 The kernel's metadata staging is charged in closed form, in two steps:
 :func:`plan_staging` derives everything that follows from the block
@@ -90,8 +91,6 @@ class StagingPlan:
     sizes: tuple[int, ...]
     uses: tuple[int, ...]
     chunk: Optional[int]
-    #: cycles of every transfer, in issue order
-    transfer_cycles: tuple[float, ...]
     #: cycles of every move of a block, in issue order
     move_cycles: tuple[float, ...]
     transfers: int
@@ -115,35 +114,34 @@ def plan_staging(
 ) -> StagingPlan:
     """Plan the staging of blocks ``sizes`` moved ``uses`` times each.
 
-    The cycles are those :meth:`DmaEngine.read`/:meth:`DmaEngine.write`
-    charge, and a move's cycles the sum of its pieces' added from 0.0 in
-    order, so summing a plan's tuples in order gives exactly the floats
-    of transfer-by-transfer charging.  The tuples hold one float object
-    per distinct piece (and block) size.
+    A move's cycles are the sum of the cycles
+    :meth:`DmaEngine.read`/:meth:`DmaEngine.write` charge for its
+    pieces, added from 0.0 in order, so summing the plan's tuple in
+    order gives exactly the floats of transfer-by-transfer charging.
+    The tuple holds one float object per distinct block size.
     """
     step = DMA_MAX if chunk is None else chunk
     per_piece: dict[int, float] = {}
-    per_move: dict[int, tuple[tuple[float, ...], float]] = {}
-    transfer_cycles: list[float] = []
+    per_move: dict[int, tuple[int, float]] = {}
+    transfers = 0
     move_cycles: list[float] = []
     for nbytes, count in zip(sizes, uses):
         if nbytes not in per_move:
-            cycles = tuple(
+            cycles = [
                 per_piece.setdefault(piece, timing.dma_cycles(piece))
                 for piece in dma_pieces(nbytes, chunk)
-            )
-            per_move[nbytes] = cycles, reduce(add, cycles, 0.0)
-        cycles, move = per_move[nbytes]
-        transfer_cycles.extend(cycles * count)
+            ]
+            per_move[nbytes] = len(cycles), reduce(add, cycles, 0.0)
+        pieces, move = per_move[nbytes]
+        transfers += pieces * count
         move_cycles.extend((move,) * count)
     widest = max(sizes, default=0)
     return StagingPlan(
         sizes=tuple(sizes),
         uses=tuple(uses),
         chunk=chunk,
-        transfer_cycles=tuple(transfer_cycles),
         move_cycles=tuple(move_cycles),
-        transfers=len(transfer_cycles),
+        transfers=transfers,
         bytes_moved=sum(map(mul, sizes, uses)),
         first=min(sizes[0], step) if sizes else 0,
         extent=sum(sizes),
@@ -160,7 +158,6 @@ class DmaEngine:
         self.timing = timing
         self.transfers = 0
         self.bytes_moved = 0
-        self.cycles = 0.0
         #: fault-injection hook: called with the transfer size before any
         #: bytes move; may raise (e.g. a tasklet-stall watchdog trip).
         #: See :class:`repro.pim.faults.FaultInjector`.
@@ -182,11 +179,9 @@ class DmaEngine:
             )
 
     def _charge(self, size: int) -> float:
-        cycles = self.timing.dma_cycles(size)
         self.transfers += 1
         self.bytes_moved += size
-        self.cycles += cycles
-        return cycles
+        return self.timing.dma_cycles(size)
 
     def read(self, mram_addr: int, wram_addr: int, size: int) -> float:
         """MRAM -> WRAM transfer; returns the cycles charged."""
@@ -240,11 +235,11 @@ class DmaEngine:
         :meth:`write_large` and :meth:`read_large`, otherwise every piece
         goes through the same ``chunk``-byte buffer at ``wram_addr``.
 
-        The counters, the cycle sum (added one transfer at a time, in
-        issue order, from the live value) and the fault hook (one call
-        per transfer with its size, in issue order) are exactly those of
-        issuing every transfer through :meth:`write` and :meth:`read`,
-        but no bytes are copied.  The checks are done once: every address
+        The counters and the fault hook (one call per transfer with its
+        size, in issue order) are exactly those of issuing every
+        transfer through :meth:`write` and :meth:`read`, but no bytes
+        are copied; the plan's ``move_cycles`` are what those transfers
+        would have returned.  The checks are done once: every address
         is the first transfer's plus multiples of 8 and every piece a
         multiple of 8 in [8, 2048], so validating the first transfer
         validates them all; the addresses grow with the block, so the
@@ -272,7 +267,6 @@ class DmaEngine:
             self._tick(plan.pieces(), plan.uses, None)
         self.transfers += plan.transfers
         self.bytes_moved += plan.bytes_moved
-        self.cycles = reduce(add, plan.transfer_cycles, self.cycles)
 
     def _tick(
         self, pieces: list[list[int]], uses: Sequence[int], limit: Optional[int]
@@ -319,4 +313,3 @@ class DmaEngine:
     def reset_counters(self) -> None:
         self.transfers = 0
         self.bytes_moved = 0
-        self.cycles = 0.0

@@ -35,7 +35,9 @@ shard at once (instant delivery); with one it crosses the modeled
 network first (below).  With ``shard_workers > 1`` and no transport
 the rows split by shard over a ``ProcessPoolExecutor`` — the fan-out
 :mod:`repro.pim.parallel` uses below for per-DPU jobs — and each worker
-feeds the loop its own shard's rows (:func:`run_fleet_shard`).
+feeds the loop its own shard's rows (:func:`run_fleet_shard`).  Like
+the paper's host, which copies one batch to every DPU at once, the loop
+aligns the pairs of all the rounds it executes in one engine stream.
 
 Because every shard has the same shape and a round's outcome is a pure
 function of (chunk, system config, fault plan, retry policy), a round
@@ -100,6 +102,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -117,6 +120,7 @@ from repro.pim.transport import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.wfa_batch import BatchPairView
     from repro.obs.telemetry import RunSegment, RunTelemetry
     from repro.pim.config import PimSystemConfig
     from repro.pim.health import FleetHealth, HealthPolicy
@@ -279,10 +283,15 @@ class _Lane:
         self.clock = task.now
 
     def execute(
-        self, index: int, chunk: list[ReadPair], arrive_s: float
+        self,
+        index: int,
+        chunk: list[ReadPair],
+        arrive_s: float,
+        views: Optional[list["BatchPairView"]] = None,
     ) -> tuple[PimRunResult, float]:
         """Run shard-local round ``index`` once its work has arrived and
-        the shard is free; returns (result, completion time)."""
+        the shard is free, on ``chunk``'s ``views`` when given; returns
+        (result, completion time)."""
         task = self.task
         self.scheduler._note_round_size(task.pairs_per_round)
         begin = max(arrive_s, self.clock)
@@ -297,6 +306,7 @@ class _Lane:
             health=self.health,
             journal=self.journal,
             replay=self.replay.get(index),
+            views=views,
         )
         self.clock = begin + (result.total_seconds + result.recovery_overhead_seconds)
         return result, self.clock
@@ -320,15 +330,43 @@ def _run_rows(
     pure function of its chunk, so the networked ``per_round`` stream is
     byte-identical to the direct path's (pinned in
     ``tests/test_pim_transport.py``).
+
+    The pairs of the rows the loop executes go through one vector-engine
+    stream, asked for once because every shard's system has the same
+    config (:meth:`~repro.pim.system.PimSystem.batch_views`; ``None``
+    where it does not apply).  Journaled rounds being replayed are left
+    out, and so is a round that fills an engine run alone
+    (:attr:`~repro.pim.kernel.WfaDpuKernel.batch_run_pairs`): sharing a
+    run gains it nothing, and its jobs keep taking their views one job
+    at a time.  Each row takes its views just before it runs, so at
+    most one run's worth of views and the stream's current run are
+    alive.  A steal aligns its own pairs.  A pair's result does not
+    depend on which run holds it, so no result changes.
     """
     results: dict[int, PimRunResult] = {}
+    stream, shared = None, set()
+    if rows:
+        system = lanes[rows[0][1]].scheduler.system
+        cap = system.kernel.batch_run_pairs
+        shared = {
+            r
+            for r, shard, index, chunk in rows
+            if len(chunk) <= cap and index not in lanes[shard].replay
+        }
+        if shared:
+            stream = system.batch_views(
+                pair for r, _, _, chunk in rows if r in shared for pair in chunk
+            )
     for r, shard, index, chunk in rows:
         lane = lanes[shard]
+        views = None
+        if stream is not None and r in shared:
+            views = list(islice(stream, len(chunk)))
         if transport is None:
-            result, _ = lane.execute(index, chunk, lane.task.now)
+            result, _ = lane.execute(index, chunk, lane.task.now, views)
         else:
             survivor, result, recv_s = _round_over_network(
-                transport, lanes, r, shard, index, chunk
+                transport, lanes, r, shard, index, chunk, views
             )
             transport.report.receipts[r] = recv_s
             transport.report.survivors[r] = survivor
@@ -352,18 +390,19 @@ def _round_over_network(
     shard: int,
     index: int,
     chunk: list[ReadPair],
+    views: Optional[list["BatchPairView"]] = None,
 ) -> tuple[int, PimRunResult, float]:
     """One round's full network round-trip; returns the surviving
     ``(shard, result, coordinator receipt time)``.
 
     At-least-once on both legs: the work envelope retries until it
     lands (or its redelivery budget exhausts), the round executes at
-    ``max(arrival, shard busy)``, and the result envelope retries
-    home.  Hedging arms a timer at dispatch: a round whose result
-    has not arrived by ``hedge_timeout_s`` is stolen onto the next
-    healthy shard and the two results race — earliest coordinator
-    receipt survives (tie goes to the original), the loser is
-    absorbed by dedup.
+    ``max(arrival, shard busy)`` on ``views``, and the result envelope
+    retries home.  Hedging arms a timer at dispatch: a round whose
+    result has not arrived by ``hedge_timeout_s`` is stolen onto the
+    next healthy shard, which aligns the pairs itself, and the two
+    results race — earliest coordinator receipt survives (tie goes to
+    the original), the loser is absorbed by dedup.
     """
     policy = transport.policy
     now = transport.report.start_s
@@ -378,7 +417,7 @@ def _round_over_network(
     hedge_needed = (not work.ok) or work.arrive_s > now + policy.hedge_timeout_s
     t_steal = now + policy.hedge_timeout_s
     if work.ok:
-        result, done = lanes[shard].execute(index, chunk, work.arrive_s)
+        result, done = lanes[shard].execute(index, chunk, work.arrive_s, views)
         back = transport.deliver("result", r, shard, done)
         if back.ok:
             candidates.append((back.arrive_s, 0, shard, result))

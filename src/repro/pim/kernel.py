@@ -371,20 +371,26 @@ class WfaDpuKernel:
         ``engine="vector"`` with a global span and no adaptive heuristic.
         Otherwise returns ``None`` without consuming ``pairs``, and every
         pair aligns on the scalar engine.  The iterator runs the engine
-        over ``BATCH_BUDGET_BYTES // metadata_peak_bytes()`` pairs at a
-        time, each run only once the previous one's views are all handed
-        out, and keeps no view it has handed out: host memory holds at
-        most the runs whose views are still alive.  A pair's results do
-        not depend on which run it shares.
+        over :attr:`batch_run_pairs` pairs at a time, each run only once
+        the previous one's views are all handed out, and keeps no view it
+        has handed out: host memory holds at most the runs whose views
+        are still alive.  A pair's results do not depend on which run it
+        shares.
         """
         cfg = self.config
         if cfg.engine != "vector" or not cfg.span.is_global or cfg.adaptive:
             return None
         return self._chunked_views(iter(pairs))
 
+    @property
+    def batch_run_pairs(self) -> int:
+        """Pairs in one vector-engine run of :meth:`batch_views`:
+        ``BATCH_BUDGET_BYTES // metadata_peak_bytes()``, at least one."""
+        return max(1, BATCH_BUDGET_BYTES // self.config.metadata_peak_bytes())
+
     def _chunked_views(self, pairs: Iterator[ReadPair]) -> Iterator[BatchPairView]:
         cfg = self.config
-        cap = max(1, BATCH_BUDGET_BYTES // cfg.metadata_peak_bytes())
+        cap = self.batch_run_pairs
         while chunk := [(p.pattern, p.text) for p in islice(pairs, cap)]:
             views = BatchWfaEngine(
                 chunk,

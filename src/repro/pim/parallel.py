@@ -23,9 +23,13 @@ jobs in-process, or one contiguous slice of them per pool worker.  A
 group aligns all its jobs' pairs on the vector engine together
 (:meth:`~repro.pim.kernel.WfaDpuKernel.batch_views`, one run unless the
 group exceeds the kernel's byte budget) and then runs each job's kernel
-over its share of the views.  Which group a pair lands in changes no
-result: the vector engine reproduces the scalar engine bit for bit
-whatever the batch composition.
+over its share of the views.  A caller that aligned the pairs of a
+larger unit already hands each job its views instead (``views=``): the
+fleet's round loop opens one stream over every round a fleet call
+executes in-process (:func:`repro.pim.fleet._run_rows`), and such a
+group always runs in-process.  Which group or run a pair lands in
+changes no result: the vector engine reproduces the scalar engine bit
+for bit whatever the batch composition.
 
 The sequential path is the fallback, engaged when
 
@@ -59,7 +63,6 @@ from repro.errors import (
     LayoutError,
     TaskletStallError,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.pim.faults import (
     FaultPlan,
     JobRecoveryRecord,
@@ -139,8 +142,6 @@ class DpuJob:
     pull: bool = True
     #: record per-pair kernel phase events and ship the trace home
     collect_trace: bool = False
-    #: count per-DPU metrics into a worker registry and ship its snapshot
-    collect_metrics: bool = False
     #: declarative fault plan this job executes under (None = fault-free)
     fault_plan: Optional[FaultPlan] = None
     #: recovery attempt counter (0 = first try); selects which
@@ -201,10 +202,6 @@ class DpuJobResult:
     #: events carry this DPU's ``dpu_id``, so host-side merges keep
     #: attribution.
     trace: Optional[KernelTrace] = None
-    #: picklable :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-    #: (``collect_metrics`` jobs only); merges deterministically on the
-    #: host regardless of completion order.
-    metrics: Optional[dict] = None
 
 
 def run_dpu_job(
@@ -219,17 +216,14 @@ def run_dpu_job(
     (:func:`run_job_group`); the kernel takes each view out as it aligns
     that pair.  Called with the job alone, it runs as a group of one.
 
-    With ``collect_metrics`` the worker counts its own activity into a
-    private :class:`~repro.obs.metrics.MetricsRegistry` (transfer bytes
-    via the engine's hooks, kernel work from the summarized stats) and
-    ships the snapshot home; with ``collect_trace`` the kernel's phase
-    events ride along.  Both are pure functions of the job description,
-    preserving the parallel ≡ sequential guarantee.
+    The record's kernel stats and transfer stats are everything the
+    host counts its per-DPU metrics from; with ``collect_trace`` the
+    kernel's phase events ride along.  All are pure functions of the job
+    description, preserving the parallel ≡ sequential guarantee.
     """
     if batch is None:
         return run_job_group([job])[0]
-    registry = MetricsRegistry() if job.collect_metrics else None
-    transfer = HostTransferEngine(job.transfer_config, registry=registry)
+    transfer = HostTransferEngine(job.transfer_config)
     kernel = WfaDpuKernel(job.kernel_config)
     dpu = Dpu(job.dpu_config, dpu_id=job.dpu_id)
     trace = KernelTrace() if job.collect_trace else None
@@ -266,29 +260,13 @@ def run_dpu_job(
             results.append((local, score, cigar, p_start, t_start))
         if not job.pull:
             results = []
-    stats = dpu.summarize(tasklet_stats)
-    if registry is not None:
-        dpu_label = str(job.dpu_id)
-        registry.counter(
-            "pim_dpu_pairs_total", "pairs aligned per simulated DPU"
-        ).inc(stats.pairs_done, dpu=dpu_label)
-        registry.counter(
-            "pim_dpu_instructions_total", "kernel instructions per simulated DPU"
-        ).inc(stats.instructions, dpu=dpu_label)
-        registry.counter(
-            "pim_dpu_dma_bytes_total", "kernel MRAM<->WRAM DMA bytes per DPU"
-        ).inc(stats.dma_bytes, dpu=dpu_label)
-        registry.gauge(
-            "pim_dpu_kernel_cycles", "modeled kernel cycles per simulated DPU"
-        ).set(stats.cycles, dpu=dpu_label)
     return DpuJobResult(
         dpu_id=job.dpu_id,
         num_pairs=len(batch),
-        stats=stats,
+        stats=dpu.summarize(tasklet_stats),
         results=results,
         transfer_stats=transfer.stats,
         trace=trace,
-        metrics=registry.snapshot() if registry is not None else None,
     )
 
 
@@ -424,13 +402,19 @@ class ResilientOutcome:
     result: Optional[DpuJobResult] = None
 
 
+#: vector-engine views a caller aligned ahead: by ``dpu_id``, then by
+#: local index in that job's batch
+JobViews = dict[int, dict[int, BatchPairView]]
+
+
 def _prepare_group(
-    jobs: list[DpuJob],
+    jobs: list[DpuJob], views: Optional[JobViews] = None
 ) -> Iterator[tuple[DpuJob, list[ReadPair], Optional[dict[int, BatchPairView]]]]:
     """``(job, batch, views)`` per job, in ``dpu_id`` order.
 
-    Each job's batch is generated once, up front.  Consecutive jobs that
-    share a kernel configuration draw their views from one
+    Each job's batch is generated once, up front.  Given ``views``, each
+    job takes its own entry.  Otherwise consecutive jobs that share a
+    kernel configuration draw their views from one
     :meth:`~repro.pim.kernel.WfaDpuKernel.batch_views` stream over all
     their pairs, taken job by job as the jobs run; ``views`` is ``None``
     where the vector engine does not apply.  Only the per-job dict holds
@@ -438,6 +422,10 @@ def _prepare_group(
     """
     jobs = sorted(jobs, key=lambda job: job.dpu_id)
     batches = [job.batch() for job in jobs]
+    if views is not None:
+        for job, batch in zip(jobs, batches):
+            yield job, batch, views[job.dpu_id]
+        return
     for config, members in groupby(
         zip(jobs, batches), key=lambda member: member[0].kernel_config
     ):
@@ -452,25 +440,29 @@ def _prepare_group(
                 yield job, batch, dict(zip(range(len(batch)), views))
 
 
-def run_job_group(jobs: list[DpuJob]) -> list[DpuJobResult]:
+def run_job_group(
+    jobs: list[DpuJob], views: Optional[JobViews] = None
+) -> list[DpuJobResult]:
     """Run a group of jobs in-process, their pairs batched together.
 
-    One vector-engine stream covers the group (see :func:`_prepare_group`),
-    and :func:`run_dpu_job` runs each job in ``dpu_id`` order.  This is
-    what one pool worker runs; picklable in and out.
+    One vector-engine stream covers the group unless ``views`` already
+    holds every job's views (see :func:`_prepare_group`), and
+    :func:`run_dpu_job` runs each job in ``dpu_id`` order.  This is what
+    one pool worker runs; picklable in and out.
     """
     return [
-        run_dpu_job(job, batch, views) for job, batch, views in _prepare_group(jobs)
+        run_dpu_job(job, batch, job_views)
+        for job, batch, job_views in _prepare_group(jobs, views)
     ]
 
 
 def run_job_group_resilient(
-    jobs: list[DpuJob], policy: RetryPolicy
+    jobs: list[DpuJob], policy: RetryPolicy, views: Optional[JobViews] = None
 ) -> list["ResilientOutcome"]:
     """:func:`run_job_group` with each job under the recovery policy."""
     return [
-        run_dpu_job_resilient(job, policy, batch, views)
-        for job, batch, views in _prepare_group(jobs)
+        run_dpu_job_resilient(job, policy, batch, job_views)
+        for job, batch, job_views in _prepare_group(jobs, views)
     ]
 
 
@@ -484,11 +476,18 @@ def resolve_workers(workers: int, num_jobs: int) -> int:
 
 
 def _run_groups(
-    runner: Callable[..., list], jobs: list[DpuJob], workers: int, *args: object
+    runner: Callable[..., list],
+    jobs: list[DpuJob],
+    workers: int,
+    *args: object,
+    views: Optional[JobViews] = None,
 ) -> list:
     """``runner(group, *args)`` over ``workers`` contiguous groups of the
     ``dpu_id``-ordered jobs, one per pool worker; all jobs as one group
-    in-process when ``workers`` resolves to one or the pool fails."""
+    in-process when ``workers`` resolves to one, the caller hands over
+    ``views`` or the pool fails."""
+    if views is not None:
+        return runner(jobs, *args, views)
     n = resolve_workers(workers, len(jobs))
     if n > 1:
         jobs = sorted(jobs, key=lambda job: job.dpu_id)
@@ -504,15 +503,19 @@ def _run_groups(
     return runner(jobs, *args)
 
 
-def execute_jobs(jobs: Iterable[DpuJob], workers: int = 1) -> list[DpuJobResult]:
+def execute_jobs(
+    jobs: Iterable[DpuJob], workers: int = 1, views: Optional[JobViews] = None
+) -> list[DpuJobResult]:
     """Execute DPU jobs, in-process or over a process pool.
 
     In-process, all jobs form one group; over a pool, each worker runs
-    one contiguous group (:func:`run_job_group`).  Returns records sorted
-    by ``dpu_id`` regardless of completion order, so callers can merge
-    without re-deriving the schedule.
+    one contiguous group (:func:`run_job_group`).  With ``views`` (every
+    job's vector-engine views, by ``dpu_id``) the jobs run in-process
+    whatever ``workers`` says.  Returns records sorted by ``dpu_id``
+    regardless of completion order, so callers can merge without
+    re-deriving the schedule.
     """
-    records = _run_groups(run_job_group, list(jobs), workers)
+    records = _run_groups(run_job_group, list(jobs), workers, views=views)
     records.sort(key=lambda r: r.dpu_id)
     return records
 
@@ -521,20 +524,23 @@ def execute_jobs_resilient(
     jobs: Iterable[DpuJob],
     workers: int = 1,
     policy: Optional[RetryPolicy] = None,
+    views: Optional[JobViews] = None,
 ) -> tuple[list[DpuJobResult], RecoveryReport]:
     """Fault-tolerant :func:`execute_jobs`: recover per job, report.
 
     Each job carries its own :class:`~repro.pim.faults.FaultPlan` slice
     and spare placements; recovery runs *inside* the worker, so the
     parallel and sequential paths make identical recovery decisions.
-    Returns successful records sorted by ``dpu_id`` plus a
-    :class:`~repro.pim.faults.RecoveryReport` whose per-job records are
-    in the same order (pair-index attribution is the caller's job — see
-    :func:`repro.pim.faults.assign_pairs`).
+    ``views`` is as in :func:`execute_jobs`.  Returns successful records
+    sorted by ``dpu_id`` plus a :class:`~repro.pim.faults.RecoveryReport`
+    whose per-job records are in the same order (pair-index attribution
+    is the caller's job — see :func:`repro.pim.faults.assign_pairs`).
     """
     if policy is None:
         policy = RetryPolicy()
-    outcomes = _run_groups(run_job_group_resilient, list(jobs), workers, policy)
+    outcomes = _run_groups(
+        run_job_group_resilient, list(jobs), workers, policy, views=views
+    )
     outcomes.sort(key=lambda o: o.record.dpu_id)
     report = RecoveryReport(records=[o.record for o in outcomes])
     records = [o.result for o in outcomes if o.result is not None]

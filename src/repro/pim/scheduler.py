@@ -23,7 +23,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.data.generator import ReadPair
 from repro.errors import ConfigError, JournalError
@@ -32,6 +32,7 @@ from repro.pim.layout import HEADER_BYTES
 from repro.pim.system import PimRunResult, PimSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.wfa_batch import BatchPairView
     from repro.pim.health import FleetHealth
     from repro.pim.journal import RunJournal
 
@@ -193,6 +194,7 @@ class BatchScheduler:
         health: Optional["FleetHealth"] = None,
         journal: Optional["RunJournal"] = None,
         replay: Optional[PimRunResult] = None,
+        views: Optional[Sequence["BatchPairView"]] = None,
     ) -> PimRunResult:
         """One distribute → launch → gather round at modeled time ``clock``.
 
@@ -209,7 +211,9 @@ class BatchScheduler:
         (resume path): replayed rounds skip device work entirely but
         still feed the health ledger and the aggregate report, so a
         resumed run reconstructs the exact state an uninterrupted run
-        would have reached.
+        would have reached.  ``views`` are the chunk's vector-engine
+        views, aligned ahead by the caller
+        (:meth:`~repro.pim.system.PimSystem.batch_views`).
         """
         telemetry = self.system.telemetry
         size = len(chunk)
@@ -250,6 +254,7 @@ class BatchScheduler:
                     fault_plan=fault_plan,
                     retry_policy=retry_policy,
                     active_dpus=active,
+                    views=views,
                 )
             if result.recovery is not None:
                 result.recovery.shift_pairs(start)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.core.cigar import Cigar
 from repro.data.datasets import DatasetSpec
@@ -54,6 +54,7 @@ from repro.pim.parallel import (
     DpuJob,
     DpuJobResult,
     GeneratorSpec,
+    JobViews,
     execute_jobs,
     execute_jobs_resilient,
 )
@@ -62,6 +63,8 @@ from repro.pim.trace import merge as merge_traces
 from repro.pim.transfer import HostTransferEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.wfa_batch import BatchPairView
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.telemetry import RunTelemetry
 
 __all__ = ["PimRunResult", "PimSystem"]
@@ -146,6 +149,28 @@ class PimRunResult:
         return max(counts, key=counts.__getitem__)
 
 
+def _count_dpu(
+    registry: "MetricsRegistry", dpu_id: int, stats: DpuKernelStats
+) -> None:
+    """Count one DPU job's kernel work into ``registry``: counters add,
+    and the cycles gauge keeps the largest value, as a snapshot merge
+    would."""
+    dpu = str(dpu_id)
+    registry.counter(
+        "pim_dpu_pairs_total", "pairs aligned per simulated DPU"
+    ).inc(stats.pairs_done, dpu=dpu)
+    registry.counter(
+        "pim_dpu_instructions_total", "kernel instructions per simulated DPU"
+    ).inc(stats.instructions, dpu=dpu)
+    registry.counter(
+        "pim_dpu_dma_bytes_total", "kernel MRAM<->WRAM DMA bytes per DPU"
+    ).inc(stats.dma_bytes, dpu=dpu)
+    cycles = registry.gauge(
+        "pim_dpu_kernel_cycles", "modeled kernel cycles per simulated DPU"
+    ).labels(dpu=dpu)
+    cycles.set(max(cycles.value, stats.cycles))
+
+
 class PimSystem:
     """A configured UPMEM system ready to align read-pair workloads."""
 
@@ -161,8 +186,9 @@ class PimSystem:
             kernel_config if kernel_config is not None else KernelConfig()
         )
         #: optional :class:`~repro.obs.telemetry.RunTelemetry` — when
-        #: attached, every run collects kernel traces and worker metric
-        #: snapshots and lays its sections on the model timeline.
+        #: attached, every run collects kernel traces, counts per-DPU
+        #: metrics from its job records and lays its sections on the
+        #: model timeline.
         self.telemetry = telemetry
         self.kernel = WfaDpuKernel(self.kernel_config)
         self.transfer = HostTransferEngine(
@@ -238,7 +264,6 @@ class PimSystem:
             generator=generator,
             pull=pull,
             collect_trace=collect,
-            collect_metrics=collect,
             fault_plan=fault_plan,
             physical_dpu_id=physical,
             requeue_placements=spares,
@@ -256,12 +281,12 @@ class PimSystem:
     ]:
         """Deterministic merge: records arrive sorted by ``dpu_id``.
 
-        Folds each worker's transfer accounting into this system's
-        engine, absorbs worker metric snapshots / kernel traces into
-        the attached telemetry (in the same ``dpu_id`` order on both
-        the sequential and parallel paths), and converts local record
-        indices to global pair indices under the round-robin contract
-        (``d + local * num_slots``; ``num_slots`` shrinks below
+        Folds each job's transfer accounting into this system's engine
+        and, with telemetry attached, counts each job's per-DPU metrics
+        from its record (:func:`_count_dpu`), in the same ``dpu_id``
+        order on both the sequential and parallel paths.  Converts local
+        record indices to global pair indices under the round-robin
+        contract (``d + local * num_slots``; ``num_slots`` shrinks below
         ``num_dpus`` when quarantine reduced the placement set).
         """
         per_dpu: list[DpuKernelStats] = []
@@ -269,12 +294,13 @@ class PimSystem:
         regions: dict[int, tuple[int, int]] = {}
         simulated = 0
         num_dpus = num_slots if num_slots is not None else self.config.num_dpus
+        registry = self.telemetry.registry if self.telemetry is not None else None
         for rec in records:
             per_dpu.append(rec.stats)
             simulated += rec.num_pairs
-            self.transfer.stats.merge(rec.transfer_stats)
-            if self.telemetry is not None:
-                self.telemetry.absorb_worker(rec.metrics)
+            self.transfer.absorb(rec.transfer_stats)
+            if registry is not None:
+                _count_dpu(registry, rec.dpu_id, rec.stats)
             for local, score, cigar, p_start, t_start in rec.results:
                 index = rec.dpu_id + local * num_dpus
                 results.append((index, score, cigar))
@@ -291,13 +317,16 @@ class PimSystem:
         fault_plan: Optional[FaultPlan],
         retry_policy: Optional[RetryPolicy],
         num_slots: Optional[int] = None,
+        views: Optional[JobViews] = None,
     ) -> tuple[list[DpuJobResult], Optional[RecoveryReport]]:
         """Dispatch jobs on the plain or the recovered path, under a
         wall-time ``host_execute`` profiler span when telemetry is on.
 
-        With a fault plan, the report's pair-index attribution is filled
-        in under the round-robin contract (over ``num_slots`` logical
-        slots) and its counters land in the attached telemetry registry.
+        ``views`` are the jobs' vector-engine views by ``dpu_id``
+        (in-process execution).  With a fault plan, the report's
+        pair-index attribution is filled in under the round-robin
+        contract (over ``num_slots`` logical slots) and its counters
+        land in the attached telemetry registry.
         """
         n = self.config.workers
         span = nullcontext()
@@ -307,9 +336,9 @@ class PimSystem:
             )
         with span:
             if fault_plan is None:
-                return execute_jobs(jobs, n), None
+                return execute_jobs(jobs, n, views), None
             policy = retry_policy if retry_policy is not None else RetryPolicy()
-            records, report = execute_jobs_resilient(jobs, n, policy)
+            records, report = execute_jobs_resilient(jobs, n, policy, views)
         assign_pairs(
             report,
             num_slots if num_slots is not None else self.config.num_dpus,
@@ -348,6 +377,25 @@ class PimSystem:
             return None  # full fleet: identical to the unconstrained path
         return active
 
+    def batch_views(
+        self, pairs: Iterable[ReadPair]
+    ) -> Optional[Iterator["BatchPairView"]]:
+        """Vector-engine views of ``pairs`` for :meth:`align`'s ``views=``.
+
+        The one place that decides whether a caller (the fleet's round
+        loop) may align the pairs of many :meth:`align` calls up front.
+        It returns the kernel's lazy stream
+        (:meth:`~repro.pim.kernel.WfaDpuKernel.batch_views`) only when
+        the jobs run in-process (``workers == 1``, so no pool worker
+        aligns a pair again), every logical DPU is simulated (so no pair
+        is aligned that no job takes) and the vector engine applies.
+        Otherwise it returns ``None`` without consuming ``pairs``.
+        """
+        cfg = self.config
+        if cfg.workers != 1 or cfg.num_simulated_dpus != cfg.num_dpus:
+            return None
+        return self.kernel.batch_views(pairs)
+
     def align(
         self,
         pairs: list[ReadPair],
@@ -356,6 +404,7 @@ class PimSystem:
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         active_dpus: Optional[tuple[int, ...]] = None,
+        views: Optional[Sequence["BatchPairView"]] = None,
     ) -> PimRunResult:
         """Align a concrete batch, distributed over all logical DPUs.
 
@@ -378,6 +427,11 @@ class PimSystem:
         spares come from the active set only.  Capacity loss is modeled
         honestly — fewer DPUs take bigger batches and the kernel takes
         longer.
+
+        ``views[i]`` is ``pairs[i]``'s view from :meth:`batch_views`
+        (only where that returns a stream).  Each slot's job gets its
+        share under the round-robin contract and runs in-process; the
+        kernel still checks every view against the pair its DMA read.
         """
         n = len(pairs)
         active = self._resolve_active(active_dpus)
@@ -400,8 +454,14 @@ class PimSystem:
             for s, batch in enumerate(batches[: self.config.num_simulated_dpus])
             if batch
         ]
+        job_views = None
+        if views is not None:
+            job_views = {
+                job.dpu_id: dict(enumerate(views[job.dpu_id :: num_slots]))
+                for job in jobs
+            }
         records, recovery = self._run_jobs(
-            jobs, "align", fault_plan, retry_policy, num_slots=num_slots
+            jobs, "align", fault_plan, retry_policy, num_slots, job_views
         )
         per_dpu, results, regions, simulated, run_trace = self._merge_records(
             records, num_slots=num_slots

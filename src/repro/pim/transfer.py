@@ -56,9 +56,10 @@ class HostTransferEngine:
     """Functional copies + aggregate-bandwidth timing.
 
     With a :class:`~repro.obs.metrics.MetricsRegistry` attached, every
-    functional push/pull also counts into ``pim_transfer_bytes_total``
-    (by direction) and ``pim_transfer_ops_total`` (by op) — the
-    engine-level view the telemetry layer aggregates across workers.
+    functional push/pull, and every other engine's push/pull folded in
+    by :meth:`absorb`, also counts into ``pim_transfer_bytes_total`` (by
+    direction) and ``pim_transfer_ops_total`` (by op) — the engine-level
+    view the telemetry layer aggregates across DPU jobs.
     """
 
     def __init__(
@@ -91,10 +92,19 @@ class HostTransferEngine:
             else None
         )
 
-    def _observe(self, direction: str, op: str, nbytes: int) -> None:
+    def _observe(self, direction: str, op: str, nbytes: int, ops: int = 1) -> None:
         if self._bytes_metric is not None:
             self._bytes_metric.inc(nbytes, direction=direction)
-            self._ops_metric.inc(op=op)
+            self._ops_metric.inc(ops, op=op)
+
+    def absorb(self, stats: TransferStats) -> None:
+        """Fold another engine's counters in (a DPU job's, on merge), and
+        count them as that engine's own copies would have been counted."""
+        self.stats.merge(stats)
+        if stats.pushes:
+            self._observe("to_dpu", "push", stats.bytes_to_dpu, stats.pushes)
+        if stats.pulls:
+            self._observe("from_dpu", "pull", stats.bytes_from_dpu, stats.pulls)
 
     # -- functional ------------------------------------------------------
 

@@ -16,16 +16,21 @@ from __future__ import annotations
 
 import shutil
 import warnings
+import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.penalties import AffinePenalties, EditPenalties, LinearPenalties
+from repro.core.wfa_batch import BatchWfaEngine
 from repro.data.generator import ReadPairGenerator
 from repro.errors import ConfigError, DegradedCapacity, JournalError
 from repro.obs.events import validate_event_log
 from repro.obs.telemetry import RunTelemetry
+from repro.pim import kernel as kernel_mod
+from repro.pim import parallel as parallel_mod
 from repro.pim.config import PimSystemConfig
 from repro.pim.faults import DpuDeath, FaultPlan, RetryPolicy, TaskletStall
 from repro.pim.fleet import (
@@ -39,6 +44,7 @@ from repro.pim.journal import result_to_dict
 from repro.pim.kernel import KernelConfig
 from repro.pim.scheduler import BatchScheduler
 from repro.pim.system import PimSystem
+from repro.pim.transport import LinkDrop, NetworkFaultPlan, Partition, TransportPolicy
 
 NUM_DPUS = 4
 
@@ -572,3 +578,215 @@ class TestValidation:
         assert doc["rounds"] == 4
         assert doc["recovery"] is None
         assert doc["throughput_pairs_per_s"] == pytest.approx(run.throughput())
+
+
+class TestOneEngineStream:
+    """The round loop aligns the pairs of every round a fleet call
+    executes in one vector-engine stream where the system allows it
+    (in-process jobs, every DPU simulated), and no result depends on
+    which engine run held a pair."""
+
+    @pytest.fixture
+    def engine_runs(self, monkeypatch):
+        """Batch size of every vector-engine run, in call order."""
+        sizes = []
+        run = BatchWfaEngine.run
+
+        def counting(engine):
+            sizes.append(engine.size)
+            return run(engine)
+
+        monkeypatch.setattr(BatchWfaEngine, "run", counting)
+        return sizes
+
+    @staticmethod
+    def fleet(shards=4, engine="vector", config=None, **kwargs):
+        kernel = replace(make_kernel(), engine=engine)
+        return FleetCoordinator(
+            config if config is not None else make_config(),
+            kernel,
+            shards=shards,
+            **kwargs,
+        )
+
+    def scalar_results(self, pairs, shards=4, **kwargs):
+        run = self.fleet(shards, engine="scalar").run(
+            pairs, collect_results=True, **kwargs
+        )
+        return flat_results(run)
+
+    def test_one_engine_run_per_fleet_call(self, engine_runs):
+        pairs = make_pairs(96)
+        run = self.fleet().run(pairs, pairs_per_round=24, collect_results=True)
+        assert run.placements == [0, 1, 2, 3]
+        assert engine_runs == [96]  # one run for all four rounds
+        assert flat_results(run) == self.scalar_results(pairs, pairs_per_round=24)
+
+    def test_a_round_that_fills_a_run_keeps_its_own_views(
+        self, engine_runs, monkeypatch
+    ):
+        """A round larger than one engine run shares none: its jobs take
+        their views one job at a time, as a lone round's do.  Smaller
+        rounds share runs.  Either way no more than two runs are alive
+        while the kernels align, however large the round."""
+        budget = 10 * make_kernel().metadata_peak_bytes() + 5
+        monkeypatch.setattr(kernel_mod, "BATCH_BUDGET_BYTES", budget)
+        engines, alive = [], []
+        engine_init = BatchWfaEngine.__init__
+        align_one = kernel_mod.WfaDpuKernel._align_one
+
+        def tracking_init(engine, *args, **kwargs):
+            engine_init(engine, *args, **kwargs)
+            engines.append(weakref.ref(engine))
+
+        def counting_align_one(kernel, *args):
+            alive.append(sum(ref() is not None for ref in engines))
+            return align_one(kernel, *args)
+
+        monkeypatch.setattr(BatchWfaEngine, "__init__", tracking_init)
+        monkeypatch.setattr(kernel_mod.WfaDpuKernel, "_align_one", counting_align_one)
+        pairs = make_pairs(48)
+        # 24-pair rounds: one job-ordered stream per round, in 10-pair runs
+        for ppr, runs in ((24, [10, 10, 4] * 2), (8, [10, 10, 10, 10, 8])):
+            engine_runs.clear()
+            alive.clear()
+            run = self.fleet(2).run(pairs, pairs_per_round=ppr, collect_results=True)
+            assert engine_runs == runs
+            assert len(alive) == 48 and max(alive) <= 2
+            assert flat_results(run) == self.scalar_results(
+                pairs, shards=2, pairs_per_round=ppr
+            )
+
+    def test_pooled_jobs_align_in_their_workers(self, monkeypatch):
+        """At ``workers=2`` the coordinator aligns nothing: every engine
+        run happens inside a pool worker's group."""
+        runs, pool = [], {"inside": False}
+        run = BatchWfaEngine.run
+
+        def counting(engine):
+            runs.append((engine.size, pool["inside"]))
+            return run(engine)
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                pool["inside"] = True
+                try:
+                    return list(map(fn, *iterables))
+                finally:
+                    pool["inside"] = False
+
+        monkeypatch.setattr(BatchWfaEngine, "run", counting)
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", InlinePool)
+        pairs = make_pairs(96)
+        pooled = self.fleet(config=make_config(workers=2)).run(
+            pairs, pairs_per_round=24, collect_results=True
+        )
+        # four rounds, each two groups of two 6-pair jobs
+        assert runs == [(12, True)] * 8
+        assert flat_results(pooled) == self.scalar_results(pairs, pairs_per_round=24)
+
+    def test_only_simulated_dpus_pairs_are_aligned(self, engine_runs):
+        config = replace(make_config(), num_simulated_dpus=2)
+        pairs = make_pairs(96)
+        run = self.fleet(config=config).run(
+            pairs, pairs_per_round=24, collect_results=True
+        )
+        # slots 0 and 1 take 6 of each round's 24 pairs apiece
+        assert engine_runs == [12] * 4
+        assert len(flat_results(run)) == 48
+
+    def test_resume_aligns_only_the_rounds_it_executes(self, engine_runs, tmp_path):
+        pairs = make_pairs(96)
+        journal = tmp_path / "journal"
+        whole = self.fleet().run(
+            pairs, pairs_per_round=24, collect_results=True, journal=journal
+        )
+        (journal / shard_journal_name(2)).unlink()
+        engine_runs.clear()
+        resumed = self.fleet().resume_run(
+            journal, pairs, pairs_per_round=24, collect_results=True
+        )
+        assert resumed.rounds_replayed == 3
+        assert engine_runs == [24]  # round 2 alone
+        assert resumed.results() == whole.results()
+
+    def test_hedged_steal_realigns_the_stolen_round(self, engine_runs):
+        plan = NetworkFaultPlan(
+            seed=1,
+            partitions=(Partition(start_s=1e-4, end_s=0.3, shard_ids=(1,)),),
+        )
+        pairs = make_pairs(48)
+        run = self.fleet(
+            2, net_plan=plan, transport_policy=TransportPolicy(hedge=True)
+        ).run(pairs, pairs_per_round=8, collect_results=True)
+        steals = run.transport.steals
+        assert steals >= 1
+        assert engine_runs == [48] + [8] * steals
+        assert flat_results(run) == self.scalar_results(
+            pairs, shards=2, pairs_per_round=8
+        )
+
+    def test_empty_call_still_runs(self, engine_runs):
+        plan = NetworkFaultPlan(seed=1, drops=(LinkDrop(shard_id=0, p=0.5),))
+        for fleet in (self.fleet(), self.fleet(2, net_plan=plan)):
+            run = fleet.run([], pairs_per_round=24)
+            assert run.per_round == [] and run.schedule.rounds == 0
+        assert engine_runs == []
+
+    def test_faults_and_quarantine_match_the_scalar_engine(
+        self, engine_runs, monkeypatch
+    ):
+        """A dead DPU is retried, requeued and then quarantined, so its
+        shard's later round splits its views over three slots; results,
+        recovery, metrics, events and health equal the scalar engine's,
+        and every pair aligns once, in the call's one engine run."""
+        scalar_runs = []
+        engine = kernel_mod.WfaEngine
+
+        class Counting(engine):
+            def run(self):
+                scalar_runs.append(1)
+                return super().run()
+
+        def run(kernel_engine):
+            telemetry = RunTelemetry()
+            fleet = self.fleet(
+                engine=kernel_engine,
+                telemetry=telemetry,
+                health_policy=HealthPolicy(failure_threshold=1, cooldown_s=1e9),
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegradedCapacity)
+                out = fleet.run(
+                    make_pairs(192),
+                    pairs_per_round=24,
+                    collect_results=True,
+                    fault_plan=FaultPlan(deaths=(DpuDeath(dpu_id=1),)),
+                )
+            return (
+                flat_results(out),
+                out.recovery.to_dict(),
+                fleet.metrics_snapshot(),
+                fleet.event_records(),
+                fleet.health_doc(),
+            )
+
+        scalar = run("scalar")
+        monkeypatch.setattr(kernel_mod, "WfaEngine", Counting)
+        vector = run("vector")
+        assert vector == scalar
+        assert scalar[1]["rerun_pairs"]  # recovery really ran
+        assert scalar[4]["per_shard"]["0"]["quarantined"] == [1]
+        # a job handed too few views would realign, a mismatched view
+        # would fall back to the scalar engine
+        assert engine_runs == [192]
+        assert scalar_runs == []

@@ -393,7 +393,7 @@ class TestStagingPlanner:
             kernel, dpu, layout, assignments = setup_dpu(pairs, kc, tasklets=16)
             trace = KernelTrace()
             stats, _ = kernel.run(dpu, layout, assignments, "mram", trace=trace)
-            dma = (dpu.dma.transfers, dpu.dma.bytes_moved, dpu.dma.cycles)
+            dma = (dpu.dma.transfers, dpu.dma.bytes_moved)
             runs.append((stats, dma, trace.events))
         assert runs[0] == runs[1]
         assert sum(s.pairs_done for s in runs[0][0]) == 6

@@ -143,8 +143,9 @@ class TestEquivalence:
 
 
 class TestTelemetryEquivalence:
-    """Traces and metric snapshots shipped home by workers must match the
-    sequential path event for event and sample for sample."""
+    """Traces shipped home by workers, and the metrics counted from their
+    records, must match the sequential path event for event and sample
+    for sample."""
 
     def _run(self, workers):
         from repro.obs import RunTelemetry
@@ -180,22 +181,34 @@ class TestTelemetryEquivalence:
         job = system._make_job(0, layout, pairs=tuple(pairs))
         rec = run_dpu_job(job)
         assert rec.trace is None
-        assert rec.metrics is None
 
     def test_collecting_job_round_trips_through_pickle(self):
         system = make_system()
         pairs = ReadPairGenerator(length=50, error_rate=0.02, seed=3).pairs(4)
         layout = system.plan_layout(len(pairs))
-        job = replace(
-            system._make_job(0, layout, pairs=tuple(pairs)),
-            collect_trace=True,
-            collect_metrics=True,
-        )
+        job = replace(system._make_job(0, layout, pairs=tuple(pairs)), collect_trace=True)
         rec = pickle.loads(pickle.dumps(run_dpu_job(pickle.loads(pickle.dumps(job)))))
         assert rec.trace is not None and len(rec.trace.events) == 16  # 4 pairs x 4
         assert all(e.dpu_id == 0 for e in rec.trace.events)
-        assert rec.metrics is not None
-        assert rec.metrics["schema"] == "repro.obs.metrics/v1"
+        # per-DPU metrics are counted on the host from the records that
+        # came home, the same way in-process and over the pool
+        for workers in (1, 2):
+            tel = self._run(workers)
+            registry = tel.registry
+            per_dpu = tel.segments[0].result.per_dpu
+            assert [s.dpu_id for s in per_dpu] == [0, 1, 2, 3]
+            names = (
+                "pim_dpu_pairs_total",
+                "pim_dpu_instructions_total",
+                "pim_dpu_dma_bytes_total",
+                "pim_dpu_kernel_cycles",
+            )
+            for s in per_dpu:
+                counted = [registry.get(n).value(dpu=str(s.dpu_id)) for n in names]
+                assert counted == [s.pairs_done, s.instructions, s.dma_bytes, s.cycles]
+                assert s.pairs_done == 3
+            ops = registry.get("pim_transfer_ops_total")
+            assert ops.value(op="push") == ops.value(op="pull") == 4
 
     def test_collection_does_not_change_results(self):
         """Turning telemetry on must not perturb the simulation."""
