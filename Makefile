@@ -240,7 +240,7 @@ chaos-net:
 # another's outright, then resumed with --resume at a different worker
 # count (the fingerprint excludes workers and shards).  Every rebuilt
 # journal file must be byte-identical to the uninterrupted run's; a
-# fresh run with the shards in a process pool (--shard-workers 2) must
+# fresh run with the DPU jobs in a process pool (--workers 2) must
 # record the inline run's run manifest and trace every shard's DPUs;
 # and the same fault plan replays through a 4-shard serve path with a
 # schema-validated load report.  The same scenario runs under pytest in
@@ -267,7 +267,7 @@ fleet-demo:
 		cmp out/fleet/journal/$$f out/fleet/crashed/$$f || exit 1; done
 	PYTHONPATH=src python -m repro.cli pim-align -i out/fleet/reads.seq \
 		--dpus 4 --tasklets 4 --shards 4 --pairs-per-round 32 \
-		--kill-dpu 1 --breaker --shard-workers 2 \
+		--kill-dpu 1 --breaker --workers 2 \
 		--metrics-out out/fleet/pool.json --trace-out out/fleet/pool-trace.json
 	PYTHONPATH=src python -m repro.cli loadgen \
 		--requests 200 --rate 8000 --length 10 --seed 21 \

@@ -2,8 +2,8 @@
 """A tour of every distance metric and alignment mode in the library.
 
 One noisy pair, aligned under all four penalty models, in all the modes:
-exact, adaptive, static band, score-only, ends-free, and linear-space
-traceback — each checked against its classical-DP oracle.
+exact, adaptive, static band and ends-free — each checked against its
+classical-DP oracle.
 
 Run:  python examples/metrics_tour.py
 """
@@ -25,7 +25,6 @@ from repro.baselines import (
     gotoh_endsfree_score,
     gotoh_score,
     levenshtein_dp,
-    myers_miller_align,
 )
 from repro.data import mutate_sequence, random_sequence
 from repro.perf import format_table
@@ -80,12 +79,6 @@ def main() -> None:
             f"{banded.counters.cells_computed} cells",
             "upper bound" if banded.score > exact.score else "= exact",
         )
-    )
-
-    mm_score, mm_cigar = myers_miller_align(pattern, text, pen)
-    assert mm_score == exact.score
-    rows.append(
-        ("affine, linear-space traceback", mm_score, str(mm_cigar)[:34] + "...", "= exact")
     )
 
     span = AlignmentSpan.semiglobal()

@@ -14,7 +14,6 @@ from repro.baselines.bitparallel import levenshtein_dp, myers_edit_distance
 from repro.baselines.gotoh import gotoh_align, gotoh_score
 from repro.baselines.gotoh2p import gotoh2p_score
 from repro.baselines.gotoh_endsfree import gotoh_endsfree_score
-from repro.baselines.linear_space import myers_miller_align
 from repro.baselines.myers_ond import myers_indel_distance
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "gotoh_align",
     "gotoh2p_score",
     "gotoh_endsfree_score",
-    "myers_miller_align",
     "banded_gotoh_score",
     "banded_gotoh_align",
     "band_for_error_rate",

@@ -290,11 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     aln.add_argument("-i", "--input", required=True)
     aln.add_argument("--score-only", action="store_true")
     aln.add_argument("--adaptive", action="store_true")
-    aln.add_argument(
-        "--linear-space",
-        action="store_true",
-        help="use Myers-Miller linear-space traceback (long sequences)",
-    )
     aln.add_argument("-o", "--output", help="TSV output path (default: stdout)")
     _add_penalty_args(aln)
 
@@ -317,11 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="resume an interrupted run from --journal: "
                           "journaled rounds replay idempotently, only the "
                           "remainder executes")
-    pim.add_argument("--shard-workers", type=int, default=1, metavar="N",
-                     help="host processes running shards in parallel "
-                          "(1 = sequential; health-ledger deltas ride home "
-                          "in each shard's outcome, so --breaker composes; "
-                          "results are identical either way)")
     pim.add_argument("-o", "--output", default=None, metavar="PATH",
                      help="write gathered alignments as TSV "
                           "(index<TAB>score<TAB>cigar); forces result "
@@ -371,9 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run the sweep through a round-striped fleet of "
                          "this many shards (--dpus DPUs each; default: 1 "
                          "= the unsharded scheduler)")
-    qa.add_argument("--shard-workers", type=int, default=1,
-                    help="process-pool width for the fleet path "
-                         "(0/1 = inline)")
     qa.add_argument("--no-shrink", action="store_true",
                     help="skip minimizing failing cases")
     qa.add_argument("--kill-dpu", type=int, default=None, metavar="ID",
@@ -544,10 +531,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_align(args: argparse.Namespace) -> int:
     pairs = read_seq(args.input)
     penalties = _penalties_from_args(args)
-    if args.linear_space and args.metric == "affine2p":
-        print("error: --linear-space supports affine/linear/edit only",
-              file=sys.stderr)
-        return 1
     aligner = WavefrontAligner(
         penalties, heuristic="adaptive" if args.adaptive else None
     )
@@ -555,12 +538,6 @@ def _cmd_align(args: argparse.Namespace) -> int:
     try:
         print("pair\tscore\tcigar", file=out)
         for idx, pair in enumerate(pairs):
-            if args.linear_space:
-                from repro.baselines.linear_space import myers_miller_align
-
-                score, cig = myers_miller_align(pair.pattern, pair.text, penalties)
-                print(f"{idx}\t{score}\t{cig}", file=out)
-                continue
             result = aligner.align(pair.pattern, pair.text, score_only=args.score_only)
             cigar = str(result.cigar) if result.cigar is not None else "."
             print(f"{idx}\t{result.score}\t{cigar}", file=out)
@@ -658,7 +635,6 @@ def _cmd_pim_align(args: argparse.Namespace) -> int:
         ),
         kernel_config,
         shards=args.shards,
-        shard_workers=args.shard_workers,
         health_policy=_health_policy(args),
         telemetry=telemetry,
         net_plan=net_plan,
@@ -834,7 +810,6 @@ def _cmd_qa(args: argparse.Namespace) -> int:
             tasklets=args.tasklets,
             workers=args.workers,
             shards=args.shards,
-            shard_workers=args.shard_workers,
             shrink=not args.no_shrink,
             fault_plan=fault_plan,
         )

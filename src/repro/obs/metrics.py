@@ -13,8 +13,7 @@ sized for the simulator's needs:
   registry's snapshot back in.  Merging is commutative and associative
   for counters and histograms (sums) and uses ``max`` for gauges, so
   folding snapshots in *any* order yields the same registry — the
-  property a fleet's shard-pool workers and federated shard registries
-  rely on.
+  property a fleet's federated shard registries rely on.
 
 Nothing here reads a clock; time belongs to
 :class:`repro.obs.profiler.Profiler`.

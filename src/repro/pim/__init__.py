@@ -41,9 +41,6 @@ from repro.pim.fleet import (
     MANIFEST_SCHEMA,
     FleetCoordinator,
     FleetRun,
-    ShardOutcome,
-    ShardTask,
-    run_fleet_shard,
     shard_journal_name,
     slice_fault_plan,
 )
@@ -137,9 +134,6 @@ __all__ = [
     "FleetHealth",
     "FleetCoordinator",
     "FleetRun",
-    "ShardTask",
-    "ShardOutcome",
-    "run_fleet_shard",
     "slice_fault_plan",
     "shard_journal_name",
     "MANIFEST_SCHEMA",

@@ -30,14 +30,15 @@ Sharding model — **round striping**:
 
 The round loop: every fleet run executes its ``(global round, shard,
 shard-local index, chunk)`` rows through one loop (:func:`_run_rows`)
-on per-shard lanes.  Without a transport a round's work is on its
-shard at once (instant delivery); with one it crosses the modeled
-network first (below).  With ``shard_workers > 1`` and no transport
-the rows split by shard over a ``ProcessPoolExecutor`` — the fan-out
-:mod:`repro.pim.parallel` uses below for per-DPU jobs — and each worker
-feeds the loop its own shard's rows (:func:`run_fleet_shard`).  Like
-the paper's host, which copies one batch to every DPU at once, the loop
-aligns the pairs of all the rounds it executes in one engine stream.
+on per-shard lanes, inline on the coordinator's persistent systems.
+Without a transport a round's work is on its shard at once (instant
+delivery); with one it crosses the modeled network first (below).  The
+host's one process pool sits below the lanes: every system fans its DPU
+jobs out over the process's pool in :mod:`repro.pim.parallel`
+(``PimSystemConfig.workers``).
+Like the paper's host, which copies one batch to every DPU at once, the
+loop aligns the pairs of all the rounds it executes in one engine
+stream.
 
 Because every shard has the same shape and a round's outcome is a pure
 function of (chunk, system config, fault plan, retry policy), a round
@@ -99,8 +100,6 @@ import json
 import os
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
@@ -121,7 +120,7 @@ from repro.pim.transport import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.wfa_batch import BatchPairView
-    from repro.obs.telemetry import RunSegment, RunTelemetry
+    from repro.obs.telemetry import RunTelemetry
     from repro.pim.config import PimSystemConfig
     from repro.pim.health import FleetHealth, HealthPolicy
     from repro.pim.journal import RunJournal
@@ -132,9 +131,6 @@ __all__ = [
     "MIN_SHARD_HEALTHY_FRACTION",
     "FleetRun",
     "FleetCoordinator",
-    "ShardTask",
-    "ShardOutcome",
-    "run_fleet_shard",
     "slice_fault_plan",
     "shard_journal_name",
 ]
@@ -198,89 +194,49 @@ def _admits_rounds(health: Optional["FleetHealth"], now: Optional[float]) -> boo
     return health is None or health.healthy_fraction(now) >= MIN_SHARD_HEALTHY_FRACTION
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """A self-contained description of one shard's run; picklable.
-
-    Mirrors :class:`~repro.pim.parallel.DpuJob` one layer up: the worker
-    process builds its own system, scheduler (and telemetry when asked)
-    from the task alone, so a shard's outcome depends only on the task —
-    never on which worker ran it or in what order.  Inline, the same
-    task opens the shard's lane on the coordinator's persistent system.
-    """
-
-    shard_id: int
-    config: "PimSystemConfig"
-    kernel_config: KernelConfig
-    #: the shard's rows, in global round order
-    rows: tuple[_Row, ...]
-    pairs_per_round: int
-    collect_results: bool
-    fault_plan: Optional[FaultPlan]
-    retry_policy: Optional[RetryPolicy]
-    journal_path: Optional[str]
-    #: resume from ``journal_path`` when it exists (else run fresh)
-    resume: bool
-    now: float
-    with_telemetry: bool
-    #: the worker rebuilds this shard's health ledger from these two —
-    #: policy plus the coordinator's exported breaker state — and ships
-    #: the end state home in :attr:`ShardOutcome.health_state`, which is
-    #: what lets ``shard_workers > 1`` carry health ledgers at all.
-    health_policy: Optional["HealthPolicy"] = None
-    health_state: Optional[dict] = None
-
-
-@dataclass
-class ShardOutcome:
-    """What one shard sends back to the coordinator; picklable."""
-
-    shard_id: int
-    #: per-round results by global round index
-    results: dict[int, PimRunResult]
-    #: journals exist only without a transport, where every row runs once
-    #: on its own lane, so each journaled round replays exactly once
-    rounds_replayed: int = 0
-    #: picklable :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-    #: (``with_telemetry`` tasks only)
-    metrics: Optional[dict] = None
-    #: event records (:meth:`~repro.obs.events.Event.to_dict`) in
-    #: publish order (``with_telemetry`` tasks only)
-    events: Optional[list] = None
-    #: the worker telemetry's run segments (kind, result, kernel trace)
-    #: in order, re-laid on the home timeline (``with_telemetry`` only)
-    runs: Optional[list[RunSegment]] = None
-    #: :meth:`~repro.pim.health.FleetHealth.export_state` delta the
-    #: coordinator imports into its persistent shard ledger
-    health_state: Optional[dict] = None
-
-
 class _Lane:
     """One shard's side of a fleet run: its scheduler, health ledger,
-    fault slice (on the task), journal, replay set and modeled clock."""
+    fault slice, journal, replay set and modeled clock."""
 
-    def __init__(self, task: ShardTask, scheduler: BatchScheduler, health) -> None:
-        """Journals to ``task.journal_path`` (a standard per-shard
-        ``repro.pim.journal/v1`` file) when set; with ``task.resume``
-        and an existing journal the shard resumes instead of starting
-        fresh."""
-        pairs = [pair for row in task.rows for pair in row[3]]
-        path = task.journal_path
+    def __init__(
+        self,
+        rows: Sequence[_Row],
+        scheduler: BatchScheduler,
+        health: Optional["FleetHealth"],
+        *,
+        pairs_per_round: int,
+        collect_results: bool,
+        fault_plan: Optional[FaultPlan],
+        retry_policy: Optional[RetryPolicy],
+        journal_path: Optional[str],
+        resume: bool,
+        now: float,
+    ) -> None:
+        """Journals ``rows`` (the shard's rows, in global round order) to
+        ``journal_path`` (a standard per-shard ``repro.pim.journal/v1``
+        file) when set; with ``resume`` and an existing journal the shard
+        resumes instead of starting fresh."""
+        pairs = [pair for row in rows for pair in row[3]]
         self.journal, self.replay = scheduler.open_journal(
-            path,
+            journal_path,
             pairs,
-            BatchSchedule(len(pairs), task.pairs_per_round),
-            task.collect_results,
-            task.fault_plan,
-            task.retry_policy,
+            BatchSchedule(len(pairs), pairs_per_round),
+            collect_results,
+            fault_plan,
+            retry_policy,
             health,
-            resume=task.resume and path is not None and Path(path).exists(),
+            resume=resume and journal_path is not None and Path(journal_path).exists(),
         )
-        self.task = task
         self.scheduler = scheduler
-        self.health: Optional["FleetHealth"] = health
+        self.health = health
+        self.pairs_per_round = pairs_per_round
+        self.collect_results = collect_results
+        self.fault_plan = fault_plan
+        self.retry_policy = retry_policy
+        #: modeled time the run's work is dispatched
+        self.now = now
         #: modeled time the shard is next free
-        self.clock = task.now
+        self.clock = now
 
     def execute(
         self,
@@ -292,17 +248,16 @@ class _Lane:
         """Run shard-local round ``index`` once its work has arrived and
         the shard is free, on ``chunk``'s ``views`` when given; returns
         (result, completion time)."""
-        task = self.task
-        self.scheduler._note_round_size(task.pairs_per_round)
+        self.scheduler._note_round_size(self.pairs_per_round)
         begin = max(arrive_s, self.clock)
         result = self.scheduler.run(
             index,
-            index * task.pairs_per_round,
+            index * self.pairs_per_round,
             chunk,
             begin,
-            collect_results=task.collect_results,
-            fault_plan=task.fault_plan,
-            retry_policy=task.retry_policy,
+            collect_results=self.collect_results,
+            fault_plan=self.fault_plan,
+            retry_policy=self.retry_policy,
             health=self.health,
             journal=self.journal,
             replay=self.replay.get(index),
@@ -363,7 +318,7 @@ def _run_rows(
         if stream is not None and r in shared:
             views = list(islice(stream, len(chunk)))
         if transport is None:
-            result, _ = lane.execute(index, chunk, lane.task.now, views)
+            result, _ = lane.execute(index, chunk, lane.now, views)
         else:
             survivor, result, recv_s = _round_over_network(
                 transport, lanes, r, shard, index, chunk, views
@@ -373,7 +328,7 @@ def _run_rows(
         if result.recovery is not None:
             # the lane rebased this round's recovery to its shard-local
             # pair space; lift it to the global one
-            result.recovery.shift_pairs((r - index) * lane.task.pairs_per_round)
+            result.recovery.shift_pairs((r - index) * lane.pairs_per_round)
         results[r] = result
     if transport is not None:
         now = transport.report.start_s
@@ -455,44 +410,6 @@ def _round_over_network(
     for _ in candidates[1:]:
         transport.absorb_extra_result(r, survivor)
     return survivor, result, recv_s
-
-
-def run_fleet_shard(task: ShardTask) -> ShardOutcome:
-    """Run one shard's rounds in a fresh system; picklable in and out."""
-    telemetry = None
-    if task.with_telemetry:
-        from repro.obs.telemetry import RunTelemetry
-
-        telemetry = RunTelemetry()
-    system = PimSystem(task.config, task.kernel_config, telemetry=telemetry)
-    scheduler = BatchScheduler(system)
-    health = None
-    if task.health_policy is not None:
-        from repro.pim.health import FleetHealth
-
-        health = FleetHealth(
-            task.config.num_dpus,
-            policy=task.health_policy,
-            registry=telemetry.registry if telemetry is not None else None,
-            events=telemetry.events if telemetry is not None else None,
-        )
-        if task.health_state is not None:
-            health.import_state(task.health_state)
-    lane = _Lane(task, scheduler, health)
-    results = _run_rows(task.rows, {task.shard_id: lane})
-    return ShardOutcome(
-        shard_id=task.shard_id,
-        results=results,
-        rounds_replayed=len(lane.replay),
-        metrics=telemetry.registry.snapshot() if telemetry is not None else None,
-        events=(
-            [e.to_dict() for e in telemetry.events.events()]
-            if telemetry is not None
-            else None
-        ),
-        runs=telemetry.segments if telemetry is not None else None,
-        health_state=health.export_state() if health is not None else None,
-    )
 
 
 # -- the merged fleet run ------------------------------------------------------
@@ -627,24 +544,18 @@ class FleetCoordinator:
     set.  If *every* shard is quarantined the full fleet becomes probe
     traffic (mirroring :meth:`~repro.pim.health.FleetHealth.plan_round`).
 
-    ``shard_workers`` > 1 fans shards out over a
-    ``ProcessPoolExecutor`` (falling back to sequential execution if
-    the pool cannot start): each worker feeds its own shard's rows
-    through the same round loop, so results are identical either way —
-    a shard's outcome is a pure function of its task.  Health ledgers
-    survive the process boundary: each task carries the coordinator's
-    exported breaker state in, the worker feeds its own rebuilt ledger,
-    and the :class:`ShardOutcome` ships the end state home where it is
-    imported into the persistent per-shard ledger — byte-identical
-    health documents at any ``shard_workers``.
+    Every shard's rounds run inline on its persistent system, ledger
+    and telemetry; the host parallelism is each system's DPU pool
+    (``config.workers``, :mod:`repro.pim.parallel`), which gives the
+    same results at any width.
 
     ``net_plan``/``transport_policy`` model the coordinator<->shard
     network (:mod:`repro.pim.transport`): under a non-calm
     :class:`~repro.pim.transport.NetworkFaultPlan` every round travels
     as an idempotent envelope with at-least-once redelivery, and with
     ``TransportPolicy(hedge=True)`` a timed-out in-flight round is
-    stolen onto the next healthy shard.  Networked runs are inline-only
-    and refuse journals (`the wire, not the WAL, is the experiment`).
+    stolen onto the next healthy shard.  Networked runs refuse journals
+    (`the wire, not the WAL, is the experiment`).
     """
 
     def __init__(
@@ -653,7 +564,6 @@ class FleetCoordinator:
         kernel_config: Optional[KernelConfig] = None,
         shards: int = 1,
         *,
-        shard_workers: int = 1,
         health_policy: Optional["HealthPolicy"] = None,
         fault_domain: str = "global",
         telemetry: Optional["RunTelemetry"] = None,
@@ -662,15 +572,12 @@ class FleetCoordinator:
     ) -> None:
         if shards < 1:
             raise ConfigError(f"shards must be >= 1, got {shards}")
-        if shard_workers < 0:
-            raise ConfigError(f"shard_workers must be >= 0, got {shard_workers}")
         if fault_domain not in FAULT_DOMAINS:
             raise ConfigError(
                 f"fault_domain must be one of {FAULT_DOMAINS}, got {fault_domain!r}"
             )
         self.shards = shards
         self.config = config
-        self.shard_workers = shard_workers
         self.health_policy = health_policy
         self.fault_domain = fault_domain
         #: primary telemetry: coordinator-level events (rebalance) and the
@@ -927,33 +834,23 @@ class FleetCoordinator:
         lane_shards = (
             range(self.shards) if self.transport is not None else sorted(shard_rounds)
         )
-        tasks: list[ShardTask] = []
-        for k in lane_shards:
-            tasks.append(
-                ShardTask(
-                    shard_id=k,
-                    config=self.config,
-                    kernel_config=self.systems[k].kernel_config,
-                    rows=tuple(row for row in rows if row[1] == k),
-                    pairs_per_round=ppr,
-                    collect_results=collect_results,
-                    fault_plan=self._shard_plan(fault_plan, k),
-                    retry_policy=retry_policy,
-                    journal_path=self._journal_path(journal, k),
-                    resume=resume,
-                    now=now,
-                    with_telemetry=self.telemetry is not None,
-                    health_policy=self.health_policy,
-                    health_state=(
-                        self.shard_healths[k].export_state()
-                        if self.shard_healths[k] is not None
-                        else None
-                    ),
-                )
-            )
-
         report = self.transport.begin_run(now) if self.transport is not None else None
-        results, rounds_replayed = self._execute(tasks, rows)
+        lanes = {
+            k: _Lane(
+                [row for row in rows if row[1] == k],
+                self.schedulers[k],
+                self.shard_healths[k],
+                pairs_per_round=ppr,
+                collect_results=collect_results,
+                fault_plan=self._shard_plan(fault_plan, k),
+                retry_policy=retry_policy,
+                journal_path=self._journal_path(journal, k),
+                resume=resume,
+                now=now,
+            )
+            for k in lane_shards
+        }
+        results = _run_rows(rows, lanes, self.transport)
 
         per_round = [results[r] for r in range(schedule.rounds)]
         recovery: Optional[RecoveryReport] = None
@@ -968,7 +865,7 @@ class FleetCoordinator:
             placements=list(placements),
             per_round=per_round,
             recovery=recovery,
-            rounds_replayed=rounds_replayed,
+            rounds_replayed=sum(len(lane.replay) for lane in lanes.values()),
             transport=report,
         )
 
@@ -982,70 +879,6 @@ class FleetCoordinator:
         if self.shards == 1:
             return str(journal)
         return str(Path(journal) / shard_journal_name(shard))
-
-    def _execute(
-        self, tasks: list[ShardTask], rows: list[_Row]
-    ) -> tuple[dict[int, PimRunResult], int]:
-        """Run the rows through the round loop, inline or split by shard
-        over a process pool; returns (results, rounds replayed)."""
-        if (
-            self.transport is None
-            and self.shard_workers not in (0, 1)
-            and len(tasks) > 1
-        ):
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.shard_workers, len(tasks))
-                ) as pool:
-                    outcomes = list(pool.map(run_fleet_shard, tasks))
-                return self._absorb(outcomes)
-            except (OSError, BrokenProcessPool):
-                # pool infrastructure failure: the sequential path is
-                # result-identical (same discipline as repro.pim.parallel)
-                pass
-        # inline: each lane runs on its shard's persistent system, ledger
-        # and telemetry, so there is nothing to fold home
-        lanes = {
-            task.shard_id: _Lane(
-                task, self.schedulers[task.shard_id], self.shard_healths[task.shard_id]
-            )
-            for task in tasks
-        }
-        results = _run_rows(rows, lanes, self.transport)
-        return results, sum(len(lane.replay) for lane in lanes.values())
-
-    def _absorb(
-        self, outcomes: list[ShardOutcome]
-    ) -> tuple[dict[int, PimRunResult], int]:
-        """Fold pool outcomes home; merge worker telemetry deltas and lay
-        the workers' runs on their shards' model timelines."""
-        results: dict[int, PimRunResult] = {}
-        rounds_replayed = 0
-        for outcome in outcomes:
-            results.update(outcome.results)
-            rounds_replayed += outcome.rounds_replayed
-            if outcome.health_state is not None:
-                health = self.shard_healths[outcome.shard_id]
-                if health is not None:
-                    # the worker already published the transitions; import
-                    # the end state without replaying (no double count)
-                    health.import_state(outcome.health_state)
-            shard_tel = self.shard_telemetries[outcome.shard_id]
-            if shard_tel is None:
-                continue
-            if outcome.metrics is not None:
-                shard_tel.registry.merge_snapshot(outcome.metrics)
-            for record in outcome.events or ():
-                shard_tel.events.publish(
-                    record["kind"], record["t_s"], **record["attrs"]
-                )
-            # the run counters arrived with the metrics snapshot; only
-            # the timeline (spans, segments, cursor) is laid here
-            for seg in outcome.runs or ():
-                shard_tel.place_run(
-                    seg.kind, seg.result, seg.trace, seg.seconds_per_cycle
-                )
-        return results, rounds_replayed
 
     def link_healthy_fraction(self, now: Optional[float] = None) -> float:
         """Fraction of coordinator<->shard links not quarantined (1.0

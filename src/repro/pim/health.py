@@ -177,40 +177,6 @@ class CircuitBreaker:
             "failure_rate": self.failure_rate,
         }
 
-    # -- state transfer ----------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Picklable/JSON-able full internal state (no lazy promotion).
-
-        Unlike :meth:`to_dict` this is a *lossless* snapshot — the
-        sliding window, probe streak, and open timestamp travel too, so
-        a breaker reconstructed via :meth:`import_state` behaves
-        byte-identically from the next outcome on.  This is how a
-        process-pool fleet shard ships its health delta home (see
-        :class:`~repro.pim.fleet.ShardOutcome`).
-        """
-        return {
-            "state": self._state,
-            "window": list(self._window),
-            "opened_at": self._opened_at,
-            "probe_streak": self._probe_streak,
-            "failures": self.failures,
-            "successes": self.successes,
-            "times_opened": self.times_opened,
-        }
-
-    def import_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`export_state`."""
-        self._state = state["state"]
-        self._window = deque(
-            (bool(b) for b in state["window"]), maxlen=self.policy.window
-        )
-        self._opened_at = float(state["opened_at"])
-        self._probe_streak = int(state["probe_streak"])
-        self.failures = int(state["failures"])
-        self.successes = int(state["successes"])
-        self.times_opened = int(state["times_opened"])
-
 
 class FleetHealth:
     """Per-DPU health ledger over one physical fleet.
@@ -387,39 +353,6 @@ class FleetHealth:
                 str(d): self.breakers[d].to_dict(now) for d in range(self.num_dpus)
             },
         }
-
-    # -- state transfer ----------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Lossless, picklable ledger state (clock + every breaker).
-
-        The fleet coordinator ships this into process-pool shard workers
-        (so a worker's ledger starts exactly where the coordinator's
-        persistent one left off) and back out again as the
-        :class:`~repro.pim.fleet.ShardOutcome` health delta.  Replaying
-        an exported state through :meth:`import_state` is byte-identical
-        to having observed the outcomes in-process — the property that
-        lets ``shard_workers > 1`` carry health ledgers at all.
-        """
-        return {
-            "now": self._now,
-            "breakers": {
-                str(d): self.breakers[d].export_state()
-                for d in range(self.num_dpus)
-            },
-        }
-
-    def import_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`export_state`.
-
-        Counters/events attached to this ledger are *not* replayed —
-        the process that observed the outcomes already published them.
-        """
-        self._now = max(self._now, float(state["now"]))
-        for key, breaker_state in state["breakers"].items():
-            d = int(key)
-            if d in self.breakers:
-                self.breakers[d].import_state(breaker_state)
 
     def _count_transition(
         self, before: str, after: str, dpu_id: int, now: float

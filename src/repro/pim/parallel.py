@@ -11,7 +11,14 @@ its host orchestration around.
 This module packages one simulated DPU's work as a picklable
 :class:`DpuJob`, executes jobs either in-process or over a
 ``concurrent.futures.ProcessPoolExecutor``, and returns picklable
-:class:`DpuJobResult` records.  Determinism guarantee: a job's outcome
+:class:`DpuJobResult` records.  The pool is the host's only one, and it
+lives for the process: it starts on the first pooled call, at the
+configured width, and serves every later call at that width, so a
+fleet call pays one pool start-up per process, not one per round.  A
+width change or a broken pool replaces it, and a forked child (the
+campaign's cell workers, say) starts its own rather than reuse its
+parent's.  It is shut down when its process exits, also where that
+process is itself a pool worker.  Determinism guarantee: a job's outcome
 depends only on the job description (never on which worker ran it or
 in what order), and callers merge records sorted by ``dpu_id`` — so a
 parallel run is result-identical to a sequential run, including the
@@ -50,6 +57,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from itertools import groupby
+from multiprocessing.util import Finalize
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.core.cigar import Cigar
@@ -466,13 +474,44 @@ def run_job_group_resilient(
     ]
 
 
-def resolve_workers(workers: int, num_jobs: int) -> int:
-    """Effective worker count: ``0`` means all cores, capped at the jobs."""
+def resolve_workers(workers: int, num_jobs: Optional[int] = None) -> int:
+    """Effective worker count: ``0`` means all cores, capped at the jobs
+    when ``num_jobs`` is given."""
     if workers < 0:
         raise ConfigError(f"workers must be >= 0, got {workers}")
     if workers == 0:
         workers = os.cpu_count() or 1
-    return max(1, min(workers, num_jobs))
+    return workers if num_jobs is None else max(1, min(workers, num_jobs))
+
+
+#: the process's DPU pool by width: at most one entry, none before the
+#: first pooled call (see :func:`_shared_pool`)
+_pools: dict[int, ProcessPoolExecutor] = {}
+
+# a forked child starts its own pool and never touches its parent's;
+# where there is no fork (Windows), children start without one anyway
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pools.clear)
+
+
+def _shared_pool(width: int) -> ProcessPoolExecutor:
+    """The process's DPU pool at ``width`` workers, started on first use
+    and replaced only when the width changes."""
+    if width not in _pools:
+        _drop_pool()
+        _pools[width] = ProcessPoolExecutor(max_workers=width)
+        # A process that is itself a pool worker joins its children at
+        # exit before concurrent.futures' exit hook stops this pool, so it
+        # would wait on the idle workers forever: stop the pool first,
+        # ahead of its own queues' finalizers (priority 10).
+        Finalize(None, _drop_pool, exitpriority=100)
+    return _pools[width]
+
+
+def _drop_pool() -> None:
+    """Shut the process's DPU pool down, if it has one."""
+    while _pools:
+        _pools.popitem()[1].shutdown()
 
 
 def _run_groups(
@@ -482,10 +521,11 @@ def _run_groups(
     *args: object,
     views: Optional[JobViews] = None,
 ) -> list:
-    """``runner(group, *args)`` over ``workers`` contiguous groups of the
-    ``dpu_id``-ordered jobs, one per pool worker; all jobs as one group
-    in-process when ``workers`` resolves to one, the caller hands over
-    ``views`` or the pool fails."""
+    """``runner(group, *args)`` on the process's pool, over as many
+    contiguous groups of the ``dpu_id``-ordered jobs as ``workers``
+    resolves to (capped at the jobs); all jobs as one group in-process
+    when that is one, the caller hands over ``views`` or the pool
+    fails."""
     if views is not None:
         return runner(jobs, *args, views)
     n = resolve_workers(workers, len(jobs))
@@ -493,13 +533,14 @@ def _run_groups(
         jobs = sorted(jobs, key=lambda job: job.dpu_id)
         groups = [jobs[w * len(jobs) // n : (w + 1) * len(jobs) // n] for w in range(n)]
         try:
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                done = pool.map(runner, groups, *([arg] * n for arg in args))
-                return [item for group in done for item in group]
+            pool = _shared_pool(resolve_workers(workers))
+            done = pool.map(runner, groups, *([arg] * n for arg in args))
+            return [item for group in done for item in group]
         except (OSError, BrokenProcessPool):
             # Pool infrastructure failure (fork forbidden, worker killed):
-            # fall back to the sequential path, which is result-identical.
-            pass
+            # drop the pool and fall back to the sequential path, which is
+            # result-identical; the next pooled call starts a fresh pool.
+            _drop_pool()
     return runner(jobs, *args)
 
 

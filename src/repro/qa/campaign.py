@@ -427,9 +427,9 @@ def cell_name(ablation: str, point: str) -> str:
 class CellTask:
     """A self-contained description of one cell; picklable.
 
-    Mirrors :class:`~repro.pim.fleet.ShardTask` one layer up: a worker
-    process computes the cell's metrics from the task alone, so the
-    outcome never depends on which worker ran it or in what order.
+    Mirrors :class:`~repro.pim.parallel.DpuJob` at the campaign layer:
+    a worker process computes the cell's metrics from the task alone, so
+    the outcome never depends on which worker ran it or in what order.
     """
 
     config: CampaignConfig

@@ -93,8 +93,6 @@ class QaConfig:
     #: ``fault_domain="uniform"``); > 1 stripes at least two rounds per
     #: shard, so the differential oracle exercises round striping.
     shards: int = 1
-    #: process-pool width for the fleet path (0/1 = inline).
-    shard_workers: int = 1
     penalty_models: tuple[Penalties, ...] = DEFAULT_PENALTY_MODELS
     shrink: bool = True
     #: optional fault plan: the whole sweep then runs through the
@@ -109,10 +107,6 @@ class QaConfig:
             raise QaError(f"num_dpus must be >= 1, got {self.num_dpus}")
         if self.shards < 1:
             raise QaError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_workers < 0:
-            raise QaError(
-                f"shard_workers must be >= 0, got {self.shard_workers}"
-            )
         if not self.penalty_models:
             raise QaError("need at least one penalty model")
         self.corpus_config().validate()
@@ -130,7 +124,6 @@ class QaConfig:
             "tasklets": self.tasklets,
             "workers": self.workers,
             "shards": self.shards,
-            "shard_workers": self.shard_workers,
             "penalty_models": [penalty_name(p) for p in self.penalty_models],
             "shrink": self.shrink,
             "fault_plan": (
@@ -256,7 +249,6 @@ def run_qa(config: Optional[QaConfig] = None) -> QaReport:
             system_config,
             kernel_config,
             shards=cfg.shards,
-            shard_workers=cfg.shard_workers,
             fault_domain="uniform",
         ).run(
             pairs,

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.penalties import AffinePenalties, EditPenalties, LinearPenalties
 from repro.data.generator import mutate_sequence, random_sequence
+from repro.pim import parallel
 
 DNA = "ACGT"
 
@@ -80,3 +81,14 @@ any_penalties = st.one_of(
 @pytest.fixture
 def rng() -> random.Random:
     return make_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def own_dpu_pool():
+    """Each test starts without a DPU pool and shuts down the one it
+    started.  The pool lives for the process, and its workers fork with
+    the module state of the moment, so a pool kept across tests would
+    carry one test's monkeypatches (or stand-in executor) into the next."""
+    parallel._drop_pool()
+    yield
+    parallel._drop_pool()

@@ -99,28 +99,6 @@ class TestAlign:
         # edit budget is 0.04 * 60 ~ 2 edits per pair
         assert all(int(line.split("\t")[1]) <= 3 for line in lines)
 
-    def test_linear_space_matches_default(self, workload, capsys):
-        rc = main(["align", "-i", str(workload)])
-        assert rc == 0
-        default_scores = [
-            line.split("\t")[1]
-            for line in capsys.readouterr().out.strip().splitlines()[1:]
-        ]
-        rc = main(["align", "-i", str(workload), "--linear-space"])
-        assert rc == 0
-        linear_scores = [
-            line.split("\t")[1]
-            for line in capsys.readouterr().out.strip().splitlines()[1:]
-        ]
-        assert linear_scores == default_scores
-
-    def test_linear_space_rejects_affine2p(self, workload, capsys):
-        rc = main(
-            ["align", "-i", str(workload), "--linear-space", "--metric", "affine2p"]
-        )
-        assert rc == 1
-        assert "linear-space" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "argv",
         [

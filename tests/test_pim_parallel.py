@@ -5,8 +5,12 @@ result-identical to a sequential run — scores, CIGARs, regions, per-DPU
 stats, modeled timings, and transfer accounting all match exactly.
 """
 
+import os
 import pickle
+import subprocess
+import sys
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, replace
 
 import pytest
@@ -277,6 +281,7 @@ class TestEngine:
     def test_resolve_workers(self):
         assert resolve_workers(1, 8) == 1
         assert resolve_workers(4, 2) == 2  # capped at the job count
+        assert resolve_workers(4) == 4  # uncapped: the pool's width
         assert resolve_workers(0, 8) >= 1  # 0 = auto (cpu count)
         with pytest.raises(ConfigError):
             resolve_workers(-1, 8)
@@ -308,14 +313,11 @@ class InlinePool:
     def __init__(self, max_workers):
         self.max_workers = max_workers
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def map(self, fn, *iterables):
         return list(map(fn, *iterables))
+
+    def shutdown(self):
+        pass
 
 
 class TestJobGroups:
@@ -432,3 +434,131 @@ class TestJobGroups:
         assert run.recovery.faults_seen >= 2
         assert run.recovery.rerun_pairs and not run.recovery.abandoned_pairs
         assert len(seeds) == len(set(seeds)) == 4
+
+
+#: a pool worker that starts its own DPU pool, run as a script
+NESTED_POOL_SCRIPT = """
+from concurrent.futures import ProcessPoolExecutor
+
+from repro.core.penalties import AffinePenalties
+from repro.data.generator import ReadPairGenerator
+from repro.pim.config import PimSystemConfig
+from repro.pim.kernel import KernelConfig
+from repro.pim.system import PimSystem
+
+
+def align(seed):
+    config = PimSystemConfig(
+        num_dpus=4, num_ranks=1, tasklets=2, num_simulated_dpus=4, workers=2
+    )
+    kernel = KernelConfig(
+        penalties=AffinePenalties(4, 6, 2), max_read_len=50, max_edits=2
+    )
+    pairs = ReadPairGenerator(length=40, error_rate=0.02, seed=seed).pairs(8)
+    return len(PimSystem(config, kernel).align(pairs).results)
+
+
+if __name__ == "__main__":
+    with ProcessPoolExecutor(max_workers=1) as outer:
+        print(*outer.map(align, [1, 2]))
+"""
+
+
+class TestOnePool:
+    """The process has one DPU pool: started on the first pooled call at
+    the configured width, reused by every later call at that width, and
+    replaced only when the width changes or the pool breaks."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every stand-in pool built, in order; each records how many
+        groups every ``map`` call handed it and whether it was shut."""
+        built = []
+
+        class CountingPool(InlinePool):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.maps, self.shut = [], False
+                built.append(self)
+
+            def map(self, fn, *iterables):
+                groups = list(iterables[0])
+                self.maps.append(len(groups))
+                return super().map(fn, groups, *iterables[1:])
+
+            def shutdown(self):
+                self.shut = True
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", CountingPool)
+        return built
+
+    @staticmethod
+    def fleet_call(workers):
+        pairs = ReadPairGenerator(length=50, error_rate=0.04, seed=4).pairs(18)
+        fleet = FleetCoordinator(make_config(workers=workers), KERNEL, shards=2)
+        return fleet.run(pairs, pairs_per_round=8, collect_results=True).results()
+
+    def test_fleet_calls_share_one_pool_per_width(self, pools):
+        sequential = self.fleet_call(1)
+        assert pools == []
+        assert self.fleet_call(3) == sequential
+        assert self.fleet_call(3) == sequential
+        # two calls, three rounds each, on one pool at the configured
+        # width; a 2-pair round maps min(width, jobs) = 2 groups onto it
+        (pool,) = pools
+        assert pool.max_workers == 3
+        assert pool.maps == [3, 3, 2] * 2
+        assert self.fleet_call(2) == sequential
+        assert [p.max_workers for p in pools] == [3, 2]
+        assert pools[0].shut and not pools[1].shut
+        assert parallel_mod._pools == {2: pools[1]}
+
+    def test_broken_pool_falls_back_and_the_next_call_starts_afresh(
+        self, pools, monkeypatch
+    ):
+        class BreakingPool(parallel_mod.ProcessPoolExecutor):
+            """The first pool built breaks on its first map."""
+
+            def map(self, fn, *iterables):
+                if self is pools[0]:
+                    raise BrokenProcessPool("a worker died")
+                return super().map(fn, *iterables)
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", BreakingPool)
+        system = PimSystem(make_config(workers=2), VECTOR)
+        pairs = ReadPairGenerator(length=50, error_rate=0.04, seed=6).pairs(16)
+        sequential = run_signature(PimSystem(make_config(), VECTOR).align(pairs))
+        assert run_signature(system.align(pairs)) == sequential
+        assert len(pools) == 1 and pools[0].shut
+        assert parallel_mod._pools == {}
+        assert run_signature(system.align(pairs)) == sequential
+        assert len(pools) == 2 and pools[1].maps == [2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_pool(self, pools):
+        self.fleet_call(2)
+        (parent_pool,) = pools
+        pid = os.fork()
+        if pid == 0:  # the child: never return into the test runner
+            ok = False
+            try:
+                ok = parallel_mod._pools == {}
+                self.fleet_call(2)
+                ok = ok and len(pools) == 2 and parallel_mod._pools == {2: pools[1]}
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert parallel_mod._pools == {2: parent_pool} and len(pools) == 1
+
+    def test_a_pool_worker_with_its_own_pool_still_exits(self, tmp_path):
+        """A DPU pool started inside another pool's worker stops when that
+        worker exits; left running, its idle workers would hold up the
+        worker's exit, and so the outer pool's shutdown, forever."""
+        script = tmp_path / "nested_pool.py"
+        script.write_text(NESTED_POOL_SCRIPT)
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["8", "8"]

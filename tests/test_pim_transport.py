@@ -11,8 +11,8 @@ The transport's core claims, pinned:
 - hedged work-stealing beats timeout-retry-only on modeled
   ``total_seconds`` under a long one-shard partition (the acceptance
   pin the ISSUE names);
-- health-ledger deltas ride home from pool workers, so the per-shard
-  health docs are byte-identical at ``shard_workers`` 0, 1 and 2;
+- the per-shard health docs are byte-identical at DPU-pool
+  ``workers`` 0, 1 and 2;
 - networked rounds run through the same round loop as direct ones, so
   their ``watchdog`` events name the shard-local round.
 """
@@ -47,9 +47,13 @@ from repro.pim.transport import (
 NUM_DPUS = 4
 
 
-def make_config() -> PimSystemConfig:
+def make_config(workers: int = 1) -> PimSystemConfig:
     return PimSystemConfig(
-        num_dpus=NUM_DPUS, num_ranks=1, tasklets=4, num_simulated_dpus=NUM_DPUS
+        num_dpus=NUM_DPUS,
+        num_ranks=1,
+        tasklets=4,
+        num_simulated_dpus=NUM_DPUS,
+        workers=workers,
     )
 
 
@@ -59,8 +63,10 @@ def make_kernel() -> KernelConfig:
     )
 
 
-def make_fleet(shards: int, **kwargs) -> FleetCoordinator:
-    return FleetCoordinator(make_config(), make_kernel(), shards=shards, **kwargs)
+def make_fleet(shards: int, workers: int = 1, **kwargs) -> FleetCoordinator:
+    return FleetCoordinator(
+        make_config(workers), make_kernel(), shards=shards, **kwargs
+    )
 
 
 def make_pairs(n: int, seed: int = 7, length: int = 24):
@@ -151,17 +157,16 @@ class TestPlanValidation:
 
 
 class TestCalmByteIdentity:
-    @pytest.mark.parametrize("shard_workers", [0, 2])
-    def test_calm_plan_is_the_direct_path(self, shard_workers):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_calm_plan_is_the_direct_path(self, workers):
         """A calm plan never constructs a transport: results, timings,
-        and the metrics snapshot are byte-identical to no plan at all."""
+        and the metrics snapshot are byte-identical to no plan at all,
+        at DPU-pool ``workers`` 0 and 2."""
         pairs = make_pairs(48)
-        direct = make_fleet(
-            2, shard_workers=shard_workers, telemetry=RunTelemetry()
-        )
+        direct = make_fleet(2, workers=workers, telemetry=RunTelemetry())
         calm = make_fleet(
             2,
-            shard_workers=shard_workers,
+            workers=workers,
             telemetry=RunTelemetry(),
             net_plan=NetworkFaultPlan(drops=(LinkDrop(shard_id=0, p=0.0),)),
         )
@@ -329,10 +334,10 @@ class TestHedgedStealing:
 
 
 class TestHealthDeltasAcrossWorkers:
-    def run_with_workers(self, shard_workers: int):
+    def run_with_workers(self, workers: int):
         fleet = make_fleet(
             2,
-            shard_workers=shard_workers,
+            workers=workers,
             health_policy=HealthPolicy(
                 window=4, failure_threshold=2, cooldown_s=1e9
             ),
@@ -351,17 +356,17 @@ class TestHealthDeltasAcrossWorkers:
         return sorted(run.results()), docs
 
     def test_health_docs_identical_at_any_worker_count(self):
-        """Satellite 1's pin: the shard_workers > 1 + health restriction
-        is lifted — ledger deltas ship home from pool workers, so the
-        health docs are byte-identical inline, at one worker, and two."""
-        inline_results, inline_docs = self.run_with_workers(0)
+        """The ledgers see the same outcomes whatever the DPU pool's
+        width, so the health docs are byte-identical at ``workers`` 0
+        (one per core), 1 (in-process) and 2."""
+        reference_results, reference_docs = self.run_with_workers(0)
         for workers in (1, 2):
             results, docs = self.run_with_workers(workers)
-            assert results == inline_results
-            assert docs == inline_docs
+            assert results == reference_results
+            assert docs == reference_docs
         # the dead DPU must actually be quarantined in every variant
         assert any(
-            b["state"] == "open" for doc in inline_docs
+            b["state"] == "open" for doc in reference_docs
             for b in doc["breakers"].values()
         )
 

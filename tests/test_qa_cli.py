@@ -92,7 +92,7 @@ class TestQaShards:
         code = main(
             [
                 "qa", "--trials", "16", "--seed", "42",
-                "--shards", "2", "--shard-workers", "2",
+                "--shards", "2", "--workers", "2",
                 "--kill-dpu", "1", "--report", str(report),
             ]
         )
