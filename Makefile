@@ -1,6 +1,10 @@
-# Convenience targets for the reproduction workflow.
+# Convenience targets for the reproduction workflow.  Every target runs
+# from a checkout: the package is imported from src/, ahead of any
+# PYTHONPATH already set.
 
-.PHONY: install test test-fast qa campaign coverage bench bench-parallel bench-vector bench-ledger perf-gate examples fig1 outputs trace-demo serve-demo chaos chaos-net fleet-demo clean
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
+.PHONY: install test test-fast qa campaign coverage bench-ledger perf-gate examples fig1 outputs trace-demo serve-demo chaos chaos-net fleet-demo clean
 
 install:
 	pip install -e .
@@ -18,9 +22,9 @@ test-fast:
 # kernel answer checked against WFA + Gotoh + Myers oracles, the report
 # schema-validated, plus a fault-injected rerun that must still agree.
 qa:
-	PYTHONPATH=src HYPOTHESIS_PROFILE=ci python -m repro.cli qa \
+	HYPOTHESIS_PROFILE=ci python -m repro.cli qa \
 		--trials 200 --seed 42 --report out/qa/report.jsonl
-	PYTHONPATH=src HYPOTHESIS_PROFILE=ci python -m repro.cli qa \
+	HYPOTHESIS_PROFILE=ci python -m repro.cli qa \
 		--trials 50 --seed 42 --kill-dpu 1 --report out/qa/report-faults.jsonl
 
 # Seeded ablation x chaos campaign (see docs/campaigns.md): the full
@@ -31,11 +35,11 @@ qa:
 # report is byte-identical across reruns and across --workers settings.
 campaign:
 	mkdir -p out/campaign
-	PYTHONPATH=src python -m repro.cli campaign \
+	python -m repro.cli campaign \
 		--pairs 48 --seed 42 --workers 2 \
 		--report out/campaign/report.jsonl \
 		--events-out out/campaign/events.jsonl
-	PYTHONPATH=src python -c "from repro.qa.campaign import validate_campaign_report; \
+	python -c "from repro.qa.campaign import validate_campaign_report; \
 		s = validate_campaign_report('out/campaign/report.jsonl'); \
 		print(f\"campaign OK: {s['cells']} cells, \" \
 		      f\"oracle {s['oracle_ok']}/{s['oracle_checked']}, \" \
@@ -49,7 +53,7 @@ campaign:
 # the build on a tooling gap.
 coverage:
 	@if python -c "import pytest_cov" 2>/dev/null; then \
-		PYTHONPATH=src python -m pytest tests/test_pim_faults.py \
+		python -m pytest tests/test_pim_faults.py \
 			tests/test_qa_oracle.py tests/test_qa_cli.py \
 			tests/test_qa_differential.py tests/test_scheduler_stateful.py \
 			tests/test_pim_health.py tests/test_pim_journal.py \
@@ -64,7 +68,7 @@ coverage:
 			--cov-report=term-missing --cov-fail-under=85; \
 	else \
 		echo "pytest-cov not installed; running the suite without the gate"; \
-		PYTHONPATH=src python -m pytest tests/test_pim_faults.py \
+		python -m pytest tests/test_pim_faults.py \
 			tests/test_qa_oracle.py tests/test_qa_cli.py \
 			tests/test_qa_differential.py tests/test_scheduler_stateful.py \
 			tests/test_pim_health.py tests/test_pim_journal.py \
@@ -73,24 +77,12 @@ coverage:
 			tests/test_transport_stateful.py tests/test_pim_staging.py -q; \
 	fi
 
-bench:
-	pytest benchmarks/ --benchmark-only
-
-bench-parallel:
-	PYTHONPATH=src python benchmarks/bench_host_parallel.py
-
-# Scalar vs vectorized (NumPy) WFA engine throughput; verifies the two
-# engines produce identical results before reporting any timing.  See
-# docs/vectorized-engine.md.
-bench-vector:
-	PYTHONPATH=src python benchmarks/bench_batch_engine.py
-
 # Perf ledger (see docs/perf-ledger.md): run every registered scenario
 # at the CI-safe quick profile on the modeled clock — each one identity-
 # checks the claim it benchmarks — and append schema-versioned records
 # to BENCH_ledger.json.
 bench-ledger:
-	PYTHONPATH=src python -m repro.cli bench run --profile quick \
+	python -m repro.cli bench run --profile quick \
 		--ledger BENCH_ledger.json
 
 # The CI regression gate: diff the latest ledger record per scenario
@@ -98,7 +90,7 @@ bench-ledger:
 # and metric) past a >10% modeled-throughput drop or modeled-latency
 # rise.  Runs next to `make qa`.
 perf-gate:
-	PYTHONPATH=src python -m repro.cli bench compare \
+	python -m repro.cli bench compare \
 		--ledger BENCH_ledger.json --baseline BENCH_baseline.json \
 		--max-drop 0.10 --max-rise 0.10
 
@@ -111,19 +103,28 @@ examples:
 fig1:
 	python examples/fig1_reproduction.py
 
+# Regenerate the nine committed tables under benchmarks/out/, each with
+# the command that tests/test_committed_outputs.py pins it to.
 outputs:
-	pytest tests/ 2>&1 | tee test_output.txt
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	python -m repro.cli fig1 > benchmarks/out/fig1.txt
+	python -m repro.cli sweep tasklets > benchmarks/out/tasklet_sweep.txt
+	python -m repro.cli sweep allocator > benchmarks/out/allocator_policy.txt
+	python -m repro.cli sweep error-rate > benchmarks/out/error_rate_sweep.txt
+	python -m repro.cli sweep read-length > benchmarks/out/read_length_sweep.txt
+	python -m repro.cli sweep dpus > benchmarks/out/dpu_count_sweep.txt
+	python -m repro.cli sweep algos > benchmarks/out/algo_comparison.txt
+	python -m repro.cli sweep staging > benchmarks/out/staging_chunk.txt
+	python -m repro.cli sweep sensitivity > benchmarks/out/sensitivity.txt
 
 trace-demo:
 	mkdir -p out/trace-demo
-	PYTHONPATH=src python -m repro.cli generate --pairs 64 --length 80 \
+	python -m repro.cli generate --pairs 64 --length 80 \
 		--error-rate 0.03 --seed 7 -o out/trace-demo/reads.seq
-	PYTHONPATH=src python -m repro.cli pim-align -i out/trace-demo/reads.seq \
+	python -m repro.cli pim-align -i out/trace-demo/reads.seq \
 		--dpus 8 --tasklets 4 --workers 2 \
 		--metrics-out out/trace-demo/metrics.prom \
 		--trace-out out/trace-demo/trace.json
-	PYTHONPATH=src python -c "import json; \
+	python -c "import json; \
 		from repro.obs.export import validate_chrome_trace; \
 		n = validate_chrome_trace(json.load(open('out/trace-demo/trace.json'))); \
 		print(f'trace OK: {n} duration events -> open out/trace-demo/trace.json in chrome://tracing')"
@@ -136,12 +137,12 @@ trace-demo:
 # tests/test_serve_cli.py.
 serve-demo:
 	mkdir -p out/serve-demo
-	PYTHONPATH=src python -m repro.cli loadgen \
+	python -m repro.cli loadgen \
 		--requests 200 --rate 10000 --process bursty --length 10 \
 		--seed 5 --cache 64 --dpus 4 --tasklets 4 --kill-dpu 1 \
 		--report out/serve-demo/load.jsonl \
 		--metrics-out out/serve-demo/serve.prom
-	PYTHONPATH=src python -c "from repro.serve import validate_load_report; \
+	python -c "from repro.serve import validate_load_report; \
 		s = validate_load_report('out/serve-demo/load.jsonl'); \
 		print(f\"report OK: {s['completed']} completed, \" \
 		      f\"{s['cached_pairs']} cached pairs, \" \
@@ -157,23 +158,23 @@ serve-demo:
 # runs under pytest in tests/test_chaos.py (part of `make test`).
 chaos:
 	mkdir -p out/chaos
-	PYTHONPATH=src python -m repro.cli generate --pairs 96 --length 48 \
+	python -m repro.cli generate --pairs 96 --length 48 \
 		--error-rate 0.03 --seed 13 -o out/chaos/reads.seq
-	PYTHONPATH=src python -m repro.cli pim-align -i out/chaos/reads.seq \
+	python -m repro.cli pim-align -i out/chaos/reads.seq \
 		--dpus 4 --tasklets 4 --pairs-per-round 24 \
 		--kill-dpu 1 --stall-dpu 2 --breaker \
 		--journal out/chaos/run.jsonl
 	head -n 3 out/chaos/run.jsonl > out/chaos/crashed.jsonl
-	PYTHONPATH=src python -m repro.cli pim-align -i out/chaos/reads.seq \
+	python -m repro.cli pim-align -i out/chaos/reads.seq \
 		--dpus 4 --tasklets 4 --pairs-per-round 24 \
 		--kill-dpu 1 --stall-dpu 2 --breaker \
 		--journal out/chaos/crashed.jsonl --resume
 	cmp out/chaos/run.jsonl out/chaos/crashed.jsonl
-	PYTHONPATH=src python -m repro.cli loadgen \
+	python -m repro.cli loadgen \
 		--requests 120 --rate 8000 --length 10 --seed 13 \
 		--dpus 4 --tasklets 4 --kill-dpu 1 --stall-dpu 2 --breaker \
 		--fallback-threshold 0.9 --report out/chaos/load.jsonl
-	PYTHONPATH=src python -c "from repro.pim.journal import RunJournal; \
+	python -c "from repro.pim.journal import RunJournal; \
 		from repro.serve import validate_load_report; \
 		j = RunJournal.load('out/chaos/crashed.jsonl'); \
 		s = validate_load_report('out/chaos/load.jsonl'); \
@@ -193,9 +194,9 @@ chaos:
 # tests/test_pim_transport.py (part of `make test`).
 chaos-net:
 	mkdir -p out/chaos-net
-	PYTHONPATH=src python -m repro.cli generate --pairs 256 --length 48 \
+	python -m repro.cli generate --pairs 256 --length 48 \
 		--error-rate 0.03 --seed 29 -o out/chaos-net/reads.seq
-	PYTHONPATH=src python -c "import json; \
+	python -c "import json; \
 		from repro.pim.transport import LinkDelay, LinkDrop, \
 			LinkDuplicate, LinkReorder, NetworkFaultPlan, Partition; \
 		plan = NetworkFaultPlan(seed=29, \
@@ -205,21 +206,21 @@ chaos-net:
 			reorders=(LinkReorder(shard_id=2, p=0.2),), \
 			partitions=(Partition(start_s=0.0, end_s=0.03, shard_ids=(3,)),)); \
 		json.dump(plan.to_dict(), open('out/chaos-net/plan.json', 'w'), indent=2)"
-	PYTHONPATH=src python -m repro.cli pim-align -i out/chaos-net/reads.seq \
+	python -m repro.cli pim-align -i out/chaos-net/reads.seq \
 		--dpus 4 --tasklets 4 --shards 4 --pairs-per-round 32 \
 		-o out/chaos-net/calm.tsv
-	PYTHONPATH=src python -m repro.cli pim-align -i out/chaos-net/reads.seq \
+	python -m repro.cli pim-align -i out/chaos-net/reads.seq \
 		--dpus 4 --tasklets 4 --shards 4 --pairs-per-round 32 \
 		--net-plan @out/chaos-net/plan.json --hedge \
 		-o out/chaos-net/lossy.tsv
 	cmp out/chaos-net/calm.tsv out/chaos-net/lossy.tsv
-	PYTHONPATH=src python -m repro.cli loadgen \
+	python -m repro.cli loadgen \
 		--requests 160 --rate 8000 --length 10 --seed 29 \
 		--dpus 4 --tasklets 4 --shards 4 --pairs-per-round 2 \
 		--net-plan @out/chaos-net/plan.json --hedge \
 		--report out/chaos-net/load.jsonl \
 		--events-out out/chaos-net/events.jsonl
-	PYTHONPATH=src python -c "import json; \
+	python -c "import json; \
 		from repro.obs.events import validate_event_log; \
 		from repro.serve import validate_load_report; \
 		s = validate_load_report('out/chaos-net/load.jsonl'); \
@@ -248,9 +249,9 @@ chaos-net:
 fleet-demo:
 	rm -rf out/fleet
 	mkdir -p out/fleet
-	PYTHONPATH=src python -m repro.cli generate --pairs 512 --length 48 \
+	python -m repro.cli generate --pairs 512 --length 48 \
 		--error-rate 0.03 --seed 21 -o out/fleet/reads.seq
-	PYTHONPATH=src python -m repro.cli pim-align -i out/fleet/reads.seq \
+	python -m repro.cli pim-align -i out/fleet/reads.seq \
 		--dpus 4 --tasklets 4 --shards 4 --pairs-per-round 32 \
 		--kill-dpu 1 --breaker --journal out/fleet/journal \
 		--metrics-out out/fleet/inline.json
@@ -258,23 +259,23 @@ fleet-demo:
 	head -n 2 out/fleet/crashed/shard-001.jsonl > out/fleet/crashed/tmp \
 		&& mv out/fleet/crashed/tmp out/fleet/crashed/shard-001.jsonl
 	rm out/fleet/crashed/shard-003.jsonl
-	PYTHONPATH=src python -m repro.cli pim-align -i out/fleet/reads.seq \
+	python -m repro.cli pim-align -i out/fleet/reads.seq \
 		--dpus 4 --tasklets 4 --shards 4 --pairs-per-round 32 \
 		--kill-dpu 1 --breaker --workers 2 \
 		--journal out/fleet/crashed --resume
 	for f in manifest.json shard-000.jsonl shard-001.jsonl \
 		shard-002.jsonl shard-003.jsonl; do \
 		cmp out/fleet/journal/$$f out/fleet/crashed/$$f || exit 1; done
-	PYTHONPATH=src python -m repro.cli pim-align -i out/fleet/reads.seq \
+	python -m repro.cli pim-align -i out/fleet/reads.seq \
 		--dpus 4 --tasklets 4 --shards 4 --pairs-per-round 32 \
 		--kill-dpu 1 --breaker --workers 2 \
 		--metrics-out out/fleet/pool.json --trace-out out/fleet/pool-trace.json
-	PYTHONPATH=src python -m repro.cli loadgen \
+	python -m repro.cli loadgen \
 		--requests 200 --rate 8000 --length 10 --seed 21 \
 		--dpus 4 --tasklets 4 --shards 4 --kill-dpu 1 --breaker \
 		--report out/fleet/load.jsonl --metrics-out out/fleet/metrics.prom \
 		--events-out out/fleet/events.jsonl --trace-out out/fleet/trace.json
-	PYTHONPATH=src python -c "import json; \
+	python -c "import json; \
 		from repro.obs.events import validate_event_log; \
 		from repro.obs.export import validate_chrome_trace; \
 		from repro.pim.fleet import FleetCoordinator; \
@@ -306,6 +307,7 @@ fleet-demo:
 		      f\"load report valid ({s['completed']} completed), \" \
 		      f\"{breakers} breaker event(s), {len(dpus)} DPU trace processes\")"
 
+# Untracked caches and build output only; never a committed file.
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/out out build src/*.egg-info
+	rm -rf .pytest_cache .hypothesis out build src/*.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

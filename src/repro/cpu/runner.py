@@ -7,16 +7,13 @@ Two roles:
   roofline model (:mod:`repro.cpu.model`) extrapolates to full workload
   timings.  This is the CPU-side half of the functional-first
   methodology.
-* :meth:`CpuRunner.align_all` — actually align a batch, optionally
-  fanning out over worker *processes* (Python threads would serialize on
-  the GIL; the paper's C implementation uses threads, which our modeled
-  thread counts represent — worker processes here are purely a
-  wall-clock convenience for large functional runs).
+* :meth:`CpuRunner.align_all` — actually align a batch, one pair after
+  another (the paper's C implementation uses threads, which the modeled
+  thread counts represent).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -45,25 +42,6 @@ class CpuSampleMeasurement:
     @property
     def metadata_bytes_per_pair(self) -> float:
         return self.counters.metadata_bytes() / self.pairs if self.pairs else 0.0
-
-
-# Module-level worker so multiprocessing can pickle it.
-_WORKER_ALIGNER: Optional[WavefrontAligner] = None
-
-
-def _init_worker(penalties: Penalties, heuristic, score_only: bool) -> None:
-    global _WORKER_ALIGNER
-    _WORKER_ALIGNER = WavefrontAligner(penalties, heuristic=heuristic)
-    _WORKER_ALIGNER._score_only = score_only  # type: ignore[attr-defined]
-
-
-def _align_pair(pair: ReadPair) -> AlignmentResult:
-    assert _WORKER_ALIGNER is not None
-    return _WORKER_ALIGNER.align(
-        pair.pattern,
-        pair.text,
-        score_only=getattr(_WORKER_ALIGNER, "_score_only", False),
-    )
 
 
 class CpuRunner:
@@ -102,23 +80,9 @@ class CpuRunner:
             scores=scores,
         )
 
-    def align_all(
-        self, pairs: Sequence[ReadPair], workers: int = 1
-    ) -> list[AlignmentResult]:
-        """Align a batch, optionally in parallel worker processes."""
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        if workers == 1 or len(pairs) < 2 * workers:
-            return [
-                self._aligner.align(
-                    p.pattern, p.text, score_only=not self.traceback
-                )
-                for p in pairs
-            ]
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(self.penalties, self.heuristic, not self.traceback),
-        ) as pool:
-            return pool.map(_align_pair, list(pairs), chunksize=64)
+    def align_all(self, pairs: Sequence[ReadPair]) -> list[AlignmentResult]:
+        """Align a batch in order."""
+        return [
+            self._aligner.align(p.pattern, p.text, score_only=not self.traceback)
+            for p in pairs
+        ]

@@ -1,10 +1,9 @@
-"""Machine-readable experiment records.
+"""Machine-readable Fig. 1 records.
 
-Serializes experiment results (Fig. 1 panels, sweeps, sensitivity) to a
-stable JSON schema so downstream tooling — regression dashboards,
-plotting scripts, CI checks — can consume the reproduction's numbers
-without scraping text tables.  ``record_fig1`` is what
-``repro fig1 --json`` writes.
+Serializes a Fig. 1 reproduction to a stable JSON schema so downstream
+tooling — regression dashboards, plotting scripts, CI checks — can
+consume the reproduction's numbers without scraping text tables.
+``fig1_to_dict`` is what ``repro fig1 --json`` writes.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ from typing import Union
 
 from repro import __version__
 from repro.experiments.fig1 import Fig1Result
-from repro.experiments.sweeps import SweepResult
 from repro.perf.calibration import PAPER_TARGETS
 
-__all__ = ["fig1_to_dict", "sweep_to_dict", "write_record"]
+__all__ = ["fig1_to_dict", "write_record"]
 
 SCHEMA_VERSION = 1
 
@@ -64,20 +62,6 @@ def fig1_to_dict(result: Fig1Result) -> dict:
             "kernel_speedup_e4": PAPER_TARGETS.kernel_speedup_e4,
         },
         "panels": panels,
-    }
-
-
-def sweep_to_dict(result: SweepResult) -> dict:
-    """Stable dictionary form of any sweep."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "library_version": __version__,
-        "experiment": "sweep",
-        "name": result.name,
-        "columns": result.columns,
-        "rows": [
-            {"label": r.label, "values": r.values} for r in result.rows
-        ],
     }
 
 

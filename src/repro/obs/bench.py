@@ -1,9 +1,9 @@
 """Perf ledger: registered bench scenarios, schema-versioned records,
 and a regression gate.
 
-The repo's perf claims used to live in one-off ``benchmarks/bench_*.py``
-scripts with ad-hoc output — nothing could prove a PR kept the numbers
-an earlier PR won.  This module is the missing spine:
+The repo's perf claims are registered scenarios here, gated against a
+committed baseline so that a change cannot silently give back a number
+an earlier change won.  This module has three parts:
 
 * **scenarios** — benchmark functions registered with the
   :func:`scenario` decorator.  Each runs a pinned-seed workload on the

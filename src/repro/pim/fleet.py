@@ -33,9 +33,10 @@ shard-local index, chunk)`` rows through one loop (:func:`_run_rows`)
 on per-shard lanes, inline on the coordinator's persistent systems.
 Without a transport a round's work is on its shard at once (instant
 delivery); with one it crosses the modeled network first (below).  The
-host's one process pool sits below the lanes: every system fans its DPU
-jobs out over the process's pool in :mod:`repro.pim.parallel`
-(``PimSystemConfig.workers``).
+DPU pool sits below the lanes: every system fans its DPU jobs out over
+the process's pool in :mod:`repro.pim.parallel`
+(``PimSystemConfig.workers``).  The host's only other process pool is
+the campaign's cell pool (``repro.qa.campaign._cell_metrics``).
 Like the paper's host, which copies one batch to every DPU at once, the
 loop aligns the pairs of all the rounds it executes in one engine
 stream.

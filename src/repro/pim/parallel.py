@@ -11,8 +11,9 @@ its host orchestration around.
 This module packages one simulated DPU's work as a picklable
 :class:`DpuJob`, executes jobs either in-process or over a
 ``concurrent.futures.ProcessPoolExecutor``, and returns picklable
-:class:`DpuJobResult` records.  The pool is the host's only one, and it
-lives for the process: it starts on the first pooled call, at the
+:class:`DpuJobResult` records.  Besides this pool the host has one
+other, the campaign's cell pool (``repro.qa.campaign._cell_metrics``).
+This one lives for the process: it starts on the first pooled call, at the
 configured width, and serves every later call at that width, so a
 fleet call pays one pool start-up per process, not one per round.  A
 width change or a broken pool replaces it, and a forked child (the

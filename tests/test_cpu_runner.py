@@ -58,19 +58,3 @@ class TestAlignAll:
         for pair, res in zip(pairs, results):
             assert res.score == gotoh_score(pair.pattern, pair.text, PEN)
             res.cigar.validate(pair.pattern, pair.text)
-
-    def test_small_batches_stay_serial(self):
-        pairs = ReadPairGenerator(length=40, seed=6).pairs(3)
-        results = CpuRunner(PEN).align_all(pairs, workers=4)
-        assert len(results) == 3
-
-    def test_invalid_workers(self):
-        with pytest.raises(ConfigError):
-            CpuRunner(PEN).align_all([], workers=0)
-
-    @pytest.mark.slow
-    def test_parallel_workers_match_serial(self):
-        pairs = ReadPairGenerator(length=40, error_rate=0.05, seed=7).pairs(40)
-        serial = CpuRunner(PEN).align_all(pairs)
-        parallel = CpuRunner(PEN).align_all(pairs, workers=2)
-        assert [r.score for r in serial] == [r.score for r in parallel]

@@ -306,47 +306,3 @@ BreakerMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
 TestBreakerNeverStranded = BreakerMachine.TestCase
-
-
-class TestBenchResilienceArtifact:
-    def test_bench_resilience_artifact_schema(self, tmp_path):
-        import importlib.util
-        import json
-        from pathlib import Path
-
-        bench_path = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks"
-            / "bench_resilience.py"
-        )
-        spec = importlib.util.spec_from_file_location(
-            "bench_resilience", bench_path
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedCapacity)
-            retry_only, with_breaker, health = mod.run_resilience(
-                num_pairs=32, pairs_per_round=8, length=24, seed=11
-            )
-        out = tmp_path / "BENCH_resilience.json"
-        mod.write_resilience_artifact(
-            retry_only,
-            with_breaker,
-            health,
-            num_pairs=32,
-            pairs_per_round=8,
-            length=24,
-            seed=11,
-            path=out,
-        )
-        record = json.loads(out.read_text())
-        assert record["schema"] == "repro.bench.artifact/v1"
-        assert record["benchmark"] == "BENCH_resilience"
-        assert record["seed"] == record["config"]["seed"] == 11
-        assert record["config"]["num_pairs"] == 32
-        assert len(record["config_fingerprint"]) == 16
-        assert record["identical"] is True
-        assert record["retry_only_seconds"] > record["breaker_seconds"] > 0
-        assert record["faults_seen"] >= 1

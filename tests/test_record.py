@@ -6,8 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.fig1 import Fig1Config, run_fig1
-from repro.experiments.record import fig1_to_dict, sweep_to_dict, write_record
-from repro.experiments.sweeps import allocator_policy_ablation
+from repro.experiments.record import fig1_to_dict, write_record
 
 
 @pytest.fixture(scope="module")
@@ -45,16 +44,6 @@ class TestFig1Record:
         path = write_record(fig1_to_dict(fig1), tmp_path / "fig1.json")
         loaded = json.loads(path.read_text())
         assert loaded["experiment"] == "fig1"
-
-
-class TestSweepRecord:
-    def test_schema(self):
-        sweep = allocator_policy_ablation(sample_pairs_per_dpu=8)
-        rec = sweep_to_dict(sweep)
-        assert rec["experiment"] == "sweep"
-        assert rec["columns"] == sweep.columns
-        assert {r["label"] for r in rec["rows"]} == {"wram", "mram"}
-        json.dumps(rec)  # serializable
 
 
 class TestCliJson:

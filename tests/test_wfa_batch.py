@@ -12,12 +12,10 @@ every byte of the serve layer's responses must be unchanged when the
 from __future__ import annotations
 
 import gc
-import importlib.util
 import json
 import random
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import pytest
 from conftest import any_penalties, similar_pair
@@ -515,55 +513,3 @@ class TestServeByteIdentity:
         assert scalar == vector
         # the injected DPU death must actually have exercised recovery
         assert json.loads(scalar[1])
-
-
-class TestBenchSmoke:
-    def test_bench_batch_engine_smoke(self, tmp_path):
-        # Under affine too, so that the bench's own identity check covers
-        # the stacked affine score step.
-        for metric in ("edit", "affine"):
-            self.check(tmp_path / f"bench-{metric}.json", metric)
-
-    @staticmethod
-    def check(out, metric):
-        bench_path = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks"
-            / "bench_batch_engine.py"
-        )
-        spec = importlib.util.spec_from_file_location(
-            "bench_batch_engine", bench_path
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        rc = mod.main(
-            [
-                "--batch-sizes",
-                "1,4",
-                "--length",
-                "24",
-                "--error-rate",
-                "0.05",
-                "--repeats",
-                "1",
-                "--metric",
-                metric,
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        record = json.loads(out.read_text())
-        assert record["schema"] == "repro.bench.artifact/v1"
-        assert record["benchmark"] == "BENCH_batch_engine"
-        assert record["config"]["batch_sizes"] == [1, 4]
-        assert record["config"]["metric"] == metric
-        assert record["seed"] == record["config"]["seed"]
-        assert len(record["config_fingerprint"]) == 16
-        assert {r["mode"] for r in record["runs"]} == {"score_only", "full"}
-        assert len(record["runs"]) == 4
-        for row in record["runs"]:
-            assert row["identical"] is True
-            assert row["vector_pairs_per_second"] > 0
-            assert row["scalar_pairs_per_second"] > 0
-        assert record["headline_speedup"] > 0
