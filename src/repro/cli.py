@@ -1053,6 +1053,18 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _host_wall(info: dict) -> str:
+    """The host wall-clock comparison a ledger record's ``info`` carries:
+    the vector engine's speedup over the scalar one, or the wall time at
+    each worker count; ``-`` for a record with neither."""
+    if "wall_speedup" in info:
+        return f"vector {info['wall_speedup']:.2f}x scalar"
+    if "wall_seconds_by_workers" in info:
+        walls = info["wall_seconds_by_workers"].items()
+        return "workers " + ", ".join(f"{w}: {human_time(s)}" for w, s in walls)
+    return "-"
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs.bench import (
         append_records,
@@ -1074,11 +1086,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 human_time(r["total_seconds"]),
                 human_time(r["kernel_seconds"]),
                 human_time(r["latency_p99_s"]),
+                _host_wall(r["info"]),
             )
             for r in records
         ]
         print(format_table(
-            ["scenario", "pairs/s", "total", "kernel", "p99"],
+            ["scenario", "pairs/s", "total", "kernel", "p99", "host wall"],
             rows,
             title=f"bench ({args.profile} profile)",
         ))

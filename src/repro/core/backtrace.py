@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.cigar import Cigar, CigarOp
+from repro.core.cigar import Cigar, cigar_op
 from repro.core.penalties import (
     AffinePenalties,
     EditPenalties,
@@ -52,22 +52,23 @@ def backtrace(engine: WfaEngine) -> Cigar:
     else:  # pragma: no cover - engine construction already rejects this
         raise AlignmentError(f"unsupported penalty model: {pen!r}")
     ops.reverse()
-    cigar = Cigar(ops)
+    cigar = Cigar([cigar_op(length, op) for op, length in ops])
     engine.counters.backtrace_ops += cigar.columns()
     return cigar
 
 
-def _emit(ops: list[CigarOp], op: str, length: int) -> None:
-    """Append ``length`` columns of ``op`` (reverse order; merged later)."""
+def _emit(ops: list[list], op: str, length: int) -> None:
+    """Append ``length`` columns of ``op`` (reverse order) to the
+    ``[op, length]`` runs, extending the last run when it is ``op``."""
     if length <= 0:
         return
-    if ops and ops[-1].op == op:
-        ops[-1] = CigarOp(ops[-1].length + length, op)
+    if ops and ops[-1][0] == op:
+        ops[-1][1] += length
     else:
-        ops.append(CigarOp(length, op))
+        ops.append([op, length])
 
 
-def _finish_at_origin(engine: WfaEngine, ops: list[CigarOp], k: int, off: int) -> None:
+def _finish_at_origin(engine: WfaEngine, ops: list[list], k: int, off: int) -> None:
     """Close the traceback at a score-0 seed point.
 
     For global spans the only seed is (k=0, offset=0); ends-free spans
@@ -85,7 +86,7 @@ def _finish_at_origin(engine: WfaEngine, ops: list[CigarOp], k: int, off: int) -
     _emit(ops, "M", off - base)
 
 
-def _backtrace_affine(engine: WfaEngine, pen: AffinePenalties) -> list[CigarOp]:
+def _backtrace_affine(engine: WfaEngine, pen: AffinePenalties) -> list[list]:
     x, o, e = pen.mismatch, pen.gap_open, pen.gap_extend
     n, m = engine.n, engine.m
     offset = engine.offset
@@ -93,7 +94,7 @@ def _backtrace_affine(engine: WfaEngine, pen: AffinePenalties) -> list[CigarOp]:
     k = engine.end_k if engine.end_k is not None else m - n
     off = engine.end_offset if engine.end_offset is not None else m
     comp = "M"
-    ops: list[CigarOp] = []
+    ops: list[list] = []
     # Generous bound: every step either consumes a column or switches
     # component at the same position (at most once between columns).
     for _ in range(2 * (n + m) + s + 4):
@@ -157,7 +158,7 @@ def _backtrace_affine(engine: WfaEngine, pen: AffinePenalties) -> list[CigarOp]:
 
 def _backtrace_affine2p(
     engine: WfaEngine, pen: TwoPieceAffinePenalties
-) -> list[CigarOp]:
+) -> list[list]:
     """Traceback with four gap states (I1/I2/D1/D2)."""
     x = pen.mismatch
     o1, e1 = pen.gap_open1, pen.gap_extend1
@@ -168,7 +169,7 @@ def _backtrace_affine2p(
     k = engine.end_k if engine.end_k is not None else m - n
     off = engine.end_offset if engine.end_offset is not None else m
     comp = "M"
-    ops: list[CigarOp] = []
+    ops: list[list] = []
     for _ in range(2 * (n + m) + s + 4):
         if comp == "M":
             if s == 0:
@@ -236,14 +237,14 @@ def _backtrace_affine2p(
     raise AlignmentError("traceback did not terminate")  # pragma: no cover
 
 
-def _backtrace_unified(engine: WfaEngine, x: int, ind: int) -> list[CigarOp]:
+def _backtrace_unified(engine: WfaEngine, x: int, ind: int) -> list[list]:
     """Traceback shared by the edit (x = ind = 1) and gap-linear metrics."""
     n, m = engine.n, engine.m
     offset = engine.offset
     s = engine.final_score
     k = engine.end_k if engine.end_k is not None else m - n
     off = engine.end_offset if engine.end_offset is not None else m
-    ops: list[CigarOp] = []
+    ops: list[list] = []
     for _ in range(2 * (n + m) + s + 4):
         if s == 0:
             _finish_at_origin(engine, ops, k, off)

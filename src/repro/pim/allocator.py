@@ -15,7 +15,7 @@ This module models that allocator faithfully:
   an address range; O(1) alloc, whole-arena reset between alignments,
   exactly like the C original's ``mm_allocator`` reset discipline.
   :meth:`BumpAllocator.reserve` allocates a whole run of blocks (one
-  alignment's wavefronts) in one step with the same bookkeeping.
+  alignment's wavefronts) in one bisection with the same bookkeeping.
 * :class:`TaskletAllocator` — the per-tasklet view: one WRAM arena (for
   sequence buffers, staging buffers, and — under the ``"wram"`` policy —
   all WFA metadata) and one MRAM arena (bulk metadata under the
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 from repro.errors import AllocationError
@@ -78,21 +77,24 @@ class BumpAllocator:
         self.allocations += 1
         return Allocation(addr=addr, size=size, space=self.space)
 
-    def reserve(self, sizes: Sequence[int]) -> int:
-        """Allocate back-to-back blocks of ``sizes`` as one :meth:`alloc` each.
+    def reserve(self, ends: Sequence[int]) -> int:
+        """Allocate back-to-back blocks as one :meth:`alloc` each.
 
-        ``sizes`` must already be DMA-aligned (positive multiples of 8,
-        as :func:`~repro.pim.dma.aligned_size` returns).  Allocates the
-        longest prefix that fits, leaving the cursor, ``high_water`` and
+        ``ends`` are the blocks' running sums (``ends[i]`` bytes hold
+        blocks ``0..i``, as :func:`itertools.accumulate` of their sizes
+        gives), the sizes already DMA-aligned (positive multiples of 8,
+        as :func:`~repro.pim.dma.aligned_size` returns), so one block
+        sequence can be booked at any cursor.  Allocates the longest
+        prefix that fits, leaving the cursor, ``high_water`` and
         ``allocations`` where that many :meth:`alloc` calls would, and
         returns its length; the first block of the rest is then the one
         :meth:`alloc` would have refused (see :meth:`exhausted`).
         """
-        ends = list(accumulate(sizes, initial=self.cursor))
-        fit = bisect_right(ends, self.capacity) - 1
-        self.cursor = ends[fit]
-        self.high_water = max(self.high_water, self.cursor)
-        self.allocations += fit
+        fit = bisect_right(ends, self.capacity - self.cursor)
+        if fit:
+            self.cursor += ends[fit - 1]
+            self.high_water = max(self.high_water, self.cursor)
+            self.allocations += fit
         return fit
 
     def exhausted(self, size: int) -> AllocationError:
@@ -125,6 +127,10 @@ class TaskletAllocator:
         mram_base / mram_capacity: this tasklet's metadata region in MRAM
             (unused — zero capacity — under the ``"wram"`` policy).
         metadata_policy: where :meth:`alloc_metadata` places blocks.
+        wram_reserved: ``(bytes, blocks)``: ``blocks`` buffers taking
+            ``bytes`` in all, already allocated at the WRAM arena's base
+            as that many :meth:`alloc_buffer` calls would leave it (the
+            kernel's fixed buffers, laid out once per configuration).
     """
 
     def __init__(
@@ -134,12 +140,21 @@ class TaskletAllocator:
         mram_base: int,
         mram_capacity: int,
         metadata_policy: str = "mram",
+        wram_reserved: tuple[int, int] = (0, 0),
     ) -> None:
         if metadata_policy not in ("mram", "wram"):
             raise AllocationError(f"unknown metadata_policy {metadata_policy!r}")
         self.wram = BumpAllocator(wram_base, wram_capacity, "wram")
         self.mram = BumpAllocator(mram_base, mram_capacity, "mram")
         self.metadata_policy = metadata_policy
+        nbytes, blocks = wram_reserved
+        if nbytes % DMA_ALIGN or not 0 <= nbytes <= wram_capacity or blocks < 0:
+            raise AllocationError(
+                f"cannot reserve {blocks} blocks of {nbytes} bytes in a "
+                f"{wram_capacity}-byte wram arena"
+            )
+        self.wram.cursor = self.wram.high_water = nbytes
+        self.wram.allocations = blocks
 
     def alloc_buffer(self, nbytes: int) -> Allocation:
         """Allocate a WRAM working buffer (sequences, staging, results)."""

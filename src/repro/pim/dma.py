@@ -205,10 +205,13 @@ class DmaEngine:
         """Read of any 8-aligned size, split into <=2048-byte transfers.
 
         Mirrors the chunking loop every real DPU program writes around
-        ``mram_read`` for buffers above the 2048-byte DMA limit.
+        ``mram_read`` for buffers above the 2048-byte DMA limit; a size
+        that fits one transfer is that one :meth:`read`.
         """
         if size % DMA_ALIGN != 0:
             raise AlignmentFault(f"read_large size {size} not a multiple of 8")
+        if DMA_MIN <= size <= DMA_MAX:
+            return self.read(mram_addr, wram_addr, size)
         cycles = 0.0
         done = 0
         for piece in dma_pieces(size):
@@ -220,6 +223,8 @@ class DmaEngine:
         """Write counterpart of :meth:`read_large`."""
         if size % DMA_ALIGN != 0:
             raise AlignmentFault(f"write_large size {size} not a multiple of 8")
+        if DMA_MIN <= size <= DMA_MAX:
+            return self.write(wram_addr, mram_addr, size)
         cycles = 0.0
         done = 0
         for piece in dma_pieces(size):

@@ -26,14 +26,23 @@ Fidelity notes (see DESIGN.md §2):
   staging is validated and charged in closed form, so capacity,
   alignment, bounds, traffic volumes, cycle sums and fault-hook ticks
   are exactly those of the transfer-by-transfer DPU code.  Everything
-  the charge derives from the log (sizes, uses, DMA pieces, per-transfer
-  and per-use cycles) is one immutable plan, memoized per kernel
-  configuration, policy, staging chunk, DPU timing and log content by
-  :func:`metadata_plan`: a global alignment's log depends only on its
-  final score, so a workload's pairs share a few dozen plans, and each
-  pair pays only its address and bounds checks, fault-hook ticks and
-  in-order float additions.  The staged bytes themselves are not
-  copied: metadata buffer contents are scratch that no code reads.
+  the charge derives from the log (sizes, their running sums, uses, DMA
+  pieces, per-transfer and per-use cycles) is one immutable plan,
+  memoized by :func:`metadata_plan` per log in the launch's
+  :class:`ChargeTable` (kernel configuration, policy, staging chunk and
+  DPU timing): a global alignment's log depends only on its final
+  score, so a workload's pairs share a few dozen plans, and each pair
+  pays only one hash of its log, one bisection against its arena, its
+  address and bounds checks, fault-hook ticks and in-order float
+  additions.  The staged bytes themselves are not copied: metadata
+  buffer contents are scratch that no code reads.
+* Everything else a launch derives from its configuration (the WRAM
+  map, every tasklet's buffer and arena addresses, the fixed
+  reservation, both record sizes and their DMA piece counts) is one
+  immutable :class:`LaunchPlan`, memoized by :func:`launch_plan`, so a
+  launch builds only what it mutates: one
+  :class:`~repro.pim.tasklet.TaskletStats` per tasklet and, per busy
+  tasklet, an allocator and a context.
 * Instruction counts come from the operation counters via
   :class:`~repro.perf.costs.DpuCostModel`.
 """
@@ -42,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import islice
+from itertools import accumulate, islice
 from operator import add
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -86,11 +95,18 @@ __all__ = ["KernelConfig", "WramPlan", "WfaDpuKernel", "max_supported_tasklets"]
 #: host memory follows read length, not the input size.
 BATCH_BUDGET_BYTES = 16 << 20
 
-#: metadata charges :func:`metadata_plan` keeps, least recently used out.
-#: Workloads repeat a few dozen wavefront logs (7 to 23 distinct in the
-#: perfbench workloads, 125 in 576 pairs under the adaptive heuristic),
-#: and a plan with its key takes about 2.7 KB at 100 bp, 15 KB at 1000 bp.
+#: metadata charges :func:`metadata_plan` keeps, least recently used out,
+#: over all configurations.  Workloads repeat a few dozen wavefront logs
+#: (7 to 23 distinct in the perfbench workloads, 125 in 576 pairs under
+#: the adaptive heuristic), and a plan with its key (the log) takes
+#: about 4 KB at 100 bp, 40 KB at 1000 bp.
 METADATA_PLAN_CACHE = 256
+
+#: launch plans :func:`launch_plan` and charge tables :func:`charge_table`
+#: each keep, least recently used out.  A launch plan is per MRAM layout,
+#: so per per-DPU batch capacity: the perfbench workloads use 2 or 3
+#: plans and one table each.  A plan takes about 10 KB at 16 tasklets.
+LAUNCH_PLAN_CACHE = 64
 
 
 def per_edit_cost(penalties: Penalties) -> int:
@@ -439,47 +455,36 @@ class WfaDpuKernel:
             ``(tasklet_stats, results)`` where ``results`` is empty unless
             ``collect_results``.
         """
-        tasklets = len(assignments)
-        plan = self.plan_wram(dpu.config, tasklets, metadata_policy)
-        if layout.max_cigar_ops < self.config.max_cigar_ops and self.config.traceback:
-            raise KernelError(
-                "layout reserves fewer CIGAR runs than the kernel may emit"
-            )
-        # The fixed buffers in the plan's order, reserved in one step:
-        # the slice holds them all (the plan fits), so each lands at its
-        # planned offset.
-        fixed = [
-            aligned_size(self.input_record_bytes()),
-            aligned_size(self.result_record_bytes()),
-            *[plan.staging_buffer_bytes] * plan.staging_buffers,
-        ]
-        # Only tasklets with pairs get a context; an idle one reports
-        # empty stats.
-        stats = [TaskletStats(tasklet_id=t) for t in range(tasklets)]
+        plan = launch_plan(
+            self.config, dpu.config, len(assignments), metadata_policy, layout
+        )
+        # Only tasklets with pairs get an allocator and a context; an
+        # idle one reports empty stats.
+        stats = []
         contexts = []
         for t, indices in enumerate(assignments):
             if not indices:
+                stats.append(TaskletStats(tasklet_id=t))
                 continue
-            base = t * plan.slice_bytes
+            base, input_buffer, result_buffer, staging, mram_base = plan.tasklets[t]
+            if mram_base is None:  # a tasklet the layout has no arena for
+                layout.metadata_addr(t)  # raises its LayoutError
             alloc = TaskletAllocator(
                 wram_base=base,
-                wram_capacity=plan.slice_bytes,
-                mram_base=layout.metadata_addr(t)
-                if layout.metadata_bytes_per_tasklet > 0
-                else layout.metadata_base,
+                wram_capacity=plan.wram.slice_bytes,
+                mram_base=mram_base,
                 mram_capacity=layout.metadata_bytes_per_tasklet,
                 metadata_policy=metadata_policy,
+                wram_reserved=plan.fixed,
             )
-            alloc.wram.reserve(fixed)
-            ctx = TaskletContext(tasklet_id=t, allocator=alloc)
-            ctx.input_buffer = base + plan.input_off
-            ctx.result_buffer = base + plan.result_off
-            ctx.staging_buffers = tuple(
-                base + plan.staging_off + i * plan.staging_buffer_bytes
-                for i in range(plan.staging_buffers)
+            ctx = TaskletContext(
+                tasklet_id=t,
+                allocator=alloc,
+                input_buffer=input_buffer,
+                result_buffer=result_buffer,
+                staging_buffers=staging,
             )
-            ctx.staging_chunk = plan.staging_chunk
-            stats[t] = ctx.stats
+            stats.append(ctx.stats)
             contexts.append((ctx, indices))
 
         if views is None:
@@ -495,13 +500,10 @@ class WfaDpuKernel:
             )
 
         results: list[tuple[int, AlignmentResult]] = []
+        collected = results if collect_results else None
         for ctx, indices in contexts:
             for index in indices:
-                result = self._align_one(
-                    dpu, layout, ctx, index, metadata_policy, trace, views
-                )
-                if collect_results:
-                    results.append((index, result))
+                self._align_one(dpu, layout, ctx, index, plan, trace, views, collected)
         return stats, results
 
     # -- one pair ------------------------------------------------------
@@ -512,16 +514,20 @@ class WfaDpuKernel:
         layout: MramLayout,
         ctx: TaskletContext,
         index: int,
-        metadata_policy: str,
+        plan: LaunchPlan,
         trace: Optional[KernelTrace] = None,
         views: Optional[dict[int, BatchPairView]] = None,
-    ) -> AlignmentResult:
+        results: Optional[list[tuple[int, AlignmentResult]]] = None,
+    ) -> None:
+        """Align input record ``index`` on tasklet ``ctx``; appends
+        ``(index, result)`` to ``results`` when given."""
         cfg = self.config
         stats = ctx.stats
+        metadata_policy = plan.charges.policy
         # 1. Fetch the input record MRAM -> WRAM.
-        size = layout.input_record_size
+        size, pieces = plan.input_record
         cycles = dpu.dma.read_large(layout.input_addr(index), ctx.input_buffer, size)
-        stats.add_dma(cycles, size, len(dma_pieces(size)))
+        stats.add_dma(cycles, size, pieces)
         if trace is not None:
             trace.record(
                 TraceEvent(
@@ -596,7 +602,7 @@ class WfaDpuKernel:
         mark = ctx.allocator.wram_mark()
         dma_before = (stats.dma_cycles, stats.dma_bytes)
         try:
-            self._charge_metadata(dpu, ctx, counters, metadata_policy)
+            self._charge_metadata(dpu, ctx, counters, metadata_policy, plan.charges)
         except AllocationError as exc:
             raise KernelError(
                 f"metadata arena overflow on pair {index} "
@@ -625,9 +631,9 @@ class WfaDpuKernel:
         t_start = t_end - cigar.text_length() if cigar is not None else 0
         record_out = layout.pack_result(score, cigar, p_start, t_start)
         dpu.wram.write(ctx.result_buffer, record_out)
-        size = layout.result_record_size
+        size, pieces = plan.result_record
         cycles = dpu.dma.write_large(ctx.result_buffer, layout.result_addr(index), size)
-        stats.add_dma(cycles, size, len(dma_pieces(size)))
+        stats.add_dma(cycles, size, pieces)
         if trace is not None:
             trace.record(
                 TraceEvent(
@@ -641,19 +647,25 @@ class WfaDpuKernel:
             )
         stats.pairs_done += 1
 
-        return AlignmentResult(
-            score=score,
-            cigar=cigar,
-            counters=counters,
-            penalties=cfg.penalties,
-            pattern_len=len(pair.pattern),
-            text_len=len(pair.text),
-            exact=not cfg.adaptive,
-            pattern_start=p_start,
-            pattern_end=p_end,
-            text_start=t_start,
-            text_end=t_end,
-        )
+        if results is not None:
+            results.append(
+                (
+                    index,
+                    AlignmentResult(
+                        score=score,
+                        cigar=cigar,
+                        counters=counters,
+                        penalties=cfg.penalties,
+                        pattern_len=len(pair.pattern),
+                        text_len=len(pair.text),
+                        exact=not cfg.adaptive,
+                        pattern_start=p_start,
+                        pattern_end=p_end,
+                        text_start=t_start,
+                        text_end=t_end,
+                    ),
+                )
+            )
 
     def _charge_metadata(
         self,
@@ -661,6 +673,7 @@ class WfaDpuKernel:
         ctx: TaskletContext,
         counters,
         metadata_policy: str,
+        charges: ChargeTable,
     ) -> None:
         """Charge the engine's wavefront allocations to the DPU, per pair.
 
@@ -677,7 +690,8 @@ class WfaDpuKernel:
         that uses it as a recurrence source — M wavefronts twice under
         affine penalties (mismatch source and gap-open source), I/D
         once — plus once more during traceback.  The charge is the log's
-        :func:`metadata_plan` applied at the arena's cursor
+        :func:`metadata_plan` in ``charges`` (the launch's table for
+        ``metadata_policy``) applied at the arena's cursor
         (:meth:`~repro.pim.dma.DmaEngine.charge_staging`); a block that
         overflows the arena fails after the blocks before it were
         staged, as it would on the DPU, with the prefix planned on its own.
@@ -685,12 +699,10 @@ class WfaDpuKernel:
         log = counters.wavefront_log
         if not log:
             return
-        sizes, staging = metadata_plan(
-            self.config, metadata_policy, ctx.staging_chunk, dpu.dma.timing, tuple(log)
-        )
+        sizes, ends, staging = metadata_plan(charges, tuple(log))
         arena = ctx.allocator.metadata_arena
         base = arena.base + arena.cursor
-        fit = arena.reserve(sizes)
+        fit = arena.reserve(ends)
         if staging is not None and fit:
             if fit < len(sizes):
                 staging = plan_staging(
@@ -708,28 +720,137 @@ class WfaDpuKernel:
             raise arena.exhausted(sizes[fit])
 
 
-@lru_cache(maxsize=METADATA_PLAN_CACHE)
-def metadata_plan(
+@dataclass(frozen=True)
+class LaunchPlan:
+    """What every launch of one configuration shares; see :func:`launch_plan`.
+
+    Plain immutable data: a launch reads it and mutates only the stats,
+    allocators and contexts it builds from it.
+    """
+
+    wram: WramPlan
+    charges: ChargeTable
+    #: WRAM bytes and blocks the fixed buffers (input record, result
+    #: record, staging buffers) take at the base of every slice
+    fixed: tuple[int, int]
+    #: per tasklet ``(slice base, input buffer, result buffer, staging
+    #: buffers, metadata arena MRAM base)``; the base is ``None`` for a
+    #: tasklet past the layout's arenas
+    tasklets: tuple[tuple[int, int, int, tuple[int, ...], Optional[int]], ...]
+    #: ``(bytes, DMA pieces)`` of one input and of one result record
+    input_record: tuple[int, int]
+    result_record: tuple[int, int]
+
+
+@lru_cache(maxsize=LAUNCH_PLAN_CACHE)
+def launch_plan(
+    config: KernelConfig,
+    dpu_config: DpuConfig,
+    tasklets: int,
+    metadata_policy: str,
+    layout: MramLayout,
+) -> LaunchPlan:
+    """The :class:`LaunchPlan` of a kernel launch on ``tasklets`` tasklets.
+
+    :meth:`WfaDpuKernel.plan_wram` is the admission check and maps the
+    WRAM slice; its :class:`KernelError`, and the one a layout with too
+    few CIGAR runs raises, propagate uncached.  A pure function of its
+    arguments, all immutable and compared whole; at most
+    :data:`LAUNCH_PLAN_CACHE` are kept.
+    """
+    wram = WfaDpuKernel(config).plan_wram(dpu_config, tasklets, metadata_policy)
+    if layout.max_cigar_ops < config.max_cigar_ops and config.traceback:
+        raise KernelError("layout reserves fewer CIGAR runs than the kernel may emit")
+    arena = layout.metadata_bytes_per_tasklet
+    rows = []
+    for t in range(tasklets):
+        base = t * wram.slice_bytes
+        staging = tuple(
+            base + wram.staging_off + i * wram.staging_buffer_bytes
+            for i in range(wram.staging_buffers)
+        )
+        if not arena:
+            mram_base = layout.metadata_base
+        else:
+            mram_base = layout.metadata_addr(t) if t < layout.tasklets else None
+        rows.append(
+            (base, base + wram.input_off, base + wram.result_off, staging, mram_base)
+        )
+    return LaunchPlan(
+        wram=wram,
+        charges=charge_table(
+            config, metadata_policy, wram.staging_chunk, dpu_config.timing
+        ),
+        # the input and result records, then the staging buffers: the
+        # plan fits the slice, so each lands at its planned offset
+        fixed=(
+            wram.staging_off + wram.staging_buffers * wram.staging_buffer_bytes,
+            2 + wram.staging_buffers,
+        ),
+        tasklets=tuple(rows),
+        input_record=(
+            layout.input_record_size,
+            len(dma_pieces(layout.input_record_size)),
+        ),
+        result_record=(
+            layout.result_record_size,
+            len(dma_pieces(layout.result_record_size)),
+        ),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ChargeTable:
+    """Everything a metadata charge depends on besides the wavefront log.
+
+    One table per configuration (see :func:`charge_table`), compared and
+    hashed by identity, so :func:`metadata_plan` keyed by a table and a
+    log hashes only the log, and two configurations never share a plan.
+    """
+
+    config: KernelConfig
+    policy: str
+    #: the WRAM plan's staging chunk (``None``: whole wavefronts)
+    chunk: Optional[int]
+    timing: DpuTimingConfig
+
+
+@lru_cache(maxsize=LAUNCH_PLAN_CACHE)
+def charge_table(
     config: KernelConfig,
     metadata_policy: str,
     chunk: Optional[int],
     timing: DpuTimingConfig,
-    log: tuple[tuple[int, str, int, int], ...],
-) -> tuple[tuple[int, ...], Optional[StagingPlan]]:
-    """``(sizes, staging)``: the metadata charge of one wavefront log.
+) -> ChargeTable:
+    """The :class:`ChargeTable` of one configuration; at most
+    :data:`LAUNCH_PLAN_CACHE` are kept, so a configuration met again
+    after its table was evicted gets a new one and plans its charges
+    afresh."""
+    return ChargeTable(config, metadata_policy, chunk, timing)
 
-    ``sizes`` are the log's 8-byte-aligned arena blocks; ``staging`` is
-    their :class:`~repro.pim.dma.StagingPlan` under the ``"mram"`` policy
-    (``chunk`` is the WRAM plan's staging chunk), ``None`` under
-    ``"wram"``.  A pure function of its arguments, all immutable and
-    compared whole, so a plan is reused only where it is the same charge;
-    at most :data:`METADATA_PLAN_CACHE` are kept.  The memo is per
-    process rather than per kernel because every simulated DPU builds
-    its own :class:`WfaDpuKernel`; purity makes sharing it safe.
+
+@lru_cache(maxsize=METADATA_PLAN_CACHE)
+def metadata_plan(
+    table: ChargeTable, log: tuple[tuple[int, str, int, int], ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], Optional[StagingPlan]]:
+    """``(sizes, ends, staging)``: the metadata charge of one wavefront log.
+
+    ``sizes`` are the log's 8-byte-aligned arena blocks and ``ends``
+    their running sums (what
+    :meth:`~repro.pim.allocator.BumpAllocator.reserve` books); ``staging``
+    is their :class:`~repro.pim.dma.StagingPlan` under the ``"mram"``
+    policy (with the table's staging chunk), ``None`` under ``"wram"``.
+    A pure function of the table's configuration and the log, so a plan
+    is reused only where it is the same charge; at most
+    :data:`METADATA_PLAN_CACHE` are kept, over all tables.  The memo is
+    per process rather than per kernel because every simulated DPU
+    builds its own :class:`WfaDpuKernel`; purity makes sharing it safe.
     """
     sizes = tuple(aligned_size(4 * (hi - lo + 1)) for _s, _c, lo, hi in log)
-    if metadata_policy != "mram":
-        return sizes, None
+    ends = tuple(accumulate(sizes))
+    if table.policy != "mram":
+        return sizes, ends, None
+    config = table.config
     computed = {score for score, _c, _l, _h in log}
     fixed = 2 if config.traceback else 1  # stage-out, traceback
     sources = source_distances(config.penalties)
@@ -737,7 +858,7 @@ def metadata_plan(
         fixed + sum(score + distance in computed for distance in sources[comp])
         for score, comp, _l, _h in log
     ]
-    return sizes, plan_staging(sizes, uses, chunk, timing)
+    return sizes, ends, plan_staging(sizes, uses, table.chunk, table.timing)
 
 
 def max_supported_tasklets(

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from repro.core.cigar import Cigar, CigarOp
+from repro.core.cigar import Cigar, cigar_op
 from repro.data.generator import ReadPair
-from repro.errors import LayoutError
+from repro.errors import CigarError, LayoutError
 from repro.pim.dma import aligned_size
 from repro.pim.memory import Mram
 
@@ -36,26 +36,6 @@ __all__ = ["MramLayout", "HEADER_BYTES", "LAYOUT_MAGIC"]
 
 HEADER_BYTES = 64
 LAYOUT_MAGIC = 0x5746_4150_494D_0001  # "WFA PIM" v1
-
-#: packed CIGAR words :func:`_cigar_op` keeps decoded, least recently used
-#: out.  A word is one run, so inputs repeat few: the perf benchmark's
-#: 100 bp and 1000 bp pools hold 107 and 243 distinct words.  An entry
-#: takes about 240 B.
-CIGAR_OP_CACHE = 1024
-
-
-@lru_cache(maxsize=CIGAR_OP_CACHE)
-def _cigar_op(word: int) -> CigarOp | None:
-    """The run a packed CIGAR word holds, ``None`` if it holds none.
-
-    ``CigarOp`` is immutable, so one op serves every record that packs
-    the same word.
-    """
-    length, op = word >> 8, chr(word & 0xFF)
-    if op not in "MXID" or not length:
-        return None
-    return CigarOp(length, op)
-
 
 @dataclass(frozen=True)
 class MramLayout:
@@ -264,7 +244,9 @@ class MramLayout:
         whose op byte is not one of ``M``, ``X``, ``I``, ``D`` or whose
         run length is zero included, so rot anywhere in a record fails
         as one typed parse error.  The head is one unpack and the CIGAR
-        words another, both little-endian on every host.
+        words another, both little-endian on every host; each run comes
+        from :func:`~repro.core.cigar.cigar_op`, so records and
+        tracebacks with the same run share one op.
         """
         if len(record) != self.result_record_size:
             raise LayoutError(
@@ -278,10 +260,16 @@ class MramLayout:
         if not n_ops_field & 0x8000_0000:
             return score, None
         words = struct.unpack_from(f"<{n_ops}I", record, 16)
-        ops = list(map(_cigar_op, words))
-        if not all(ops):
-            i = [op is None for op in ops].index(True)
-            raise LayoutError(f"CIGAR word {i} ({words[i]:#010x}) is no valid run")
+        try:
+            ops = [cigar_op(word >> 8, chr(word & 0xFF)) for word in words]
+        except CigarError:
+            for i, word in enumerate(words):  # name the first word that fails
+                try:
+                    cigar_op(word >> 8, chr(word & 0xFF))
+                except CigarError:
+                    raise LayoutError(
+                        f"CIGAR word {i} ({word:#010x}) is no valid run"
+                    ) from None
         return score, Cigar(ops)
 
     def unpack_result_region(self, record: bytes) -> tuple[int, int]:

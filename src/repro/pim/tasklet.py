@@ -14,7 +14,6 @@ model needs (instructions issued, DMA cycles occupied, pairs completed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.pim.allocator import TaskletAllocator
 
@@ -53,8 +52,6 @@ class TaskletContext:
     input_buffer: int = -1
     result_buffer: int = -1
     staging_buffers: tuple[int, ...] = ()
-    #: the WRAM plan's staging chunk (``None``: whole wavefronts)
-    staging_chunk: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.stats = TaskletStats(tasklet_id=self.tasklet_id)

@@ -19,7 +19,7 @@ for why "effective" != PrIM's peak).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from repro.core.cigar import Cigar
 from repro.data.generator import ReadPair
@@ -33,6 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pim.faults import FaultInjector
 
 __all__ = ["HostTransferEngine", "TransferStats"]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -111,27 +113,37 @@ class HostTransferEngine:
     def push_batch(
         self, dpu: Dpu, layout: MramLayout, pairs: list[ReadPair]
     ) -> int:
-        """Write header + input records into ``dpu``'s MRAM; returns bytes."""
+        """Write header + input records into ``dpu``'s MRAM; returns bytes.
+
+        The records are one contiguous region, written in one copy.
+        Under a truncation budget the whole records that fit it land,
+        then the push fails typed.
+        """
         if len(pairs) > layout.num_pairs:
             raise LayoutError(
                 f"batch of {len(pairs)} pairs exceeds layout capacity "
                 f"{layout.num_pairs}"
             )
         limit = self.injector.push_limit() if self.injector is not None else None
-        total = HEADER_BYTES + len(pairs) * layout.input_record_size
+        size = layout.input_record_size
+        total = HEADER_BYTES + len(pairs) * size
         if limit is not None and limit < HEADER_BYTES:
             raise self.injector.truncated("push", 0, total)
         layout.write_header(dpu.mram)
-        moved = HEADER_BYTES
-        for i, pair in enumerate(pairs):
-            record = layout.pack_pair(pair)
-            if limit is not None and moved + len(record) > limit:
-                # Partial copy landed; account what moved, then fail typed.
-                self.stats.bytes_to_dpu += moved
-                self._observe("to_dpu", "push", moved)
-                raise self.injector.truncated("push", moved, total)
-            dpu.mram.host_write(layout.input_addr(i), record)
-            moved += len(record)
+        fit = len(pairs)
+        if limit is not None:
+            fit = min(fit, (limit - HEADER_BYTES) // size)
+        # The first record past the budget is still packed, so a record
+        # that does not fit its slot fails before the truncation does.
+        records = b"".join(map(layout.pack_pair, pairs[: fit + 1]))
+        if fit:
+            dpu.mram.host_write(layout.input_base, records[: fit * size])
+        moved = HEADER_BYTES + fit * size
+        if fit < len(pairs):
+            # Partial copy landed; account what moved, then fail typed.
+            self.stats.bytes_to_dpu += moved
+            self._observe("to_dpu", "push", moved)
+            raise self.injector.truncated("push", moved, total)
         if self.injector is not None:
             self.injector.after_push(dpu, layout)
         self.stats.bytes_to_dpu += moved
@@ -146,46 +158,60 @@ class HostTransferEngine:
 
         Returns ``(results, bytes_moved)`` with results in record order.
         """
-        if count > layout.num_pairs:
-            raise LayoutError(
-                f"cannot pull {count} results from a layout of {layout.num_pairs}"
-            )
-        results = []
-        moved = 0
-        limit = self._before_pull(dpu, layout)
-        for i in range(count):
-            record = self._pull_record(dpu, layout, i, moved, count, limit)
-            results.append(self._unpack(layout, record, i))
-            moved += len(record)
-        self.stats.bytes_from_dpu += moved
-        self.stats.pulls += 1
-        self._observe("from_dpu", "pull", moved)
-        return results, moved
+        results = self._pull(
+            dpu, layout, count, lambda record, i: self._unpack(layout, record, i)
+        )
+        return results, count * layout.result_record_size
 
     def pull_results_full(
         self, dpu: Dpu, layout: MramLayout, count: int
     ) -> tuple[list[tuple[int, Cigar | None, int, int]], int]:
         """Like :meth:`pull_results`, also decoding the aligned-region
         starts: ``(score, cigar, pattern_start, text_start)`` per pair."""
+
+        def parse(record: bytes, index: int) -> tuple[int, Cigar | None, int, int]:
+            return (
+                *self._unpack(layout, record, index),
+                *layout.unpack_result_region(record),
+            )
+
+        return self._pull(dpu, layout, count, parse), count * layout.result_record_size
+
+    # -- fault-aware pull plumbing ------------------------------------------
+
+    def _pull(
+        self,
+        dpu: Dpu,
+        layout: MramLayout,
+        count: int,
+        parse: Callable[[bytes, int], T],
+    ) -> list[T]:
+        """``parse(record, index)`` of the first ``count`` result records.
+
+        The records are one contiguous region, read in one copy and
+        parsed in record order.  Under a truncation budget the whole
+        records that fit it are read and parsed (a parse failure among
+        them wins), then the pull fails typed.
+        """
         if count > layout.num_pairs:
             raise LayoutError(
                 f"cannot pull {count} results from a layout of {layout.num_pairs}"
             )
-        results = []
-        moved = 0
         limit = self._before_pull(dpu, layout)
-        for i in range(count):
-            record = self._pull_record(dpu, layout, i, moved, count, limit)
-            score, cigar = self._unpack(layout, record, i)
-            p_start, t_start = layout.unpack_result_region(record)
-            results.append((score, cigar, p_start, t_start))
-            moved += len(record)
+        size = layout.result_record_size
+        fit = count if limit is None else min(count, limit // size)
+        data = dpu.mram.host_read(layout.output_base, fit * size) if fit else b""
+        results = [
+            parse(data[at : at + size], index)
+            for index, at in enumerate(range(0, fit * size, size))
+        ]
+        moved = fit * size
         self.stats.bytes_from_dpu += moved
-        self.stats.pulls += 1
         self._observe("from_dpu", "pull", moved)
-        return results, moved
-
-    # -- fault-aware pull plumbing ------------------------------------------
+        if fit < count:
+            raise self.injector.truncated("pull", moved, count * size)
+        self.stats.pulls += 1
+        return results
 
     def _before_pull(self, dpu: Dpu, layout: MramLayout) -> Optional[int]:
         """Apply pre-pull corruption; return the pull byte budget.
@@ -211,22 +237,6 @@ class HostTransferEngine:
                 dpu_id=self.injector.dpu_id,
             )
         return self.injector.pull_limit()
-
-    def _pull_record(
-        self,
-        dpu: Dpu,
-        layout: MramLayout,
-        index: int,
-        moved: int,
-        count: int,
-        limit: Optional[int],
-    ) -> bytes:
-        size = layout.result_record_size
-        if limit is not None and moved + size > limit:
-            self.stats.bytes_from_dpu += moved
-            self._observe("from_dpu", "pull", moved)
-            raise self.injector.truncated("pull", moved, count * size)
-        return dpu.mram.host_read(layout.result_addr(index), size)
 
     def _unpack(self, layout: MramLayout, record: bytes, index: int):
         """Parse one result record; typed error under fault injection.

@@ -382,3 +382,33 @@ class TestSweep:
         rc = main(["sweep", "allocator"])
         assert rc == 0
         assert "allocator policy ablation" in capsys.readouterr().out
+
+
+class TestBenchRun:
+    def test_prints_the_host_wall_ratios(self, monkeypatch, capsys):
+        """Records that carry wall times in ``info`` show them; the rest
+        show ``-``.  No scenario runs and nothing is written."""
+
+        def record(scenario, info):
+            return {
+                "scenario": scenario,
+                "pairs_per_second": 1000.0,
+                "total_seconds": 0.5,
+                "kernel_seconds": 0.25,
+                "latency_p99_s": 0.01,
+                "info": info,
+            }
+
+        records = [
+            record("engine_vector_vs_scalar", {"wall_speedup": 1.364}),
+            record("host_parallel", {"wall_seconds_by_workers": {"0": 1.2, "2": 0.7}}),
+            record("scheduler_rounds", {"rounds": 3}),
+        ]
+        monkeypatch.setattr("repro.obs.bench.run_scenarios", lambda **_: records)
+        assert main(["bench", "run", "--no-append"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = {line.split()[0]: line.rstrip() for line in lines if line.split()[:1]}
+        assert "host wall" in lines[1]
+        assert rows["engine_vector_vs_scalar"].endswith("vector 1.36x scalar")
+        assert rows["host_parallel"].endswith("workers 0: 1.2 s, 2: 700 ms")
+        assert rows["scheduler_rounds"].endswith(" -")

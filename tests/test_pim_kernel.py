@@ -203,8 +203,9 @@ class TestKernelExecution:
             assert s.cells_computed > 0
 
     def test_only_busy_tasklets_get_a_context(self, monkeypatch):
-        """Two pairs on 16 tasklets: 14 idle tasklets report empty stats
-        and build no allocator."""
+        """Two pairs on 16 tasklets: 14 idle tasklets report empty stats,
+        and every launch, the one that plans it and the one that reuses
+        the plan, builds one allocator per busy tasklet and no other."""
         built = []
 
         class CountingAllocator(kernel_module.TaskletAllocator):
@@ -215,13 +216,17 @@ class TestKernelExecution:
         monkeypatch.setattr(kernel_module, "TaskletAllocator", CountingAllocator)
         pairs = ReadPairGenerator(length=60, error_rate=0.03, seed=9).pairs(2)
         kc = KernelConfig(penalties=PEN, max_read_len=60, max_edits=2)
-        kernel, dpu, layout, assignments = setup_dpu(pairs, kc, tasklets=16)
-        stats, _ = kernel.run(dpu, layout, assignments, "mram")
-        assert [s.tasklet_id for s in stats] == list(range(16))
-        idle = [s for s in stats if s == TaskletStats(tasklet_id=s.tasklet_id)]
-        assert [s.tasklet_id for s in idle] == list(range(2, 16))
-        assert [s.pairs_done for s in stats[:2]] == [1, 1]
-        assert len(built) == 2
+        kernel_module.launch_plan.cache_clear()
+        for _ in range(2):  # cold plan, then warm
+            built.clear()
+            kernel, dpu, layout, assignments = setup_dpu(pairs, kc, tasklets=16)
+            stats, _ = kernel.run(dpu, layout, assignments, "mram")
+            assert [s.tasklet_id for s in stats] == list(range(16))
+            idle = [s for s in stats if s == TaskletStats(tasklet_id=s.tasklet_id)]
+            assert [s.tasklet_id for s in idle] == list(range(2, 16))
+            assert [s.pairs_done for s in stats[:2]] == [1, 1]
+            assert built == [0, DpuConfig().wram_bytes // 16]
+        assert kernel_module.launch_plan.cache_info().hits >= 1
 
     def test_mram_policy_moves_more_dma_bytes_than_wram(self):
         pairs = ReadPairGenerator(length=60, error_rate=0.05, seed=6).pairs(8)

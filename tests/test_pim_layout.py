@@ -1,13 +1,17 @@
 """Tests for the MRAM data layout and record packing."""
 
+import operator
 import pickle
 
 import pytest
 
+from repro.core import cigar as cigar_module
+from repro.core.backtrace import backtrace
 from repro.core.cigar import Cigar
+from repro.core.penalties import AffinePenalties
+from repro.core.wfa import WfaEngine
 from repro.data.generator import ReadPair
 from repro.errors import LayoutError
-from repro.pim import layout as layout_module
 from repro.pim.layout import HEADER_BYTES, MramLayout
 from repro.pim.memory import Mram
 
@@ -155,13 +159,19 @@ class TestResultRecords:
         assert (score, str(cigar)) == (-2, "300M1I")
 
     def test_decoded_ops_are_shared_and_bounded(self):
-        """One immutable ``CigarOp`` per distinct word, from a memo of at
-        most :data:`CIGAR_OP_CACHE` words."""
+        """One immutable ``CigarOp`` per distinct run, shared with
+        traceback, from a memo of at most :data:`CIGAR_OP_CACHE` runs."""
         layout = make_layout()
         rec = layout.pack_result(9, Cigar.from_string("7M1X7M"))
         first, again = layout.unpack_result(rec)[1], layout.unpack_result(rec)[1]
         assert first.ops[0] is again.ops[0]
-        memo, bound = layout_module._cigar_op, layout_module.CIGAR_OP_CACHE
+        engine = WfaEngine("ACGTACGA", "ACGTTCGA", AffinePenalties())
+        engine.run()
+        traced = backtrace(engine)
+        decoded = layout.unpack_result(layout.pack_result(4, traced))[1]
+        assert str(traced) == "4M1X3M"
+        assert all(map(operator.is_, decoded.ops, traced.ops))
+        memo, bound = cigar_module.cigar_op, cigar_module.CIGAR_OP_CACHE
         assert memo.cache_info().maxsize == bound
         memo.cache_clear()
         for run in range(1, bound + 9):

@@ -3,18 +3,21 @@
 The reference below is the kernel's former metadata replay: every
 wavefront allocated with one ``alloc`` call and every staging transfer
 issued through ``DmaEngine.read``/``write``, scratch bytes and all.  The
-closed-form charge (``BumpAllocator.reserve`` + a memoized
-``metadata_plan`` applied by ``DmaEngine.charge_staging``) must match it
-counter for counter and float for float, and fail the same way on the
-same pair: arena overflow, the stall watchdog (one hook tick per
-transfer, in order) and memory bounds.  Every comparison runs the
-closed form twice, cold (memo cleared) and warm (every plan a memo hit).
+closed-form charge (``BumpAllocator.reserve`` + a ``metadata_plan``
+memoized per charge table, applied by ``DmaEngine.charge_staging``)
+must match it counter for counter and float for float, and fail the
+same way on the same pair: arena overflow, the stall watchdog (one hook
+tick per transfer, in order) and memory bounds.  Every comparison runs
+the closed form twice, cold (every memo cleared) and warm (the launch
+plan and every charge a memo hit).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -95,7 +98,7 @@ class ClosedFormKernel(TracksPair, WfaDpuKernel):
 class ReferenceKernel(TracksPair, WfaDpuKernel):
     """The kernel with its former per-transfer metadata replay."""
 
-    def _charge_metadata(self, dpu, ctx, counters, metadata_policy):
+    def _charge_metadata(self, dpu, ctx, counters, metadata_policy, _charges):
         log = counters.wavefront_log
         if not log:
             return
@@ -201,8 +204,9 @@ def launch(
     mram_bytes=DpuConfig().mram_bytes,
     wram_bytes=DpuConfig().wram_bytes,
     timing=DpuTimingConfig(),
+    layout_tasklets=None,
 ):
-    layout = plan_layout(kc, pairs, policy, tasklets, metadata_bytes)
+    layout = plan_layout(kc, pairs, policy, layout_tasklets or tasklets, metadata_bytes)
     dpu = Dpu(DpuConfig(mram_bytes=mram_bytes, wram_bytes=wram_bytes, timing=timing))
     HostTransferEngine(HostTransferConfig()).push_batch(dpu, layout, pairs)
     if dma_budget is not None:
@@ -235,7 +239,7 @@ def launch(
         ],
         dma=(dpu.dma.transfers, dpu.dma.bytes_moved),
         allocators=[
-            (arena.high_water, arena.allocations)
+            (arena.base, arena.capacity, arena.high_water, arena.allocations)
             for a in allocators
             for arena in (a.wram, a.mram)
         ],
@@ -259,19 +263,36 @@ def plan_layout(kc, pairs, policy, tasklets=2, metadata_bytes=None):
     )
 
 
+#: the kernel's memos: launch plans, charge tables, metadata charges
+MEMOS = ("launch_plan", "charge_table", "metadata_plan")
+
+
+def clear_memos():
+    for name in MEMOS:
+        getattr(kernel_module, name).cache_clear()
+
+
+def memo_info():
+    return {name: getattr(kernel_module, name).cache_info() for name in MEMOS}
+
+
 def both(kc, pairs, policy, monkeypatch, **kwargs):
-    """The reference launch, then the closed form twice: cold (the plan
-    memo cleared, every charge planned afresh) and warm (the same launch
-    again, every charge the cold run planned a memo hit)."""
-    memo = kernel_module.metadata_plan
+    """The reference launch, then the closed form twice: cold (every memo
+    cleared, the launch and every charge planned afresh) and warm (the
+    same launch again: its plan and every charge the cold run planned
+    are memo hits, and nothing is planned)."""
     ref = launch(ReferenceKernel, kc, pairs, policy, monkeypatch, **kwargs)
-    memo.cache_clear()
+    clear_memos()
     cold = launch(ClosedFormKernel, kc, pairs, policy, monkeypatch, **kwargs)
-    before = memo.cache_info()
+    before = memo_info()
     warm = launch(ClosedFormKernel, kc, pairs, policy, monkeypatch, **kwargs)
     if cold.error is None:
-        after = memo.cache_info()
-        assert after.misses == before.misses and after.hits > before.hits
+        after = memo_info()
+        assert [after[name].misses for name in MEMOS] == [
+            before[name].misses for name in MEMOS
+        ]
+        assert after["launch_plan"].hits == before["launch_plan"].hits + 1
+        assert after["metadata_plan"].hits > before["metadata_plan"].hits
     return ref, cold, warm
 
 
@@ -352,10 +373,11 @@ def test_plans_are_never_shared_across_configurations(monkeypatch):
         engine.run()
         logs.add(tuple(engine.counters.wavefront_log))
     memo = kernel_module.metadata_plan
-    memo.cache_clear()
+    clear_memos()
     for kc, dpu in variants:
         launch(ClosedFormKernel, kc, pairs, "mram", monkeypatch, **dpu)
     assert memo.cache_info().currsize == len(variants) * len(logs)
+    assert kernel_module.charge_table.cache_info().currsize == len(variants)
     for kc, dpu in variants:  # every variant's plans are in the memo
         ref = launch(ReferenceKernel, kc, pairs, "mram", monkeypatch, **dpu)
         warm = launch(ClosedFormKernel, kc, pairs, "mram", monkeypatch, **dpu)
@@ -363,16 +385,88 @@ def test_plans_are_never_shared_across_configurations(monkeypatch):
     assert memo.cache_info().currsize == len(variants) * len(logs)
 
 
+def launch_variants():
+    """One base launch, then launches that each change one input of its
+    plan: the DPU's WRAM size, the tasklet count (with the layout's, and
+    alone), the policy, the staging chunk, and the layout's pair count
+    and metadata bytes.  Each changes some allocator's arena base or
+    capacity, the stats or the output."""
+    base = KernelConfig(penalties=AffinePenalties(4, 6, 2), max_read_len=24, max_edits=4)
+    pairs = workload()
+    return [
+        (base, pairs, "mram", {}),
+        (base, pairs, "mram", {"wram_bytes": 48 * 1024}),
+        (base, pairs, "mram", {"tasklets": 3}),
+        (base, pairs, "mram", {"tasklets": 1, "layout_tasklets": 2}),
+        (base, pairs, "wram", {}),
+        (dataclasses.replace(base, staging_chunk_bytes=16), pairs, "mram", {}),
+        (base, pairs[:5], "mram", {}),
+        (base, pairs, "mram", {"metadata_bytes": 2 * base.metadata_peak_bytes()}),
+    ]
+
+
+def cold_outcomes(variants, monkeypatch):
+    outcomes = []
+    for kc, pairs, policy, kwargs in variants:
+        clear_memos()
+        outcomes.append(launch(ClosedFormKernel, kc, pairs, policy, monkeypatch, **kwargs))
+    return outcomes
+
+
+def test_launch_plans_are_never_shared_across_configurations(monkeypatch):
+    """Every launch with warm memos equals the same launch with cold ones,
+    and each configuration keeps a plan of its own."""
+    variants = launch_variants()
+    cold = cold_outcomes(variants, monkeypatch)
+    assert all(outcome.error is None for outcome in cold)
+    assert len({repr(outcome) for outcome in cold}) == len(variants)
+    clear_memos()
+    for _ in range(2):  # the first pass plans every launch, the second reuses
+        for (kc, pairs, policy, kwargs), want in zip(variants, cold):
+            assert launch(ClosedFormKernel, kc, pairs, policy, monkeypatch, **kwargs) == want
+    info = kernel_module.launch_plan.cache_info()
+    assert (info.currsize, info.misses) == (len(variants), len(variants))
+
+
+def test_memos_at_a_bound_of_one_stay_exact(monkeypatch):
+    """With every memo holding one entry, launches that take turns over
+    four configurations evict each other's plans, tables and charges,
+    and every launch still equals its cold run."""
+    for name in MEMOS:
+        memo = getattr(kernel_module, name)
+        monkeypatch.setattr(
+            kernel_module, name, functools.lru_cache(maxsize=1)(memo.__wrapped__)
+        )
+    variants = launch_variants()[:4]
+    cold = cold_outcomes(variants, monkeypatch)
+    for _ in range(2):
+        for (kc, pairs, policy, kwargs), want in zip(variants, cold):
+            assert launch(ClosedFormKernel, kc, pairs, policy, monkeypatch, **kwargs) == want
+    assert all(memo_info()[name].currsize == 1 for name in MEMOS)
+
+
 def test_memo_holds_at_most_its_bound():
     memo = kernel_module.metadata_plan
     bound = kernel_module.METADATA_PLAN_CACHE
     assert memo.cache_info().maxsize == bound
-    memo.cache_clear()
+    clear_memos()
     kc, timing = KernelConfig(penalties=EditPenalties()), DpuTimingConfig()
+    table = kernel_module.charge_table(kc, "mram", None, timing)
     for final in range(bound + 8):
         log = tuple((s, "M", -s, s) for s in range(final + 1))
-        memo(kc, "mram", None, timing, log)
+        memo(table, log)
         assert memo.cache_info().currsize == min(final + 1, bound)
+    # launch plans: one per layout, every layout of a configuration
+    # sharing its one charge table
+    plans, bound = kernel_module.launch_plan, kernel_module.LAUNCH_PLAN_CACHE
+    assert plans.cache_info().maxsize == bound
+    assert kernel_module.charge_table.cache_info().maxsize == bound
+    tables = set()
+    for num_pairs in range(1, bound + 9):
+        layout = plan_layout(kc, [None] * num_pairs, "mram")
+        tables.add(plans(kc, DpuConfig(), 2, "mram", layout).charges)
+        assert plans.cache_info().currsize == min(num_pairs, bound)
+    assert tables == {table}
 
 
 # -- the error paths ---------------------------------------------------------------
@@ -499,7 +593,7 @@ def test_reserve_matches_alloc_calls():
         if head:
             fast.alloc(head)
             slow.alloc(head)
-        fit = fast.reserve(sizes)
+        fit = fast.reserve(list(accumulate(sizes)))
         error = None
         try:
             for size in sizes:
