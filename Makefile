@@ -4,7 +4,7 @@
 
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast qa campaign coverage bench-ledger perf-gate examples fig1 outputs trace-demo serve-demo chaos chaos-net fleet-demo clean
+.PHONY: install test test-fast qa campaign coverage bench-ledger perf-gate bench-smoke examples fig1 outputs trace-demo serve-demo chaos chaos-net fleet-demo clean
 
 install:
 	pip install -e .
@@ -93,6 +93,26 @@ perf-gate:
 	python -m repro.cli bench compare \
 		--ledger BENCH_ledger.json --baseline BENCH_baseline.json \
 		--max-drop 0.10 --max-rise 0.10
+
+# Crash smoke of the host-wall benchmark (see docs/perf-ledger.md): every
+# perfbench workload at seeds 1 and 9001 for 2 s each.  Fails on a
+# non-zero exit, a last stdout line that is not JSON, or a run whose
+# result says "correct": false.  No tier-1 test runs perfbench.  Results
+# land in out/bench-smoke/; nothing under perfbench/ is written.
+bench-smoke:
+	mkdir -p out/bench-smoke
+	for workload in paper_batch long_reads serve_fleet; do \
+		for seed in 1 9001; do \
+			out=out/bench-smoke/$$workload-$$seed.json; \
+			echo "== perfbench $$workload --seed $$seed"; \
+			PYTHONDONTWRITEBYTECODE=1 python perfbench/run.py \
+				--workload $$workload --seed $$seed --seconds 2 > $$out || exit 1; \
+			python -c "import json, sys; \
+				result = json.loads(open(sys.argv[1]).read().splitlines()[-1]); \
+				print('correct:', result['correct']); \
+				sys.exit(result['correct'] is not True)" $$out || exit 1; \
+		done; \
+	done
 
 examples:
 	for ex in examples/*.py; do \

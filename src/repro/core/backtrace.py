@@ -52,7 +52,9 @@ def backtrace(engine: WfaEngine) -> Cigar:
     else:  # pragma: no cover - engine construction already rejects this
         raise AlignmentError(f"unsupported penalty model: {pen!r}")
     ops.reverse()
-    cigar = Cigar([cigar_op(length, op) for op, length in ops])
+    # _emit extends the last run when the op repeats, so the runs are
+    # already canonical and need no second merge.
+    cigar = Cigar._of_runs(tuple([cigar_op(length, op) for op, length in ops]))
     engine.counters.backtrace_ops += cigar.columns()
     return cigar
 

@@ -114,6 +114,18 @@ class Cigar:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _of_runs(cls, ops: tuple[CigarOp, ...]) -> "Cigar":
+        """The CIGAR of ``ops`` taken as they are, without the merge.
+
+        Only for runs already canonical, where no two adjacent runs share
+        an op, as traceback emits them; every other caller goes through
+        ``Cigar(...)``.
+        """
+        cigar = cls.__new__(cls)
+        cigar._ops = ops
+        return cigar
+
+    @classmethod
     def from_string(cls, text: str) -> "Cigar":
         """Parse either a run-length (``"3M1X2I"``) or expanded (``"MMMXII"``) CIGAR."""
         text = text.strip()

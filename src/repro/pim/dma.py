@@ -21,6 +21,16 @@ the kernel accumulates cycles per tasklet
 (:attr:`~repro.pim.tasklet.TaskletStats.dma_cycles`), and the DPU
 timing model treats their sum as one of its bounding terms.
 
+The kernel's records move through :meth:`DmaEngine.read_large` (the
+input fetch) and :meth:`DmaEngine.write_large` (the result write-back):
+each piece is validated, ticked on the fault hook, bounds-checked and
+charged as :meth:`DmaEngine.read`/:meth:`DmaEngine.write` do, but the
+bytes pass straight between MRAM and the tasklet, without a copy in the
+WRAM array.  That is exact because no fault touches WRAM and a record
+buffer is read only by the tasklet that just filled it.  The single
+transfers :meth:`DmaEngine.read`/:meth:`DmaEngine.write` still move
+their bytes through WRAM.
+
 The kernel's metadata staging is charged in closed form, in two steps:
 :func:`plan_staging` derives everything that follows from the block
 sizes, use counts, chunk and timing (an immutable :class:`StagingPlan`
@@ -201,34 +211,57 @@ class DmaEngine:
         self.mram.write(mram_addr, data)
         return self._charge(size)
 
-    def read_large(self, mram_addr: int, wram_addr: int, size: int) -> float:
-        """Read of any 8-aligned size, split into <=2048-byte transfers.
+    def read_large(
+        self, mram_addr: int, wram_addr: int, size: int
+    ) -> tuple[float, bytes]:
+        """A record fetch of any 8-aligned size: ``(cycles, bytes)``.
 
         Mirrors the chunking loop every real DPU program writes around
-        ``mram_read`` for buffers above the 2048-byte DMA limit; a size
-        that fits one transfer is that one :meth:`read`.
+        ``mram_read`` for buffers above the 2048-byte DMA limit: pieces
+        of up to 2048 bytes, each validated, ticked on the fault hook,
+        bounds-checked at both ends and charged exactly as :meth:`read`
+        does, in that order.  The fetched MRAM bytes go to the caller
+        instead of into the :class:`~repro.pim.memory.Wram` array: the
+        tasklet that issued the fetch is the only reader of its buffer
+        and reads it at once, and no fault touches WRAM, so a copy
+        there would only be read back.
         """
         if size % DMA_ALIGN != 0:
             raise AlignmentFault(f"read_large size {size} not a multiple of 8")
-        if DMA_MIN <= size <= DMA_MAX:
-            return self.read(mram_addr, wram_addr, size)
         cycles = 0.0
+        pieces = []
         done = 0
         for piece in dma_pieces(size):
-            cycles += self.read(mram_addr + done, wram_addr + done, piece)
+            self._validate(mram_addr + done, wram_addr + done, piece)
+            if self.fault_hook is not None:
+                self.fault_hook(piece)
+            pieces.append(self.mram.read(mram_addr + done, piece))
+            self.wram.check(wram_addr + done, piece)
+            cycles += self._charge(piece)
             done += piece
-        return cycles
+        return cycles, b"".join(pieces)
 
-    def write_large(self, wram_addr: int, mram_addr: int, size: int) -> float:
-        """Write counterpart of :meth:`read_large`."""
+    def write_large(self, wram_addr: int, mram_addr: int, data: bytes) -> float:
+        """The result write-back counterpart of :meth:`read_large`.
+
+        Lands ``data`` (a multiple of 8 bytes) at ``mram_addr`` in pieces
+        of up to 2048 bytes, each validated, ticked, bounds-checked at
+        its WRAM source and charged exactly as :meth:`write` does; the
+        packed record is not staged in the WRAM array first.  Returns
+        the cycles charged.
+        """
+        size = len(data)
         if size % DMA_ALIGN != 0:
             raise AlignmentFault(f"write_large size {size} not a multiple of 8")
-        if DMA_MIN <= size <= DMA_MAX:
-            return self.write(wram_addr, mram_addr, size)
         cycles = 0.0
         done = 0
         for piece in dma_pieces(size):
-            cycles += self.write(wram_addr + done, mram_addr + done, piece)
+            self._validate(mram_addr + done, wram_addr + done, piece)
+            if self.fault_hook is not None:
+                self.fault_hook(piece)
+            self.wram.check(wram_addr + done, piece)
+            self.mram.write(mram_addr + done, data[done : done + piece])
+            cycles += self._charge(piece)
             done += piece
         return cycles
 

@@ -16,10 +16,17 @@ This mirrors the paper's kernel exactly (§I, last two paragraphs):
 
 Fidelity notes (see DESIGN.md §2):
 
-* Sequence and result bytes genuinely flow through the simulated
-  MRAM/WRAM/DMA path — the host packs records into MRAM, the kernel
-  parses them out of WRAM after a validated DMA, and results round-trip
-  the same way.
+* Sequence and result bytes genuinely flow through the simulated MRAM
+  and its DMA engine — the host packs records into MRAM, each tasklet
+  fetches its record with a validated, charged DMA
+  (:meth:`~repro.pim.dma.DmaEngine.read_large`) and writes its result
+  record back the same way (:meth:`~repro.pim.dma.DmaEngine.write_large`).
+  The record transfers pass their bytes straight between MRAM and the
+  tasklet rather than through the WRAM array, whose record buffers only
+  the issuing tasklet reads, at once.  A pair's vector-engine view is
+  used when the fetched record holds its sequences byte for byte
+  (:meth:`~repro.pim.layout.MramLayout.holds`); a record that differs
+  (injected bit rot) is decoded and aligned on the scalar engine.
 * The WFA arithmetic itself runs on the host Python engine for speed;
   its *wavefront log* then drives the metadata accounting.  Each pair's
   wavefronts are reserved in the metadata arena in one step and their
@@ -526,7 +533,9 @@ class WfaDpuKernel:
         metadata_policy = plan.charges.policy
         # 1. Fetch the input record MRAM -> WRAM.
         size, pieces = plan.input_record
-        cycles = dpu.dma.read_large(layout.input_addr(index), ctx.input_buffer, size)
+        cycles, record = dpu.dma.read_large(
+            layout.input_addr(index), ctx.input_buffer, size
+        )
         stats.add_dma(cycles, size, pieces)
         if trace is not None:
             trace.record(
@@ -539,20 +548,21 @@ class WfaDpuKernel:
                     dpu_id=dpu.dpu_id,
                 )
             )
-        record = dpu.wram.read(ctx.input_buffer, size)
-        pair = layout.unpack_pair(record)
 
         # 2. Align (functional engine; counters drive the cost replay).
-        # A batch view is used only when its sequences match what the
-        # charged DMA actually delivered (fault hooks may have corrupted
-        # MRAM or the WRAM copy).  It is taken out of ``views`` so that it
-        # dies with this pair, and the batch arrays with the last view.
-        view = views.pop(index, None) if views is not None else None
-        if view is not None and (view.pattern, view.text) != (
-            pair.pattern,
-            pair.text,
-        ):
+        # A batch view is used only when the record the charged DMA
+        # delivered holds its sequences byte for byte (fault hooks may
+        # have corrupted MRAM).  Only a record that differs is decoded
+        # (a malformed one fails here, its view left in ``views``) and
+        # aligned on the scalar engine.  The view is taken out of
+        # ``views`` so that it dies with this pair, and the batch arrays
+        # with the last view.
+        view = views.get(index) if views is not None else None
+        if view is None or not layout.holds(record, view.pattern, view.text):
+            pair = layout.unpack_pair(record)
             view = None
+        if views is not None:
+            views.pop(index, None)
         if view is not None:
             if view.error is not None:
                 raise KernelError(
@@ -624,15 +634,23 @@ class WfaDpuKernel:
                 )
             )
 
-        # 4. Write the result record WRAM -> MRAM.
+        # 4. Write the result record WRAM -> MRAM.  A global traceback
+        # ends at the origin, so its region starts at (0, 0); an
+        # ends-free one starts where its CIGAR, counted back from the
+        # end point, does.
         p_end = engine.end_offset - engine.end_k
         t_end = engine.end_offset
-        p_start = p_end - cigar.pattern_length() if cigar is not None else 0
-        t_start = t_end - cigar.text_length() if cigar is not None else 0
-        record_out = layout.pack_result(score, cigar, p_start, t_start)
-        dpu.wram.write(ctx.result_buffer, record_out)
+        if cigar is None or cfg.span.is_global:
+            p_start = t_start = 0
+        else:
+            p_start = p_end - cigar.pattern_length()
+            t_start = t_end - cigar.text_length()
         size, pieces = plan.result_record
-        cycles = dpu.dma.write_large(ctx.result_buffer, layout.result_addr(index), size)
+        cycles = dpu.dma.write_large(
+            ctx.result_buffer,
+            layout.result_addr(index),
+            layout.pack_result(score, cigar, p_start, t_start),
+        )
         stats.add_dma(cycles, size, pieces)
         if trace is not None:
             trace.record(
@@ -656,8 +674,8 @@ class WfaDpuKernel:
                         cigar=cigar,
                         counters=counters,
                         penalties=cfg.penalties,
-                        pattern_len=len(pair.pattern),
-                        text_len=len(pair.text),
+                        pattern_len=engine.n,
+                        text_len=engine.m,
                         exact=not cfg.adaptive,
                         pattern_start=p_start,
                         pattern_end=p_end,

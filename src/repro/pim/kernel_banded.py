@@ -177,9 +177,10 @@ class BandedDpuKernel:
         self, dpu: Dpu, layout: MramLayout, ctx: TaskletContext, index: int
     ) -> None:
         size = layout.input_record_size
-        cycles = dpu.dma.read_large(layout.input_addr(index), ctx.input_buffer, size)
+        cycles, record = dpu.dma.read_large(
+            layout.input_addr(index), ctx.input_buffer, size
+        )
         ctx.stats.add_dma(cycles, size, len(dma_pieces(size)))
-        record = dpu.wram.read(ctx.input_buffer, size)
         pair = layout.unpack_pair(record)
         n, m = len(pair.pattern), len(pair.text)
         try:
@@ -200,9 +201,6 @@ class BandedDpuKernel:
         # the 16-byte score prefix of the slot is written; the host-side
         # unpack reads the full slot, whose tail stays zero in MRAM.
         out = layout.pack_result(score, None)[: self.result_record_bytes()]
-        dpu.wram.write(ctx.result_buffer, out)
-        cycles = dpu.dma.write_large(
-            ctx.result_buffer, layout.result_addr(index), len(out)
-        )
+        cycles = dpu.dma.write_large(ctx.result_buffer, layout.result_addr(index), out)
         ctx.stats.add_dma(cycles, len(out), len(dma_pieces(len(out))))
         ctx.stats.pairs_done += 1

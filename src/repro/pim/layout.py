@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from repro.core.cigar import Cigar, cigar_op
 from repro.data.generator import ReadPair
@@ -36,6 +36,28 @@ __all__ = ["MramLayout", "HEADER_BYTES", "LAYOUT_MAGIC"]
 
 HEADER_BYTES = 64
 LAYOUT_MAGIC = 0x5746_4150_494D_0001  # "WFA PIM" v1
+
+#: record shapes :func:`_input_struct` and :func:`_result_struct` each
+#: keep compiled, least recently used out: one input shape per pair of
+#: slot sizes, one result shape per CIGAR run count (at most 43 at
+#: 1000 bp / 20 edits), each a few hundred bytes.
+RECORD_STRUCT_CACHE = 128
+
+_LENGTHS = struct.Struct("<II")
+
+
+@lru_cache(maxsize=RECORD_STRUCT_CACHE)
+def _input_struct(pattern_slot: int, text_slot: int) -> struct.Struct:
+    """An input record: two length words, then each sequence zero-padded
+    to its slot."""
+    return struct.Struct(f"<II{pattern_slot}s{text_slot}s")
+
+
+@lru_cache(maxsize=RECORD_STRUCT_CACHE)
+def _result_struct(n_ops: int, pad: int) -> struct.Struct:
+    """A result record of ``n_ops`` CIGAR words and ``pad`` zero bytes."""
+    return struct.Struct(f"<iIII{n_ops}I{pad}x")
+
 
 @dataclass(frozen=True)
 class MramLayout:
@@ -176,14 +198,9 @@ class MramLayout:
             )
         if len(t) > self.text_slot:
             raise LayoutError(f"text of {len(t)} bytes exceeds slot {self.text_slot}")
-        record = (
-            len(p).to_bytes(4, "little")
-            + len(t).to_bytes(4, "little")
-            + p.ljust(self.pattern_slot, b"\x00")
-            + t.ljust(self.text_slot, b"\x00")
+        return _input_struct(self.pattern_slot, self.text_slot).pack(
+            len(p), len(t), p, t
         )
-        assert len(record) == self.input_record_size
-        return record
 
     def unpack_pair(self, record: bytes) -> ReadPair:
         """Deserialize an input record (the kernel-side view)."""
@@ -204,6 +221,28 @@ class MramLayout:
         except UnicodeDecodeError as exc:
             raise LayoutError(f"input record holds non-ASCII bytes: {exc}") from exc
         return ReadPair(pattern=pattern, text=text)
+
+    def holds(self, record: bytes, pattern: str, text: str) -> bool:
+        """Whether :meth:`unpack_pair` of ``record`` is exactly this pair.
+
+        True when the record's two length words and its pattern and text
+        slices hold the sequences' ASCII bytes, which is exactly when
+        the record decodes to them; the padding is never decoded, so it
+        is not compared.  Checks the record as bytes, so the kernel
+        decodes only a record that differs from the pair it expects.
+        """
+        n, m = len(pattern), len(text)
+        text_at = 8 + self.pattern_slot
+        return (
+            len(record) == self.input_record_size
+            and n <= self.pattern_slot
+            and m <= self.text_slot
+            and pattern.isascii()
+            and text.isascii()
+            and record[:8] == _LENGTHS.pack(n, m)
+            and record[8 : 8 + n] == pattern.encode("ascii")
+            and record[text_at : text_at + m] == text.encode("ascii")
+        )
 
     def pack_result(
         self,
@@ -228,13 +267,8 @@ class MramLayout:
         # valid present CIGAR).
         n_ops_field = len(ops) | (0x8000_0000 if cigar is not None else 0)
         pad = self.result_record_size - 16 - 4 * len(ops)
-        return struct.pack(
-            f"<iIII{len(ops)}I{pad}x",
-            score,
-            n_ops_field,
-            pattern_start,
-            text_start,
-            *words,
+        return _result_struct(len(ops), pad).pack(
+            score, n_ops_field, pattern_start, text_start, *words
         )
 
     def unpack_result(self, record: bytes) -> tuple[int, Cigar | None]:

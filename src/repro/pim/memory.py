@@ -11,9 +11,14 @@ Two memory spaces per DPU, as on real UPMEM hardware:
   :mod:`repro.pim.dma`), and the host reads/writes it through
   :meth:`host_read`/:meth:`host_write` (the CPU<->DPU transfer path).
 
-Both enforce bounds; MRAM backing storage grows lazily so that
-simulating a 64 MB bank that only ever holds a few hundred KB of reads
-costs a few hundred KB of host memory.
+Both enforce bounds on every access.  A memory keeps only the bytes
+written to it: backing storage grows lazily on write, and a read of
+bytes never written returns zeros without growing it, so simulating a
+64 MB bank that only ever holds a few hundred KB of reads costs a few
+hundred KB of host memory.  The kernel's record transfers
+(:meth:`~repro.pim.dma.DmaEngine.read_large`,
+:meth:`~repro.pim.dma.DmaEngine.write_large`) check WRAM bounds without
+copying through it, so a launch's WRAM backing stays empty.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ __all__ = ["SimMemory", "Wram", "Mram"]
 
 
 class SimMemory:
-    """Bounds-checked byte-addressable memory with access accounting."""
+    """Bounds-checked byte-addressable memory."""
 
     def __init__(self, capacity: int, name: str = "mem") -> None:
         if capacity <= 0:
@@ -32,15 +37,11 @@ class SimMemory:
         self.capacity = capacity
         self.name = name
         self._data = bytearray()
-        # Accounting (bytes moved through this memory).
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.read_ops = 0
-        self.write_ops = 0
 
     # -- bounds / growth ----------------------------------------------------
 
-    def _check(self, addr: int, size: int) -> None:
+    def check(self, addr: int, size: int) -> None:
+        """Raise :class:`MemoryFault` unless ``[addr, addr + size)`` is inside."""
         if size < 0:
             raise MemoryFault(f"{self.name}: negative access size {size}")
         if addr < 0 or addr + size > self.capacity:
@@ -57,45 +58,17 @@ class SimMemory:
 
     def read(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes at ``addr``; unwritten bytes read as zero."""
-        self._check(addr, size)
-        self._ensure(addr + size)
-        self.bytes_read += size
-        self.read_ops += 1
-        return bytes(self._data[addr : addr + size])
+        self.check(addr, size)
+        data = self._data[addr : addr + size]
+        if len(data) < size:
+            data.extend(bytes(size - len(data)))
+        return bytes(data)
 
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` at ``addr``."""
-        self._check(addr, len(data))
+        self.check(addr, len(data))
         self._ensure(addr + len(data))
         self._data[addr : addr + len(data)] = data
-        self.bytes_written += len(data)
-        self.write_ops += 1
-
-    # -- small typed helpers (little-endian, as on the 32-bit DPU) ---------
-
-    def read_u32(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 4), "little")
-
-    def write_u32(self, addr: int, value: int) -> None:
-        if not 0 <= value < 2**32:
-            raise MemoryFault(f"{self.name}: u32 out of range: {value}")
-        self.write(addr, value.to_bytes(4, "little"))
-
-    def read_i32(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 4), "little", signed=True)
-
-    def write_i32(self, addr: int, value: int) -> None:
-        if not -(2**31) <= value < 2**31:
-            raise MemoryFault(f"{self.name}: i32 out of range: {value}")
-        self.write(addr, value.to_bytes(4, "little", signed=True))
-
-    def read_u64(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def write_u64(self, addr: int, value: int) -> None:
-        if not 0 <= value < 2**64:
-            raise MemoryFault(f"{self.name}: u64 out of range: {value}")
-        self.write(addr, value.to_bytes(8, "little"))
 
     def flip_bits(self, addr: int, size: int, num_bits: int, rng) -> list[int]:
         """Flip ``num_bits`` random bits inside ``[addr, addr + size)``.
@@ -103,24 +76,19 @@ class SimMemory:
         The fault-injection hook: models radiation/transfer bit rot in a
         seeded, reproducible way (``rng`` is any ``random.Random``).
         Returns the absolute bit positions flipped (byte*8 + bit), sorted,
-        so fault plans can be logged and replayed.  Does not touch the
-        access counters — corruption is not a modeled memory operation.
+        so fault plans can be logged and replayed.
         """
         if num_bits < 0:
             raise MemoryFault(f"{self.name}: num_bits must be >= 0, got {num_bits}")
         if size <= 0 and num_bits > 0:
             raise MemoryFault(f"{self.name}: cannot corrupt empty range at {addr}")
-        self._check(addr, size)
+        self.check(addr, size)
         self._ensure(addr + size)
         positions = sorted(rng.randrange(size * 8) for _ in range(num_bits))
         for pos in positions:
             byte, bit = addr + pos // 8, pos % 8
             self._data[byte] ^= 1 << bit
         return [(addr + p // 8) * 8 + p % 8 for p in positions]
-
-    def reset_counters(self) -> None:
-        self.bytes_read = self.bytes_written = 0
-        self.read_ops = self.write_ops = 0
 
 
 class Wram(SimMemory):
@@ -133,22 +101,17 @@ class Wram(SimMemory):
 class Mram(SimMemory):
     """The 64 MB main RAM (DRAM bank) of one DPU.
 
-    Host-side transfers use the ``host_*`` methods so that the transfer
-    engine can account host traffic separately from on-DPU DMA traffic.
+    Host-side copies go through the ``host_*`` methods, so that the CPU
+    <-> DPU path has entry points of its own, apart from on-DPU DMA.
     """
 
     def __init__(self, capacity: int = 64 * 1024 * 1024) -> None:
         super().__init__(capacity, name="MRAM")
-        self.host_bytes_in = 0
-        self.host_bytes_out = 0
 
     def host_write(self, addr: int, data: bytes) -> None:
-        """CPU -> MRAM copy (counted as host input traffic)."""
+        """CPU -> MRAM copy."""
         self.write(addr, data)
-        self.host_bytes_in += len(data)
 
     def host_read(self, addr: int, size: int) -> bytes:
-        """MRAM -> CPU copy (counted as host output traffic)."""
-        data = self.read(addr, size)
-        self.host_bytes_out += size
-        return data
+        """MRAM -> CPU copy."""
+        return self.read(addr, size)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AlignmentFault
+from repro.errors import AlignmentFault, MemoryFault
 from repro.pim.config import DpuTimingConfig
 from repro.pim.dma import DMA_MAX, DmaEngine, aligned_size
 from repro.pim.memory import Mram, Wram
@@ -89,24 +89,60 @@ class TestTiming:
 class TestLargeTransfers:
     def test_read_large_chunks(self, dma):
         dma.mram.write(0, bytes(range(256)) * 20)  # 5120 bytes
-        cycles = dma.read_large(0, 0, 5120)
-        assert dma.wram.read(0, 5120) == bytes(range(256)) * 20
+        cycles, data = dma.read_large(0, 0, 5120)
+        assert data == bytes(range(256)) * 20
         assert dma.transfers == 3  # 2048 + 2048 + 1024
+        assert dma.bytes_moved == 5120
         t = dma.timing
         assert cycles == t.dma_cycles(2048) + t.dma_cycles(2048) + t.dma_cycles(1024)
 
+    def test_read_large_keeps_no_wram_copy(self, dma):
+        dma.mram.write(64, b"R" * 16)
+        cycles, data = dma.read_large(64, 8, 16)
+        assert data == b"R" * 16
+        assert cycles == dma.timing.dma_cycles(16)
+        assert dma.wram.read(8, 16) == bytes(16)
+
     def test_write_large_chunks(self, dma):
-        dma.wram.write(0, b"C" * 4096)
-        dma.write_large(0, 8192, 4096)
+        cycles = dma.write_large(0, 8192, b"C" * 4096)
         assert dma.mram.read(8192, 4096) == b"C" * 4096
         assert dma.transfers == 2
+        assert dma.bytes_moved == 4096
+        assert cycles == 2 * dma.timing.dma_cycles(2048)
+        assert dma.wram.read(0, 4096) == bytes(4096)
+
+    def test_empty_record_moves_nothing(self, dma):
+        assert dma.read_large(0, 0, 0) == (0.0, b"")
+        assert dma.write_large(0, 0, b"") == 0.0
+        assert dma.transfers == 0
 
     def test_large_requires_8_multiple(self, dma):
         with pytest.raises(AlignmentFault):
             dma.read_large(0, 0, 20)
         with pytest.raises(AlignmentFault):
-            dma.write_large(0, 0, 12)
+            dma.write_large(0, 0, b"x" * 12)
 
     def test_large_respects_bounds(self, dma):
-        with pytest.raises(Exception):
+        with pytest.raises(MemoryFault, match="WRAM"):
             dma.read_large(0, 64 * 1024 - 8, 64)  # overflows WRAM
+        with pytest.raises(MemoryFault, match="WRAM"):
+            dma.write_large(64 * 1024 - 8, 0, b"w" * 64)
+        with pytest.raises(MemoryFault, match="MRAM"):
+            dma.write_large(0, (1 << 20) - 8, b"w" * 64)
+        assert dma.mram.read((1 << 20) - 8, 8) == bytes(8)
+
+    def test_pieces_tick_the_hook_before_they_move(self, dma):
+        ticks = []
+
+        def hook(size):
+            ticks.append((size, dma.transfers))
+            if len(ticks) == 2:
+                raise RuntimeError("stall")
+
+        dma.fault_hook = hook
+        with pytest.raises(RuntimeError, match="stall"):
+            dma.write_large(0, 0, b"D" * 2056)
+        # the first piece landed and was charged; the second never moved
+        assert ticks == [(2048, 0), (8, 1)]
+        assert dma.mram.read(0, 2056) == b"D" * 2048 + bytes(8)
+        assert dma.transfers == 1

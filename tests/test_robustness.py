@@ -42,8 +42,8 @@ class TestVerifyCatchesCorruption:
         )
         # corrupt: add 1 to the stored score of record 0
         addr = layout.result_addr(0)
-        score = dpu.mram.read_i32(addr)
-        dpu.mram.write_i32(addr, score + 1)
+        score = int.from_bytes(dpu.mram.read(addr, 4), "little", signed=True)
+        dpu.mram.write(addr, (score + 1).to_bytes(4, "little", signed=True))
         pulled, _ = HostTransferEngine(system.config.transfer).pull_results(
             dpu, layout, 2
         )
