@@ -391,9 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="serve-phase load replay size per cell "
                            "(0 skips the serve phase)")
     camp.add_argument("--serve-rate", type=float, default=4000.0)
-    camp.add_argument("--workers", type=int, default=0,
-                      help="process-pool width for cells (0/1 = inline; "
-                           "the report is byte-identical either way)")
+    camp.add_argument("--workers", type=int, default=1,
+                      help="process-pool width for cells (1 = inline, "
+                           "0 = one per core; the report is "
+                           "byte-identical either way)")
     camp.add_argument("--ablations", default=None, metavar="A,B,...",
                       help="comma-separated standard ablation names "
                            "(default: the full vocabulary; the first must "

@@ -196,7 +196,10 @@ def host_parallel(profile: str) -> ScenarioResult:
         "max_edits": 3,
         "seed": 11,
         "pairs": 96 if profile == "quick" else 1024,
-        "worker_counts": [0, 2],
+        # 1 runs in-process on every host, so the identity check below
+        # compares the pool with the sequential path; 0 would resolve to
+        # the core count and, on two cores, compare two pooled runs
+        "worker_counts": [1, 2],
     }
     pairs = ReadPairGenerator(
         length=config["length"],

@@ -64,12 +64,9 @@ from repro.pim.parallel import (
     DpuJob,
     DpuJobResult,
     GeneratorSpec,
-    ResilientOutcome,
     execute_jobs,
-    execute_jobs_resilient,
     resolve_workers,
     run_dpu_job,
-    run_dpu_job_resilient,
 )
 from repro.pim.scheduler import BatchSchedule, BatchScheduler
 from repro.pim.system import PimRunResult, PimSystem
@@ -113,12 +110,9 @@ __all__ = [
     "DpuJob",
     "DpuJobResult",
     "GeneratorSpec",
-    "ResilientOutcome",
     "execute_jobs",
-    "execute_jobs_resilient",
     "resolve_workers",
     "run_dpu_job",
-    "run_dpu_job_resilient",
     "FaultPlan",
     "FaultInjector",
     "DpuDeath",

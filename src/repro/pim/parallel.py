@@ -9,22 +9,26 @@ ranks, and the structure the authors' follow-up framework paper builds
 its host orchestration around.
 
 This module packages one simulated DPU's work as a picklable
-:class:`DpuJob`, executes jobs either in-process or over a
-``concurrent.futures.ProcessPoolExecutor``, and returns picklable
-:class:`DpuJobResult` records.  Besides this pool the host has one
-other, the campaign's cell pool (``repro.qa.campaign._cell_metrics``).
-This one lives for the process: it starts on the first pooled call, at the
-configured width, and serves every later call at that width, so a
-fleet call pays one pool start-up per process, not one per round.  A
-width change or a broken pool replaces it, and a forked child (the
-campaign's cell workers, say) starts its own rather than reuse its
-parent's.  It is shut down when its process exits, also where that
-process is itself a pool worker.  Determinism guarantee: a job's outcome
-depends only on the job description (never on which worker ran it or
-in what order), and callers merge records sorted by ``dpu_id`` — so a
-parallel run is result-identical to a sequential run, including the
-modeled timings and the :class:`~repro.pim.transfer.TransferStats`
-accounting.
+:class:`DpuJob` and runs every job down one path, :func:`run_job`: the
+job's recovery loop, which a job without a fault plan leaves after its
+one attempt (nothing can fail it).  It returns picklable
+:class:`DpuJobResult` records.
+
+Every host fan-out, DPU job groups and campaign cells alike, goes
+through :func:`pool_map` on the process's one pool, so ``workers``
+means the same everywhere: ``1`` runs in-process and ``0`` one worker
+per core.  The pool lives for the process: it starts on the first
+pooled call, at the configured width, and serves every later call at
+that width, so a fleet call pays one pool start-up per process, not
+one per round.  A width change or a broken pool replaces it, and a
+forked child (one of the pool's own workers, say) starts its own
+rather than reuse its parent's.  It is shut down when its process
+exits, also where that process is itself a pool worker.  Determinism
+guarantee: a job's outcome depends only on the job description (never
+on which worker ran it or in what order), and callers merge records
+sorted by ``dpu_id`` — so a parallel run is result-identical to a
+sequential run, including the modeled timings and the
+:class:`~repro.pim.transfer.TransferStats` accounting.
 
 The unit of host work is a *group* of jobs (:func:`run_job_group`): all
 jobs in-process, or one contiguous slice of them per pool worker.  A
@@ -39,9 +43,10 @@ group always runs in-process.  Which group or run a pair lands in
 changes no result: the vector engine reproduces the scalar engine bit
 for bit whatever the batch composition.
 
-The sequential path is the fallback, engaged when
+:func:`pool_map` runs its tasks in-process, one at a time as its
+caller asks for them, when
 
-* ``workers`` resolves to one, or there is at most one job; or
+* ``workers`` resolves to one, or there is at most one task; or
 * the process pool cannot be started or dies underneath us
   (``OSError`` on fork/spawn, ``BrokenProcessPool``) — e.g. in
   sandboxes that forbid subprocesses.
@@ -57,9 +62,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from functools import partial
 from multiprocessing.util import Finalize
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from repro.core.cigar import Cigar
 from repro.core.wfa_batch import BatchPairView
@@ -77,7 +82,6 @@ from repro.pim.faults import (
     JobRecoveryRecord,
     RecoveryReport,
     RetryPolicy,
-    spare_placements,
 )
 from repro.pim.config import DpuConfig, HostTransferConfig
 from repro.pim.dpu import Dpu, DpuKernelStats
@@ -90,15 +94,16 @@ __all__ = [
     "GeneratorSpec",
     "DpuJob",
     "DpuJobResult",
-    "ResilientOutcome",
     "run_dpu_job",
-    "run_dpu_job_resilient",
+    "run_job",
     "run_job_group",
-    "run_job_group_resilient",
     "execute_jobs",
-    "execute_jobs_resilient",
+    "pool_map",
     "resolve_workers",
 ]
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -162,11 +167,14 @@ class DpuJob:
     physical_dpu_id: Optional[int] = None
     #: spare healthy placements recovery may requeue this job onto
     requeue_placements: tuple[int, ...] = ()
-    #: verify gathered records against the input batch (CIGAR validity +
-    #: score reconstruction); any mismatch raises
-    #: :class:`~repro.errors.CorruptResultError` instead of returning a
-    #: silently wrong alignment.  Enabled automatically under fault plans.
-    verify: bool = False
+
+    @property
+    def verify(self) -> bool:
+        """Whether gathered records are verified against the input batch
+        (CIGAR validity + score reconstruction), so that a mismatch
+        raises :class:`~repro.errors.CorruptResultError` instead of
+        returning a silently wrong alignment: exactly under a fault plan."""
+        return self.fault_plan is not None
 
     @property
     def placement(self) -> int:
@@ -223,7 +231,9 @@ def run_dpu_job(
     ``batch`` is ``job.batch()`` and ``views`` its vector-engine results
     by local index, both handed over by the job's group
     (:func:`run_job_group`); the kernel takes each view out as it aligns
-    that pair.  Called with the job alone, it runs as a group of one.
+    that pair.  Called with the job alone, it prepares them as a group
+    of one.  This is one attempt: a fault raises, and only
+    :func:`run_job` retries.
 
     The record's kernel stats and transfer stats are everything the
     host counts its per-DPU metrics from; with ``collect_trace`` the
@@ -231,7 +241,7 @@ def run_dpu_job(
     description, preserving the parallel ≡ sequential guarantee.
     """
     if batch is None:
-        return run_job_group([job])[0]
+        ((job, batch, views),) = _prepare_group([job])
     transfer = HostTransferEngine(job.transfer_config)
     kernel = WfaDpuKernel(job.kernel_config)
     dpu = Dpu(job.dpu_config, dpu_id=job.dpu_id)
@@ -315,18 +325,21 @@ def _verify_pulled(
             )
 
 
-def run_dpu_job_resilient(
+def run_job(
     job: DpuJob,
     policy: RetryPolicy,
-    batch: Optional[list[ReadPair]] = None,
+    batch: list[ReadPair],
     views: Optional[dict[int, BatchPairView]] = None,
-) -> "ResilientOutcome":
+) -> tuple[Optional[DpuJobResult], JobRecoveryRecord]:
     """Run one job under a recovery policy; picklable in and out.
 
-    ``batch`` and ``views`` are as in :func:`run_dpu_job`.  Every attempt
-    reuses the batch; an attempt after one that consumed views first
-    realigns the batch on the vector engine, so retries never fall back
-    to the scalar engine.
+    Returns the job's :class:`DpuJobResult` (``None`` when the job was
+    abandoned after exhausting the policy) and its
+    :class:`~repro.pim.faults.JobRecoveryRecord`.  ``batch`` and
+    ``views`` are as in :func:`run_dpu_job`.  Every attempt reuses the
+    batch; an attempt after one that consumed views first realigns the
+    batch on the vector engine, so retries never fall back to the
+    scalar engine.
 
     Attempts the job up to ``policy.max_attempts`` times on its primary
     placement, then on each of up to ``policy.max_requeues`` spare
@@ -334,7 +347,10 @@ def run_dpu_job_resilient(
     monotone across placements, so attempt-scoped faults fire exactly
     once per *job*, not once per placement.  Only
     :class:`~repro.errors.FaultError` subclasses are retried —
-    programming errors propagate unchanged.
+    programming errors propagate unchanged.  Every such fault is raised
+    by the job's fault plan, so a job without one makes one attempt.
+    That attempt runs the job object as given; only later attempts run
+    a copy with their own placement and attempt counter.
 
     Modeled-time accounting: backoff is charged only when another
     attempt actually follows the failure — the terminal failure before
@@ -345,70 +361,41 @@ def run_dpu_job_resilient(
     watchdog deadline expiring, so its detection latency is paid on
     every stall, including a terminal one.
     """
-    if batch is None:
-        return run_job_group_resilient([job], policy)[0]
     record = JobRecoveryRecord(dpu_id=job.dpu_id, num_pairs=job.num_pairs)
-    placements = [job.placement]
-    placements += [
+    placements = (job.placement,) + tuple(
         p for p in job.requeue_placements[: policy.max_requeues]
         if p != job.placement
-    ]
-    total_budget = len(placements) * policy.max_attempts
-    attempt = 0
-    errors: list[str] = []
-    attempts_log: list[tuple[int, str]] = []
-    backoff = 0.0
-    watchdog = 0.0
-    retry_index = 0
-    tried: list[int] = []
-    for placement in placements:
-        tried.append(placement)
-        for _ in range(policy.max_attempts):
-            if views is not None and len(views) < len(batch):
-                views = dict(
-                    enumerate(WfaDpuKernel(job.kernel_config).batch_views(batch) or ())
-                )
-            try:
-                result = run_dpu_job(
-                    replace(job, physical_dpu_id=placement, attempt=attempt),
-                    batch,
-                    views,
-                )
-            except FaultError as exc:
-                errors.append(type(exc).__name__)
-                attempts_log.append((placement, type(exc).__name__))
-                if isinstance(exc, TaskletStallError):
-                    watchdog += policy.launch_watchdog_s
-                attempt += 1
-                if attempt < total_budget:
-                    backoff += policy.backoff_seconds(retry_index)
-                retry_index += 1
-                continue
-            record.attempts = attempt + 1
-            record.placements = tuple(tried)
-            record.final_placement = placement
-            record.errors = tuple(errors)
-            record.attempts_log = tuple(attempts_log)
-            record.backoff_seconds = backoff
-            record.watchdog_seconds = watchdog
-            return ResilientOutcome(result=result, record=record)
-    record.attempts = attempt
-    record.placements = tuple(tried)
-    record.errors = tuple(errors)
-    record.attempts_log = tuple(attempts_log)
-    record.backoff_seconds = backoff
-    record.watchdog_seconds = watchdog
-    record.abandoned = True
-    return ResilientOutcome(result=None, record=record)
-
-
-@dataclass
-class ResilientOutcome:
-    """Result of one job's recovery loop (``result`` is ``None`` when
-    the job was abandoned after exhausting the policy)."""
-
-    record: JobRecoveryRecord
-    result: Optional[DpuJobResult] = None
+    )
+    budget = len(placements) * policy.max_attempts
+    result = None
+    for attempt in range(budget):
+        placement = placements[attempt // policy.max_attempts]
+        if views is not None and len(views) < len(batch):
+            views = dict(
+                enumerate(WfaDpuKernel(job.kernel_config).batch_views(batch) or ())
+            )
+        attempt_job = job
+        if (placement, attempt) != (job.placement, job.attempt):
+            attempt_job = replace(job, physical_dpu_id=placement, attempt=attempt)
+        try:
+            result = run_dpu_job(attempt_job, batch, views)
+        except FaultError as exc:
+            record.errors += (type(exc).__name__,)
+            record.attempts_log += ((placement, type(exc).__name__),)
+            if isinstance(exc, TaskletStallError):
+                record.watchdog_seconds += policy.launch_watchdog_s
+            if attempt + 1 < budget:
+                record.backoff_seconds += policy.backoff_seconds(attempt)
+            continue
+        record.attempts = attempt + 1
+        record.placements = placements[: attempt // policy.max_attempts + 1]
+        record.final_placement = placement
+        break
+    else:
+        record.attempts = budget
+        record.placements = placements
+        record.abandoned = True
+    return result, record
 
 
 #: vector-engine views a caller aligned ahead: by ``dpu_id``, then by
@@ -422,12 +409,13 @@ def _prepare_group(
     """``(job, batch, views)`` per job, in ``dpu_id`` order.
 
     Each job's batch is generated once, up front.  Given ``views``, each
-    job takes its own entry.  Otherwise consecutive jobs that share a
-    kernel configuration draw their views from one
-    :meth:`~repro.pim.kernel.WfaDpuKernel.batch_views` stream over all
-    their pairs, taken job by job as the jobs run; ``views`` is ``None``
-    where the vector engine does not apply.  Only the per-job dict holds
-    a view once taken, so it dies as the kernel aligns its pair.
+    job takes its own entry.  Otherwise the jobs draw their views from
+    one :meth:`~repro.pim.kernel.WfaDpuKernel.batch_views` stream over
+    all their pairs (the jobs of a group come from one system, so they
+    share its kernel configuration), taken job by job as the jobs run;
+    ``views`` is ``None`` where the vector engine does not apply.  Only
+    the per-job dict holds a view once taken, so it dies as the kernel
+    aligns its pair.
     """
     jobs = sorted(jobs, key=lambda job: job.dpu_id)
     batches = [job.batch() for job in jobs]
@@ -435,42 +423,31 @@ def _prepare_group(
         for job, batch in zip(jobs, batches):
             yield job, batch, views[job.dpu_id]
         return
-    for config, members in groupby(
-        zip(jobs, batches), key=lambda member: member[0].kernel_config
-    ):
-        members = list(members)
-        views = WfaDpuKernel(config).batch_views(
-            pair for _, batch in members for pair in batch
-        )
-        for job, batch in members:
-            if views is None:
-                yield job, batch, None
-            else:
-                yield job, batch, dict(zip(range(len(batch)), views))
+    if not jobs:
+        return
+    stream = WfaDpuKernel(jobs[0].kernel_config).batch_views(
+        pair for batch in batches for pair in batch
+    )
+    for job, batch in zip(jobs, batches):
+        if stream is None:
+            yield job, batch, None
+        else:
+            yield job, batch, dict(zip(range(len(batch)), stream))
 
 
 def run_job_group(
-    jobs: list[DpuJob], views: Optional[JobViews] = None
-) -> list[DpuJobResult]:
-    """Run a group of jobs in-process, their pairs batched together.
+    jobs: list[DpuJob], policy: RetryPolicy, views: Optional[JobViews] = None
+) -> list[tuple[Optional[DpuJobResult], JobRecoveryRecord]]:
+    """Run a group of jobs in-process under ``policy``, their pairs
+    batched together.
 
     One vector-engine stream covers the group unless ``views`` already
     holds every job's views (see :func:`_prepare_group`), and
-    :func:`run_dpu_job` runs each job in ``dpu_id`` order.  This is what
+    :func:`run_job` runs each job in ``dpu_id`` order.  This is what
     one pool worker runs; picklable in and out.
     """
     return [
-        run_dpu_job(job, batch, job_views)
-        for job, batch, job_views in _prepare_group(jobs, views)
-    ]
-
-
-def run_job_group_resilient(
-    jobs: list[DpuJob], policy: RetryPolicy, views: Optional[JobViews] = None
-) -> list["ResilientOutcome"]:
-    """:func:`run_job_group` with each job under the recovery policy."""
-    return [
-        run_dpu_job_resilient(job, policy, batch, job_views)
+        run_job(job, policy, batch, job_views)
         for job, batch, job_views in _prepare_group(jobs, views)
     ]
 
@@ -485,7 +462,7 @@ def resolve_workers(workers: int, num_jobs: Optional[int] = None) -> int:
     return workers if num_jobs is None else max(1, min(workers, num_jobs))
 
 
-#: the process's DPU pool by width: at most one entry, none before the
+#: the process's pool by width: at most one entry, none before the
 #: first pooled call (see :func:`_shared_pool`)
 _pools: dict[int, ProcessPoolExecutor] = {}
 
@@ -496,7 +473,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _shared_pool(width: int) -> ProcessPoolExecutor:
-    """The process's DPU pool at ``width`` workers, started on first use
+    """The process's pool at ``width`` workers, started on first use
     and replaced only when the width changes."""
     if width not in _pools:
         _drop_pool()
@@ -510,80 +487,71 @@ def _shared_pool(width: int) -> ProcessPoolExecutor:
 
 
 def _drop_pool() -> None:
-    """Shut the process's DPU pool down, if it has one."""
+    """Shut the process's pool down, if it has one."""
     while _pools:
         _pools.popitem()[1].shutdown()
 
 
-def _run_groups(
-    runner: Callable[..., list],
-    jobs: list[DpuJob],
-    workers: int,
-    *args: object,
-    views: Optional[JobViews] = None,
-) -> list:
-    """``runner(group, *args)`` on the process's pool, over as many
-    contiguous groups of the ``dpu_id``-ordered jobs as ``workers``
-    resolves to (capped at the jobs); all jobs as one group in-process
-    when that is one, the caller hands over ``views`` or the pool
-    fails."""
-    if views is not None:
-        return runner(jobs, *args, views)
-    n = resolve_workers(workers, len(jobs))
-    if n > 1:
-        jobs = sorted(jobs, key=lambda job: job.dpu_id)
-        groups = [jobs[w * len(jobs) // n : (w + 1) * len(jobs) // n] for w in range(n)]
+def pool_map(
+    fn: Callable[[T], R], tasks: Sequence[T], workers: int
+) -> Iterator[R]:
+    """``fn(task)`` for each task, in order: the host's one fan-out.
+
+    Runs on the process's pool (:func:`_shared_pool`, at the width
+    ``workers`` resolves to) when ``workers`` resolves to more than one
+    for these tasks; the pool's results come back all at once.
+    Otherwise, or when the pool cannot start or breaks (the pool is
+    then dropped, and the next pooled call starts a fresh one), the
+    tasks run in-process, each only when the caller asks for its
+    result, so a caller can act on one result before the next task
+    runs.
+    """
+    if resolve_workers(workers, len(tasks)) > 1:
         try:
-            pool = _shared_pool(resolve_workers(workers))
-            done = pool.map(runner, groups, *([arg] * n for arg in args))
-            return [item for group in done for item in group]
+            done = list(_shared_pool(resolve_workers(workers)).map(fn, tasks))
         except (OSError, BrokenProcessPool):
             # Pool infrastructure failure (fork forbidden, worker killed):
-            # drop the pool and fall back to the sequential path, which is
-            # result-identical; the next pooled call starts a fresh pool.
+            # the in-process path below is result-identical.
             _drop_pool()
-    return runner(jobs, *args)
+        else:
+            yield from done
+            return
+    yield from map(fn, tasks)
 
 
 def execute_jobs(
-    jobs: Iterable[DpuJob], workers: int = 1, views: Optional[JobViews] = None
-) -> list[DpuJobResult]:
-    """Execute DPU jobs, in-process or over a process pool.
-
-    In-process, all jobs form one group; over a pool, each worker runs
-    one contiguous group (:func:`run_job_group`).  With ``views`` (every
-    job's vector-engine views, by ``dpu_id``) the jobs run in-process
-    whatever ``workers`` says.  Returns records sorted by ``dpu_id``
-    regardless of completion order, so callers can merge without
-    re-deriving the schedule.
-    """
-    records = _run_groups(run_job_group, list(jobs), workers, views=views)
-    records.sort(key=lambda r: r.dpu_id)
-    return records
-
-
-def execute_jobs_resilient(
     jobs: Iterable[DpuJob],
     workers: int = 1,
     policy: Optional[RetryPolicy] = None,
     views: Optional[JobViews] = None,
 ) -> tuple[list[DpuJobResult], RecoveryReport]:
-    """Fault-tolerant :func:`execute_jobs`: recover per job, report.
+    """Execute DPU jobs under ``policy`` (default
+    :class:`~repro.pim.faults.RetryPolicy`), in-process or over the
+    process pool, and report what recovery did.
 
-    Each job carries its own :class:`~repro.pim.faults.FaultPlan` slice
-    and spare placements; recovery runs *inside* the worker, so the
-    parallel and sequential paths make identical recovery decisions.
-    ``views`` is as in :func:`execute_jobs`.  Returns successful records
-    sorted by ``dpu_id`` plus a :class:`~repro.pim.faults.RecoveryReport`
-    whose per-job records are in the same order (pair-index attribution
-    is the caller's job — see :func:`repro.pim.faults.assign_pairs`).
+    The ``dpu_id``-ordered jobs split into as many contiguous groups as
+    ``workers`` resolves to (capped at the jobs), one per pool worker
+    (:func:`run_job_group` through :func:`pool_map`); in-process that
+    is one group.  With ``views`` (every job's vector-engine views, by
+    ``dpu_id``) the jobs run in-process as one group whatever
+    ``workers`` says.  Each job carries its own
+    :class:`~repro.pim.faults.FaultPlan` slice and spare placements;
+    recovery runs *inside* the worker, so the parallel and sequential
+    paths make identical recovery decisions.  Returns the successful
+    records sorted by ``dpu_id``, regardless of completion order, plus
+    a :class:`~repro.pim.faults.RecoveryReport` whose per-job records
+    are in the same order (pair-index attribution is the caller's job —
+    see :func:`repro.pim.faults.assign_pairs`).
     """
+    jobs = sorted(jobs, key=lambda job: job.dpu_id)
     if policy is None:
         policy = RetryPolicy()
-    outcomes = _run_groups(
-        run_job_group_resilient, list(jobs), workers, policy, views=views
-    )
-    outcomes.sort(key=lambda o: o.record.dpu_id)
-    report = RecoveryReport(records=[o.record for o in outcomes])
-    records = [o.result for o in outcomes if o.result is not None]
-    return records, report
+    if views is not None:
+        outcomes = run_job_group(jobs, policy, views)
+    else:
+        n = resolve_workers(workers, len(jobs))
+        groups = [jobs[w * len(jobs) // n : (w + 1) * len(jobs) // n] for w in range(n)]
+        done = pool_map(partial(run_job_group, policy=policy), groups, workers)
+        outcomes = [outcome for group in done for outcome in group]
+    report = RecoveryReport(records=[record for _, record in outcomes])
+    return [result for result, _ in outcomes if result is not None], report

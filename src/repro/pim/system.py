@@ -56,7 +56,7 @@ from repro.pim.parallel import (
     GeneratorSpec,
     JobViews,
     execute_jobs,
-    execute_jobs_resilient,
+    resolve_workers,
 )
 from repro.pim.trace import KernelTrace
 from repro.pim.trace import merge as merge_traces
@@ -267,7 +267,6 @@ class PimSystem:
             fault_plan=fault_plan,
             physical_dpu_id=physical,
             requeue_placements=spares,
-            verify=fault_plan is not None,
         )
 
     def _merge_records(
@@ -319,14 +318,15 @@ class PimSystem:
         num_slots: Optional[int] = None,
         views: Optional[JobViews] = None,
     ) -> tuple[list[DpuJobResult], Optional[RecoveryReport]]:
-        """Dispatch jobs on the plain or the recovered path, under a
+        """Execute jobs (:func:`~repro.pim.parallel.execute_jobs`) under a
         wall-time ``host_execute`` profiler span when telemetry is on.
 
         ``views`` are the jobs' vector-engine views by ``dpu_id``
-        (in-process execution).  With a fault plan, the report's
-        pair-index attribution is filled in under the round-robin
-        contract (over ``num_slots`` logical slots) and its counters
-        land in the attached telemetry registry.
+        (in-process execution).  Without a fault plan no job can fail,
+        so the recovery report says nothing and is dropped (``None``).
+        With one, the report's pair-index attribution is filled in under
+        the round-robin contract (over ``num_slots`` logical slots) and
+        its counters land in the attached telemetry registry.
         """
         n = self.config.workers
         span = nullcontext()
@@ -335,10 +335,9 @@ class PimSystem:
                 "host_execute", kind=kind, jobs=len(jobs), workers=n
             )
         with span:
-            if fault_plan is None:
-                return execute_jobs(jobs, n, views), None
-            policy = retry_policy if retry_policy is not None else RetryPolicy()
-            records, report = execute_jobs_resilient(jobs, n, policy, views)
+            records, report = execute_jobs(jobs, n, retry_policy, views)
+        if fault_plan is None:
+            return records, None
         assign_pairs(
             report,
             num_slots if num_slots is not None else self.config.num_dpus,
@@ -386,13 +385,13 @@ class PimSystem:
         loop) may align the pairs of many :meth:`align` calls up front.
         It returns the kernel's lazy stream
         (:meth:`~repro.pim.kernel.WfaDpuKernel.batch_views`) only when
-        the jobs run in-process (``workers == 1``, so no pool worker
-        aligns a pair again), every logical DPU is simulated (so no pair
-        is aligned that no job takes) and the vector engine applies.
+        the jobs run in-process (``workers`` resolves to one, so no pool
+        worker aligns a pair again), every logical DPU is simulated (so no
+        pair is aligned that no job takes) and the vector engine applies.
         Otherwise it returns ``None`` without consuming ``pairs``.
         """
         cfg = self.config
-        if cfg.workers != 1 or cfg.num_simulated_dpus != cfg.num_dpus:
+        if resolve_workers(cfg.workers) != 1 or cfg.num_simulated_dpus != cfg.num_dpus:
             return None
         return self.kernel.batch_views(pairs)
 

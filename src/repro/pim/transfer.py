@@ -6,9 +6,9 @@ complete, the CPU thread transfers the results back from the DPU MRAMs."
 
 Functionally, :meth:`HostTransferEngine.push_batch` packs pair records and
 writes them (plus the layout header) into a simulated DPU's MRAM, and
-:meth:`HostTransferEngine.pull_results` parses result records back out —
-so the integration tests can verify that scores/CIGARs survive the full
-round trip through the memory system.
+:meth:`HostTransferEngine.pull_results_full` parses result records back
+out — so the integration tests can verify that scores/CIGARs survive the
+full round trip through the memory system.
 
 For timing, transfers to/from *all* DPUs proceed in parallel across
 ranks; the model divides total bytes by the configured effective
@@ -19,7 +19,7 @@ for why "effective" != PrIM's peak).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, TypeVar
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.cigar import Cigar
 from repro.data.generator import ReadPair
@@ -33,8 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pim.faults import FaultInjector
 
 __all__ = ["HostTransferEngine", "TransferStats"]
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -151,47 +149,18 @@ class HostTransferEngine:
         self._observe("to_dpu", "push", moved)
         return moved
 
-    def pull_results(
-        self, dpu: Dpu, layout: MramLayout, count: int
-    ) -> tuple[list[tuple[int, Cigar | None]], int]:
-        """Read ``count`` result records from ``dpu``'s MRAM.
-
-        Returns ``(results, bytes_moved)`` with results in record order.
-        """
-        results = self._pull(
-            dpu, layout, count, lambda record, i: self._unpack(layout, record, i)
-        )
-        return results, count * layout.result_record_size
-
     def pull_results_full(
         self, dpu: Dpu, layout: MramLayout, count: int
     ) -> tuple[list[tuple[int, Cigar | None, int, int]], int]:
-        """Like :meth:`pull_results`, also decoding the aligned-region
-        starts: ``(score, cigar, pattern_start, text_start)`` per pair."""
+        """Read ``count`` result records from ``dpu``'s MRAM.
 
-        def parse(record: bytes, index: int) -> tuple[int, Cigar | None, int, int]:
-            return (
-                *self._unpack(layout, record, index),
-                *layout.unpack_result_region(record),
-            )
-
-        return self._pull(dpu, layout, count, parse), count * layout.result_record_size
-
-    # -- fault-aware pull plumbing ------------------------------------------
-
-    def _pull(
-        self,
-        dpu: Dpu,
-        layout: MramLayout,
-        count: int,
-        parse: Callable[[bytes, int], T],
-    ) -> list[T]:
-        """``parse(record, index)`` of the first ``count`` result records.
-
-        The records are one contiguous region, read in one copy and
-        parsed in record order.  Under a truncation budget the whole
-        records that fit it are read and parsed (a parse failure among
-        them wins), then the pull fails typed.
+        Returns ``(results, bytes_moved)`` with results in record order,
+        each ``(score, cigar, pattern_start, text_start)``: the record's
+        alignment and its aligned-region starts.  The records are one
+        contiguous region, read in one copy and parsed in record order.
+        Under a truncation budget the whole records that fit it are read
+        and parsed (a parse failure among them wins), then the pull
+        fails typed.
         """
         if count > layout.num_pairs:
             raise LayoutError(
@@ -201,17 +170,24 @@ class HostTransferEngine:
         size = layout.result_record_size
         fit = count if limit is None else min(count, limit // size)
         data = dpu.mram.host_read(layout.output_base, fit * size) if fit else b""
-        results = [
-            parse(data[at : at + size], index)
-            for index, at in enumerate(range(0, fit * size, size))
-        ]
+        results = []
+        for index, at in enumerate(range(0, fit * size, size)):
+            record = data[at : at + size]
+            results.append(
+                (
+                    *self._unpack(layout, record, index),
+                    *layout.unpack_result_region(record),
+                )
+            )
         moved = fit * size
         self.stats.bytes_from_dpu += moved
         self._observe("from_dpu", "pull", moved)
         if fit < count:
             raise self.injector.truncated("pull", moved, count * size)
         self.stats.pulls += 1
-        return results
+        return results, count * size
+
+    # -- fault-aware pull plumbing ------------------------------------------
 
     def _before_pull(self, dpu: Dpu, layout: MramLayout) -> Optional[int]:
         """Apply pre-pull corruption; return the pull byte budget.

@@ -26,11 +26,12 @@ every resulting *cell* on the modeled clock:
    under the same ablation and fault plan.
 
 Cells are pure functions of ``(campaign config, ablation, grid point)``,
-so they fan out over a process pool (``workers``) and the report is
-byte-identical at any worker count.  The JSONL report (schema
-``repro.qa.campaign/v1``) carries per-cell metrics plus deltas versus
-the all-on baseline cell *at the same grid point*;
-:func:`validate_campaign_report` recomputes every derived figure —
+so they fan out over the process's one pool
+(:func:`repro.pim.parallel.pool_map`; ``workers`` 1 runs them inline,
+0 one per core) and the report is byte-identical at any worker count.
+The JSONL report (schema ``repro.qa.campaign/v1``) carries per-cell
+metrics plus deltas versus the all-on baseline cell *at the same grid
+point*; :func:`validate_campaign_report` recomputes every derived figure —
 throughput, oracle agreement, restart bookkeeping, all deltas, the
 summary — and rejects reports whose cells are missing, duplicated,
 reordered, or internally inconsistent (the AE-Scientist-style contract
@@ -47,8 +48,6 @@ import json
 import math
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Union
@@ -64,6 +63,7 @@ from repro.pim.faults import (
     RetryPolicy,
     TaskletStall,
 )
+from repro.pim.parallel import pool_map
 from repro.qa.corpus import CorpusConfig, generate_corpus
 from repro.qa.oracle import reference_answers
 
@@ -973,45 +973,37 @@ def _reusable_prefix(
 def _cell_metrics(
     tasks: list[CellTask], reused: dict[str, dict], workers: int
 ) -> Iterator[tuple[CellTask, dict]]:
-    """Yield ``(task, metrics)`` in canonical order, computing missing
-    cells sequentially or over a process pool."""
-    todo = [task for task in tasks if task.name not in reused]
-    computed: dict[str, dict] = {}
-    if workers > 1 and len(todo) > 1:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(todo))
-            ) as pool:
-                for task, metrics in zip(todo, pool.map(run_cell, todo)):
-                    computed[task.name] = metrics
-        except (OSError, BrokenProcessPool):
-            # pool infrastructure failure: the sequential path is
-            # byte-identical (same discipline as repro.pim.fleet)
-            computed.clear()
+    """Yield ``(task, metrics)`` in canonical order, computing the
+    missing cells with :func:`~repro.pim.parallel.pool_map`: inline, one
+    cell at a time as the caller asks, or all at once on the pool."""
+    computed = pool_map(
+        run_cell, [task for task in tasks if task.name not in reused], workers
+    )
     for task in tasks:
         if task.name in reused:
             yield task, reused[task.name]
-        elif task.name in computed:
-            yield task, computed[task.name]
         else:
-            yield task, run_cell(task)
+            yield task, next(computed)
 
 
 def run_campaign(
     config: Optional[CampaignConfig] = None,
-    workers: int = 0,
+    workers: int = 1,
     report_path: Optional[Union[str, Path]] = None,
     resume: bool = False,
     telemetry=None,
 ) -> CampaignReport:
     """Run every cell of a campaign; see the module docstring.
 
-    ``workers > 1`` fans cells out over a process pool (cells are pure
-    functions of their task, so the report is byte-identical at any
-    worker count).  With ``resume=True`` and an existing ``report_path``,
-    completed cells are salvaged from the (possibly torn) file and only
-    the missing ones run; the rewritten report is byte-identical to an
-    uninterrupted run's.
+    ``workers`` is the width of the process's pool for the cells (1
+    runs them inline, 0 one per core; cells are pure functions of their
+    task, so the report is byte-identical at any worker count).  With
+    ``resume=True`` and an existing ``report_path``, completed cells are
+    salvaged from the (possibly torn) file and only the missing ones
+    run; the rewritten report is byte-identical to an uninterrupted
+    run's.  Inline, each cell's report line is written and flushed
+    before the next cell runs, so a crash loses at most the cell that
+    was running.
 
     When ``telemetry`` (a :class:`~repro.obs.telemetry.RunTelemetry`) is
     given, one ``campaign_cell`` event per cell and a closing

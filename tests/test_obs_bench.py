@@ -1,6 +1,7 @@
 """Tests for the perf ledger: scenarios, records, and the regression gate."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,8 @@ from repro.obs.bench import (
     validate_record,
 )
 from repro.obs.scenarios import SCENARIO_NAMES
+from repro.pim import parallel as parallel_mod
+from repro.pim.system import PimSystem
 
 #: the committed perf-gate baseline (`make perf-gate`)
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_baseline.json"
@@ -221,6 +224,39 @@ class TestScenarioCatalog:
             assert fresh["counters"] == base["counters"], name
             for key in GATED_FIELDS:
                 assert fresh[key] == base[key], f"{name}: {key}"
+
+
+    def test_host_parallel_compares_the_pool_with_an_in_process_run(
+        self, monkeypatch
+    ):
+        """On a four-core host too, the scenario's first run starts no
+        pool, so its identity check compares the pool with the
+        sequential path."""
+        built, pools_after = [], []
+
+        class Pool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
+
+            def shutdown(self):
+                pass
+
+        align = PimSystem.align
+
+        def counting(system, *args, **kwargs):
+            run = align(system, *args, **kwargs)
+            pools_after.append(len(built))
+            return run
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(PimSystem, "align", counting)
+        (record,) = run_scenarios(names=["host_parallel"])
+        assert pools_after == [0, 1] and built == [2]
+        assert record["info"]["results_identical"] is True
 
 
 class TestCountersFromDiff:

@@ -165,7 +165,6 @@ def raw_job(plan: FaultPlan, pairs: list[ReadPair], dpu_id: int = 0):
         tasklets=system.config.tasklets,
         pairs=tuple(pairs),
         fault_plan=plan,
-        verify=True,
     )
 
 

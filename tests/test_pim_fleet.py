@@ -14,6 +14,7 @@ identically.
 
 from __future__ import annotations
 
+import os
 import shutil
 import warnings
 import weakref
@@ -601,6 +602,19 @@ class TestOneEngineStream:
         run = self.fleet().run(pairs, pairs_per_round=24, collect_results=True)
         assert run.placements == [0, 1, 2, 3]
         assert engine_runs == [96]  # one run for all four rounds
+        assert flat_results(run) == self.scalar_results(pairs, pairs_per_round=24)
+
+    def test_workers_0_on_one_core_keeps_the_one_stream(
+        self, engine_runs, monkeypatch
+    ):
+        """``workers=0`` resolves to one in-process worker on a one-core
+        host, so the fleet call still aligns in one engine stream."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        pairs = make_pairs(96)
+        run = self.fleet(config=make_config(workers=0)).run(
+            pairs, pairs_per_round=24, collect_results=True
+        )
+        assert engine_runs == [96]
         assert flat_results(run) == self.scalar_results(pairs, pairs_per_round=24)
 
     def test_a_round_that_fills_a_run_keeps_its_own_views(

@@ -100,8 +100,8 @@ class TestDpuMemories:
         engine.push_batch(dpu, layout, pairs)
         for i in range(2):
             dpu.mram.write(layout.result_addr(i), layout.pack_result(i, None))
-        results, _ = engine.pull_results(dpu, layout, 2)
-        assert results == [(0, None), (1, None)]
+        results, _ = engine.pull_results_full(dpu, layout, 2)
+        assert results == [(0, None, 0, 0), (1, None, 0, 0)]
         assert engine.stats.bytes_to_dpu == HEADER_BYTES + 2 * layout.input_record_size
         assert engine.stats.bytes_from_dpu == 2 * layout.result_record_size
         assert crossed == {

@@ -23,6 +23,7 @@ from repro.data.generator import ReadPairGenerator
 from repro.errors import ConfigError
 from repro.pim import kernel as kernel_mod
 from repro.pim import parallel as parallel_mod
+from repro.pim.ablation import AblationConfig
 from repro.pim.config import PimSystemConfig
 from repro.pim.faults import DpuDeath, FaultPlan, MramCorruption
 from repro.pim.fleet import FleetCoordinator
@@ -35,6 +36,7 @@ from repro.pim.parallel import (
     run_dpu_job,
 )
 from repro.pim.system import PimSystem
+from repro.qa.campaign import CampaignConfig, FaultGridPoint, run_campaign
 
 PEN = AffinePenalties(4, 6, 2)
 KERNEL = KernelConfig(penalties=PEN, max_read_len=50, max_edits=2)
@@ -269,8 +271,31 @@ class TestEngine:
 
     def test_records_sorted_by_dpu_id(self):
         jobs = [self._job(dpu_id=d) for d in (2, 0, 1)]
-        records = execute_jobs(jobs, workers=1)
+        records, _ = execute_jobs(jobs, workers=1)
         assert [r.dpu_id for r in records] == [0, 1, 2]
+
+    def test_fault_free_jobs_run_once_as_built(self, monkeypatch):
+        """Without a fault plan each job makes one attempt, on the very
+        object the system built (no copy), and the run reports no
+        recovery."""
+        built, ran = [], []
+        make_job, run_dpu = PimSystem._make_job, parallel_mod.run_dpu_job
+
+        def building(system, *args, **kwargs):
+            built.append(make_job(system, *args, **kwargs))
+            return built[-1]
+
+        def running(job, *args):
+            ran.append(job)
+            return run_dpu(job, *args)
+
+        monkeypatch.setattr(PimSystem, "_make_job", building)
+        monkeypatch.setattr(parallel_mod, "run_dpu_job", running)
+        pairs = ReadPairGenerator(length=50, error_rate=0.04, seed=8).pairs(10)
+        run = make_system().align(pairs)
+        assert run.recovery is None
+        assert len(ran) == len(built) == 4
+        assert all(job is own for job, own in zip(ran, built))
 
     def test_pull_false_returns_no_results(self):
         rec = run_dpu_job(self._job(pull=False))
@@ -301,7 +326,7 @@ class TestEngine:
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", ExplodingPool)
         jobs = [self._job(dpu_id=d) for d in range(3)]
-        records = execute_jobs(jobs, workers=3)
+        records, _ = execute_jobs(jobs, workers=3)
         assert [r.dpu_id for r in records] == [0, 1, 2]
         assert all(r.num_pairs == 4 for r in records)
 
@@ -512,6 +537,38 @@ class TestOnePool:
         assert [p.max_workers for p in pools] == [3, 2]
         assert pools[0].shut and not pools[1].shut
         assert parallel_mod._pools == {2: pools[1]}
+
+    #: two cells, so that a pool takes them
+    CAMPAIGN = CampaignConfig(
+        pairs=8,
+        pairs_per_round=4,
+        serve_requests=0,
+        ablations=(AblationConfig(name="baseline"),),
+        grid=(
+            FaultGridPoint(name="calm"),
+            FaultGridPoint(name="dead_dpu", dead_dpus=1),
+        ),
+    )
+
+    def test_campaign_cells_and_dpu_jobs_share_the_pool(self, pools, tmp_path):
+        run_campaign(self.CAMPAIGN, workers=2, report_path=tmp_path / "c.jsonl")
+        (pool,) = pools
+        assert pool.max_workers == 2 and pool.maps == [2]
+        pairs = ReadPairGenerator(length=50, error_rate=0.04, seed=4).pairs(8)
+        make_system(workers=2).align(pairs)
+        assert pools == [pool] and pool.maps == [2, 2]
+
+    def test_campaign_workers_0_is_one_per_core(self, pools, tmp_path, monkeypatch):
+        """``workers`` means for campaign cells what it means for DPU
+        jobs: 1 runs inline, 0 one worker per core."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        inline, pooled = tmp_path / "inline.jsonl", tmp_path / "pooled.jsonl"
+        run_campaign(self.CAMPAIGN, workers=1, report_path=inline)
+        assert pools == []
+        run_campaign(self.CAMPAIGN, workers=0, report_path=pooled)
+        (pool,) = pools
+        assert pool.max_workers == 2 and pool.maps == [2]
+        assert pooled.read_bytes() == inline.read_bytes()
 
     def test_broken_pool_falls_back_and_the_next_call_starts_afresh(
         self, pools, monkeypatch

@@ -433,7 +433,6 @@ class TestCorruptInputUnderAFaultPlan:
             pairs=tuple(pairs),
             # a stall budget the launch never reaches puts an injector on the DPU
             fault_plan=FaultPlan(stalls=(TaskletStall(dpu_id=0, dma_budget=10**6),)),
-            verify=True,
         )
 
         def message():

@@ -49,13 +49,13 @@ class TestFunctionalPath:
         dpu = Dpu(DpuConfig())
         record = layout.pack_result(7, None)
         dpu.mram.write(layout.result_addr(0), record)
-        results, moved = engine.pull_results(dpu, layout, 1)
-        assert results == [(7, None)]
+        results, moved = engine.pull_results_full(dpu, layout, 1)
+        assert results == [(7, None, 0, 0)]
         assert moved == layout.result_record_size
 
     def test_pull_overflow_rejected(self, layout, engine):
         with pytest.raises(LayoutError):
-            engine.pull_results(Dpu(DpuConfig()), layout, 9)
+            engine.pull_results_full(Dpu(DpuConfig()), layout, 9)
 
     def test_push_accounting_uses_layout_header_constant(self, layout, monkeypatch):
         """Regression: push accounting must track ``layout.HEADER_BYTES``,
@@ -83,7 +83,7 @@ class TestFunctionalPath:
         pairs = ReadPairGenerator(length=30, error_rate=0.0, seed=1).pairs(2)
         dpu = Dpu(DpuConfig())
         engine.push_batch(dpu, layout, pairs)
-        engine.pull_results(dpu, layout, 2)
+        engine.pull_results_full(dpu, layout, 2)
         assert engine.stats.pushes == 1
         assert engine.stats.pulls == 1
         assert engine.stats.bytes_to_dpu > 0

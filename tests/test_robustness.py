@@ -44,10 +44,10 @@ class TestVerifyCatchesCorruption:
         addr = layout.result_addr(0)
         score = int.from_bytes(dpu.mram.read(addr, 4), "little", signed=True)
         dpu.mram.write(addr, (score + 1).to_bytes(4, "little", signed=True))
-        pulled, _ = HostTransferEngine(system.config.transfer).pull_results(
+        pulled, _ = HostTransferEngine(system.config.transfer).pull_results_full(
             dpu, layout, 2
         )
-        results = [(i, s, c) for i, (s, c) in enumerate(pulled)]
+        results = [(i, s, c) for i, (s, c, _, _) in enumerate(pulled)]
         with pytest.raises(KernelError, match="rescoring"):
             system._verify_results(pairs, results)
 
